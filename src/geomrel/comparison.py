@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import ClassVar
@@ -54,6 +55,8 @@ __all__ = [
 # Expected-TBF accumulation in Littlewood-Verrall predictions stops here;
 # reaching the cap means the requested horizon is absurd for the fit.
 _LV_PREDICTION_INDEX_CAP = 50_000_000
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class ReliabilityModel(ABC):
@@ -345,8 +348,10 @@ class LittlewoodVerrall(ReliabilityModel):
         squared = np.square(indices)
 
         def negative_log_likelihood(z: np.ndarray) -> float:
-            with np.errstate(over="ignore"):
-                alpha, beta0, beta1 = np.exp(z)
+            # Above the log of the largest float, exp(z) overflows.
+            if max(z.tolist()) > _LOG_FLOAT_MAX:
+                return math.inf
+            alpha, beta0, beta1 = np.exp(z)
             if not (np.isfinite(alpha) and np.isfinite(beta0) and np.isfinite(beta1)):
                 return math.inf
             phi = beta0 + beta1 * squared

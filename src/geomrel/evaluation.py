@@ -8,6 +8,11 @@ Curves from several projects are combined per model by binning the
 normalized axis and taking per-cell medians, which keeps one badly
 predicted project from cancelling or dominating the rest.
 
+Every cut is scored, but a sub-history is fitted only once: cuts that fall
+between the same two measurements leave the same data and share its fit
+and prediction (or its failure reason).  Because fits are deterministic,
+the curves are identical to those of a fresh fit at every cut.
+
 Evaluations are deterministic: the same inputs produce bit-identical
 curves.  Fits that fail at a cut are recorded as gaps, never fabricated.
 """
@@ -126,7 +131,8 @@ def number_of_failures_eval(
     config=None,
 ) -> ValidityCurve:
     """Refit ``model_name`` on truncations of ``ds`` and score each
-    prediction of the final failure count.
+    prediction of the final failure count; each distinct truncation is
+    fitted once however many cuts leave it.
 
     ``cut_points`` defaults to :func:`default_cut_points`.  Cuts that leave
     fewer than two measurements, or at which the fit or prediction fails,
@@ -148,21 +154,26 @@ def number_of_failures_eval(
     if cuts[-1] > t_q:
         raise ValueError(f"cut point {cuts[-1]} lies beyond the observation window {t_q}")
 
+    # Prefix length -> its prediction at t_q, or the reason there is none.
+    outcomes: dict[int, float | str] = {}
     points = []
     skipped = []
     for t_e in cuts:
-        sub_points = tuple(p for p in ds.points if p[0] <= t_e)
-        if len(sub_points) < 2:
+        n = int(np.searchsorted(ds.times, t_e, side="right"))
+        if n < 2:
             skipped.append((t_e, "fewer than 2 measurements at this cut"))
             continue
-        sub = FailureDataset(sub_points, ds.label, ds.native_unit)
-        try:
-            fitted = fit_model(model_name, sub, config)
-            mu_hat = fitted.predict_mean(t_q)
-        except (FitError, PredictionError, ValueError, OverflowError) as exc:
-            skipped.append((t_e, str(exc)))
-            continue
-        points.append((t_e / t_q, (mu_hat - q) / q))
+        if n not in outcomes:
+            sub = FailureDataset(ds.points[:n], ds.label, ds.native_unit)
+            try:
+                outcomes[n] = fit_model(model_name, sub, config).predict_mean(t_q)
+            except (FitError, PredictionError, ValueError, OverflowError) as exc:
+                outcomes[n] = str(exc)
+        outcome = outcomes[n]
+        if isinstance(outcome, str):
+            skipped.append((t_e, outcome))
+        else:
+            points.append((t_e / t_q, (outcome - q) / q))
     return ValidityCurve(model_name, ds.label, tuple(points), tuple(skipped))
 
 

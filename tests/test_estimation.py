@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import geomrel.estimation as estimation
+from geomrel.comparison import LittlewoodVerrall
 from geomrel.data import FailureDataset
 from geomrel.estimation import (
     FitResult,
@@ -290,3 +292,42 @@ def test_fit_result_recomputes_for_random_truth(p1, d):
     assert result.objective_value == pytest.approx(
         least_squares_objective(result.params, ds), abs=1e-12
     )
+
+
+class TestEvaluationCount:
+    """``SimplexResult.evaluations`` matches an independent tally of the
+    objective calls of real fits, the initial vertices included."""
+
+    @pytest.fixture
+    def tallied(self, monkeypatch):
+        runs = []
+        original = estimation.nelder_mead
+
+        def counting_nelder_mead(objective, config, start):
+            tally = [0]
+
+            def counted(x):
+                tally[0] += 1
+                return objective(x)
+
+            best, diag = original(counted, config, start)
+            runs.append((tally[0], diag))
+            return best, diag
+
+        monkeypatch.setattr(estimation, "nelder_mead", counting_nelder_mead)
+        return runs
+
+    def test_geometric_fit(self, tallied):
+        ds = forward_dataset(GeometricModelParams(0.05, 0.95), [10.0 * k for k in range(1, 21)])
+        fit(ds)
+        (tally, diag), = tallied
+        assert diag.evaluations == tally
+        assert tally >= 3 + diag.iterations
+
+    def test_littlewood_verrall_fit(self, tallied):
+        tbf = np.random.default_rng(5).exponential(3.0, size=40)
+        fitted = LittlewoodVerrall.fit(FailureDataset.from_tbf(tbf))
+        (tally, diag), = tallied
+        assert diag is fitted.diagnostics
+        assert diag.evaluations == tally
+        assert tally >= 4 + diag.iterations

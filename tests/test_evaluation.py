@@ -1,10 +1,19 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import geomrel.evaluation as evaluation
-from geomrel.data import FailureDataset, TimeConversionProfile, TimeUnit, rescale_dataset
+from geomrel.comparison import ALL_MODEL_NAMES, fit_model
+from geomrel.data import (
+    FailureDataset,
+    TimeConversionProfile,
+    TimeUnit,
+    parse_dataset,
+    rescale_dataset,
+)
+from geomrel.errors import FitError, PredictionError
 from geomrel.estimation import OptimizerConfig
 from geomrel.evaluation import (
     AggregateCurve,
@@ -22,6 +31,7 @@ from geomrel.model import GeometricModelParams, mean_failures
 from geomrel.simulation import SimulationConfig, simulate
 
 TRUE = GeometricModelParams(0.05, 0.95)
+REPO_DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def forward_dataset(label="proj"):
@@ -132,6 +142,71 @@ class TestNumberOfFailuresEval:
         first = float(np.median(errors[fractions[0]]))
         last = float(np.median(errors[fractions[-1]]))
         assert last <= first
+
+
+def per_cut_reference(model_name, ds, cuts):
+    """The harness written longhand: one fresh fit for every cut."""
+    q, t_q = ds.final_count, ds.final_time
+    points, skipped = [], []
+    for t_e in cuts:
+        sub_points = tuple(p for p in ds.points if p[0] <= t_e)
+        if len(sub_points) < 2:
+            skipped.append((t_e, "fewer than 2 measurements at this cut"))
+            continue
+        sub = FailureDataset(sub_points, ds.label, ds.native_unit)
+        try:
+            mu_hat = fit_model(model_name, sub).predict_mean(t_q)
+        except (FitError, PredictionError, ValueError, OverflowError) as exc:
+            skipped.append((t_e, str(exc)))
+            continue
+        points.append((t_e / t_q, (mu_hat - q) / q))
+    return ValidityCurve(model_name, ds.label, tuple(points), tuple(skipped))
+
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """Sizes of the sub-histories the harness fits, in call order."""
+    sizes = []
+
+    def counting_fit_model(model_name, sub, config=None):
+        sizes.append(len(sub))
+        return fit_model(model_name, sub, config)
+
+    monkeypatch.setattr(evaluation, "fit_model", counting_fit_model)
+    return sizes
+
+
+class TestDistinctPrefixReuse:
+    """Cuts that leave the same sub-history share one fit, and the curve is
+    the one a fresh fit per cut would give."""
+
+    @pytest.fixture(scope="class")
+    def ntds(self):
+        with open(REPO_DATA / "ntds_tbf.csv", "rb") as handle:
+            return parse_dataset(handle, "tbf_csv", label="ntds")
+
+    @pytest.mark.parametrize("model_name", ALL_MODEL_NAMES)
+    def test_ntds_fits_each_distinct_prefix_once(self, ntds, fit_calls, model_name):
+        cuts = default_cut_points(ntds)
+        curve = number_of_failures_eval(model_name, ntds, cuts)
+        assert len(cuts) == 20
+        assert len(fit_calls) == len(set(fit_calls)) == 11
+        assert curve == per_cut_reference(model_name, ntds, cuts)
+
+    def test_repeated_failed_prefix_keeps_reason_per_cut(self, fit_calls):
+        # Cuts at 45, 55 and 65 all see the same four failures, too few for
+        # Littlewood-Verrall; each keeps its own skip with the same reason.
+        points = ((10.0, 1), (20.0, 2), (30.0, 3), (40.0, 4), (70.0, 5), (80.0, 6),
+                  (90.0, 7), (100.0, 8))
+        ds = FailureDataset(points, "sparse-start")
+        cuts = [45.0, 55.0, 65.0, 100.0]
+        curve = number_of_failures_eval("littlewood-verrall", ds, cuts)
+        assert fit_calls == [4, 8]
+        assert [t for t, _ in curve.skipped] == [45.0, 55.0, 65.0]
+        reasons = {r for _, r in curve.skipped}
+        assert reasons == {"littlewood-verrall: needs at least 5 failures, got 4"}
+        assert [nt for nt, _ in curve.points] == [1.0]
+        assert curve == per_cut_reference("littlewood-verrall", ds, cuts)
 
 
 class TestUnitInvariance:
