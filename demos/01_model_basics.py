@@ -13,7 +13,6 @@ import numpy as np
 from geomrel import (
     GeometricModelParams,
     additional_time,
-    additional_time_abs,
     failure_intensity,
     fault_rate,
     mean_failures,
@@ -49,7 +48,7 @@ print("   the intensity exactly for more than one fault; both are exposed)")
 # From the current intensity, how much further testing is needed?
 lam_now = failure_intensity(params, 200.0)
 dt_raw = additional_time(params, lam_now, objective)
-dt_abs = additional_time_abs(params, lam_now, objective)
+dt_abs = abs(dt_raw)
 print(f"\nfrom t=200 (intensity {lam_now:.4f}) down to {objective}:")
 print(f"  raw formula value: {dt_raw:.1f}   planning magnitude: {dt_abs:.1f} incidents")
 print("  (the raw value is negative by construction; the sign is surfaced,")

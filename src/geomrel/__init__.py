@@ -3,31 +3,21 @@ failure rates.
 
 The package bundles the model equations, least-squares fitting with an
 in-house Nelder-Mead simplex, four classic comparison models behind the
-same fit/predict interface, a number-of-failures predictive-validity
-harness, and a simulation oracle for verification.  The ``geomrel``
+same fit/predict interface (three of them rows of one closed-form table),
+a number-of-failures predictive-validity harness, and a simulation oracle
+for verification.  The ``geomrel``
 console command exposes the fit/predict/evaluate/simulate workflows on
 CSV failure histories.
 """
 
 from .comparison import (
     ALL_MODEL_NAMES,
-    REFERENCE_MODEL_NAMES,
+    ClosedFormModel,
     GeometricRates,
     LittlewoodVerrall,
     LittlewoodVerrallParams,
-    MusaBasic,
-    MusaBasicParams,
-    MusaOkumoto,
-    MusaOkumotoParams,
-    Nhpp,
-    NhppParams,
     ReliabilityModel,
-    fit_comparison,
     fit_model,
-    littlewood_verrall_fit_predict,
-    musa_basic_mean,
-    musa_okumoto_mean,
-    nhpp_mean,
 )
 from .data import (
     FailureDataset,
@@ -53,9 +43,7 @@ from .evaluation import (
     ValidityCurve,
     aggregate_median,
     aggregate_to_csv,
-    aggregate_to_json,
     curve_to_csv,
-    curve_to_json,
     default_cut_points,
     number_of_failures_eval,
     outlier_report,
@@ -63,7 +51,6 @@ from .evaluation import (
 from .model import (
     GeometricModelParams,
     additional_time,
-    additional_time_abs,
     default_truncation,
     failure_intensity,
     fault_cdf,
@@ -74,9 +61,7 @@ from .model import (
     time_for_intensity_exact,
 )
 from .simulation import (
-    FaultRealization,
     SimulationConfig,
-    draw_realizations,
     empirical_intensity,
     simulate,
 )
@@ -87,24 +72,17 @@ __all__ = [
     "ALL_MODEL_NAMES",
     "AggregateCell",
     "AggregateCurve",
+    "ClosedFormModel",
     "DataFormatError",
     "FailureDataset",
-    "FaultRealization",
     "FitError",
     "FitResult",
     "GeometricModelParams",
     "GeometricRates",
     "LittlewoodVerrall",
     "LittlewoodVerrallParams",
-    "MusaBasic",
-    "MusaBasicParams",
-    "MusaOkumoto",
-    "MusaOkumotoParams",
-    "Nhpp",
-    "NhppParams",
     "OptimizerConfig",
     "PredictionError",
-    "REFERENCE_MODEL_NAMES",
     "ReliabilityModel",
     "SimplexResult",
     "SimulationConfig",
@@ -112,31 +90,22 @@ __all__ = [
     "TimeUnit",
     "ValidityCurve",
     "additional_time",
-    "additional_time_abs",
     "aggregate_median",
     "aggregate_to_csv",
-    "aggregate_to_json",
     "convert_time",
     "curve_to_csv",
-    "curve_to_json",
     "default_cut_points",
     "default_truncation",
-    "draw_realizations",
     "empirical_intensity",
     "failure_intensity",
     "fault_cdf",
     "fault_rate",
     "fit",
-    "fit_comparison",
     "fit_model",
     "least_squares_objective",
-    "littlewood_verrall_fit_predict",
     "log_likelihood_small",
     "mean_failures",
-    "musa_basic_mean",
-    "musa_okumoto_mean",
     "nelder_mead",
-    "nhpp_mean",
     "number_of_failures_eval",
     "outlier_report",
     "parse_dataset",

@@ -113,9 +113,14 @@ def _params_from_args(args) -> GeometricModelParams:
     if args.params is not None:
         with open(args.params, "rb") as handle:
             payload = json.load(handle)
-        return GeometricModelParams(
-            payload["p1"], payload["d"], int(payload["truncation"])
-        )
+        if not isinstance(payload, dict):
+            raise DataFormatError("params file must hold a JSON object")
+        try:
+            return GeometricModelParams(
+                payload["p1"], payload["d"], int(payload["truncation"])
+            )
+        except TypeError as exc:
+            raise DataFormatError(f"invalid params: {exc}") from exc
     if args.p1 is None or args.d is None:
         raise DataFormatError("provide either --params FILE or both --p1 and --d")
     return GeometricModelParams(args.p1, args.d, args.truncation)
@@ -181,6 +186,13 @@ def cmd_evaluate(args) -> int:
             )
     if not models:
         return _fail("no models requested", EXIT_INPUT)
+    # Checked before any fit so that a bad value leaves no partial output.
+    if args.cuts < 1:
+        return _fail("--cuts must be at least 1", EXIT_INPUT)
+    if args.bins < 1:
+        return _fail("--bins must be at least 1", EXIT_INPUT)
+    if args.threshold is not None and not args.threshold > 0:
+        return _fail("--threshold must be positive", EXIT_INPUT)
     datasets = [_read_dataset(path, args.format) for path in args.inputs]
 
     out_dir = Path(args.out)

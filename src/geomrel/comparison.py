@@ -1,29 +1,35 @@
-"""Reference reliability growth models behind one fit/predict interface.
+"""The geometric-rates model and four reference models behind one
+fit/predict interface.
 
 Four classic models (Musa basic, Musa-Okumoto, Littlewood-Verrall in its
 quadratic form, and an NHPP with exponentially bounded mean) are exposed
 with the same contract as the geometric-rates model so that a validity
-harness can treat all five uniformly.
+harness can treat all five uniformly; :func:`fit_model` fits any of them
+by name.
 
-Musa basic, Musa-Okumoto, and NHPP are fitted by the same log-scale least
-squares used for the geometric model, applied to their closed-form mean
-value functions; Littlewood-Verrall is TBF-native and is fitted by
-maximizing its marginal likelihood.  Every route uses the in-house
-Nelder-Mead optimizer, so cross-model comparisons reflect model shape
-rather than toolchain differences.  Absolute fitted values therefore need
-not match those of other estimation toolchains even on identical data.
+Musa basic, Musa-Okumoto, and NHPP are rows of one table of closed-form
+mean value functions, each with its parameter names and a start that
+interpolates the history's final point.  :class:`ClosedFormModel` fits any
+row by the same log-scale least squares used for the geometric model.
+Musa basic and NHPP share the exponential mean ``a(1 - exp(-bt))`` (Goel &
+Okumoto 1979) and therefore fit identically; they keep separate names,
+parameter names and outputs.  Littlewood-Verrall is TBF-native and is
+fitted by maximizing its marginal likelihood.  Every route uses the
+in-house Nelder-Mead optimizer, so cross-model comparisons reflect model
+shape rather than toolchain differences.  Absolute fitted values therefore
+need not match those of other estimation toolchains even on identical
+data.
 
 Fitted models are immutable; independent fits may run concurrently.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,24 +38,13 @@ from .data import FailureDataset
 from .errors import FitError, PredictionError
 
 __all__ = [
+    "ALL_MODEL_NAMES",
+    "ClosedFormModel",
     "GeometricRates",
     "LittlewoodVerrall",
     "LittlewoodVerrallParams",
-    "MusaBasic",
-    "MusaBasicParams",
-    "MusaOkumoto",
-    "MusaOkumotoParams",
-    "Nhpp",
-    "NhppParams",
     "ReliabilityModel",
-    "ALL_MODEL_NAMES",
-    "REFERENCE_MODEL_NAMES",
-    "fit_comparison",
     "fit_model",
-    "littlewood_verrall_fit_predict",
-    "musa_basic_mean",
-    "musa_okumoto_mean",
-    "nhpp_mean",
 ]
 
 # Expected-TBF accumulation in Littlewood-Verrall predictions stops here;
@@ -62,65 +57,21 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 class ReliabilityModel(ABC):
     """Common contract of every fitted model.
 
-    ``fit`` is deterministic for a given dataset and optimizer config,
-    ``predict_mean`` returns the expected cumulative failure count at a
-    time, is 0 at t = 0, and never decreases.  Instances are immutable
-    once constructed.
+    Fits (see :func:`fit_model`) are deterministic for a given dataset and
+    optimizer config.  ``predict_mean`` returns the expected cumulative
+    failure count at a time, is 0 at t = 0, and never decreases.
+    Instances are immutable once constructed.
     """
 
-    model_name: ClassVar[str]
-
-    @classmethod
-    @abstractmethod
-    def fit(cls, ds: FailureDataset, config: estimation.OptimizerConfig | None = None):
-        """Fit the model to a failure history and return the fitted instance."""
+    model_name: str
 
     @abstractmethod
     def predict_mean(self, t: float) -> float:
         """Expected cumulative failures at time ``t``."""
 
+    @abstractmethod
     def params_dict(self) -> dict:
         """Fitted parameters as a plain mapping (for serialization)."""
-        raise NotImplementedError
-
-    def params_json(self) -> str:
-        return json.dumps({self.model_name: self.params_dict()}, indent=2)
-
-
-@dataclass(frozen=True)
-class MusaBasicParams:
-    """Expected total failures ``beta0`` and per-fault hazard ``beta1``."""
-
-    beta0: float
-    beta1: float
-
-    def __post_init__(self) -> None:
-        if not (self.beta0 > 0 and self.beta1 > 0):
-            raise ValueError("Musa basic parameters must be positive")
-
-
-@dataclass(frozen=True)
-class MusaOkumotoParams:
-    """Initial intensity ``lambda0`` and intensity decay ``theta``."""
-
-    lambda0: float
-    theta: float
-
-    def __post_init__(self) -> None:
-        if not (self.lambda0 > 0 and self.theta > 0):
-            raise ValueError("Musa-Okumoto parameters must be positive")
-
-
-@dataclass(frozen=True)
-class NhppParams:
-    """Expected total failures ``a`` and detection rate ``b``."""
-
-    a: float
-    b: float
-
-    def __post_init__(self) -> None:
-        if not (self.a > 0 and self.b > 0):
-            raise ValueError("NHPP parameters must be positive")
 
 
 @dataclass(frozen=True)
@@ -156,164 +107,117 @@ class LittlewoodVerrallParams:
         return self.trend(i) / (self.alpha - 1.0)
 
 
-def _validated_times(t, what: str) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} requires finite t >= 0, got {t!r}")
-    return arr, arr.ndim == 0
+class _ClosedForm(NamedTuple):
+    """One closed-form model: its two parameter names, its mean value
+    function ``mean(p, t)`` and its start ``start(t_q, q) -> p``, which
+    interpolates the final point ``(t_q, q)`` of a history exactly."""
+
+    param_names: tuple[str, str]
+    mean: Callable
+    start: Callable
 
 
-def musa_basic_mean(params: MusaBasicParams, t):
-    """Bounded exponential mean ``beta0 * (1 - exp(-beta1 * t))``."""
-    arr, scalar = _validated_times(t, "musa_basic_mean")
-    vals = params.beta0 * -np.expm1(-params.beta1 * arr)
-    return float(vals) if scalar else vals
+def _exponential_mean(p, t):
+    """Bounded mean ``p[0] * (1 - exp(-p[1] * t))`` (Goel & Okumoto 1979)."""
+    return p[0] * -np.expm1(-p[1] * t)
 
 
-def musa_okumoto_mean(params: MusaOkumotoParams, t):
-    """Logarithmic mean ``ln(lambda0 * theta * t + 1) / theta``; unbounded,
-    with initial slope ``lambda0``."""
-    arr, scalar = _validated_times(t, "musa_okumoto_mean")
-    vals = np.log1p(params.lambda0 * params.theta * arr) / params.theta
-    return float(vals) if scalar else vals
+def _exponential_start(t_q: float, q: float) -> tuple[float, float]:
+    # Rate 1/t_q, and the total solving mean(t_q) = q.
+    return q / -math.expm1(-1.0), 1.0 / t_q
 
 
-def nhpp_mean(params: NhppParams, t):
-    """Bounded mean ``a * (1 - exp(-b * t))``: the expected detections in a
-    small interval stay proportional to the faults still undetected."""
-    arr, scalar = _validated_times(t, "nhpp_mean")
-    vals = params.a * -np.expm1(-params.b * arr)
-    return float(vals) if scalar else vals
+def _logarithmic_mean(p, t):
+    """Unbounded mean ``ln(lambda0 * theta * t + 1) / theta`` with initial
+    slope ``lambda0``."""
+    return np.log1p(p[0] * p[1] * t) / p[1]
 
 
-def _fit_mean_by_log_least_squares(name, mean_of_logparams, ds, start_log, config):
-    """Shared least-squares route for models with a closed-form mean.
+def _logarithmic_start(t_q: float, q: float) -> tuple[float, float]:
+    # theta = 1/q: ln(lambda0*theta*t_q + 1)/theta = q
+    #   =>  lambda0 = expm1(theta*q)/(theta*t_q).
+    theta = 1.0 / q
+    return math.expm1(theta * q) / (theta * t_q), theta
 
-    ``mean_of_logparams(z, times)`` evaluates the mean value function at
-    exp-transformed parameters, which keeps them positive without
-    constraining the simplex.
+
+_CLOSED_FORMS = {
+    # Equally likely faults, piecewise exponential interfailure times,
+    # intensity proportional to the faults remaining.
+    "musa-basic": _ClosedForm(("beta0", "beta1"), _exponential_mean, _exponential_start),
+    # Logarithmic Poisson growth: intensity decays exponentially with the
+    # failures experienced, so the mean grows without bound.
+    "musa-okumoto": _ClosedForm(("lambda0", "theta"), _logarithmic_mean, _logarithmic_start),
+    # Poisson-counted detections whose expected number in a small interval
+    # stays proportional to the faults still undetected: Musa basic's mean
+    # form without its stochastic story.
+    "nhpp": _ClosedForm(("a", "b"), _exponential_mean, _exponential_start),
+}
+
+
+class ClosedFormModel(ReliabilityModel):
+    """A model with a closed-form mean value function, fitted by the same
+    log-scale least squares as the geometric model.
+
+    ``model_name`` is one of ``musa-basic`` (``beta0``, ``beta1``),
+    ``musa-okumoto`` (``lambda0``, ``theta``) or ``nhpp`` (``a``, ``b``);
+    ``params`` holds the two positive parameters in that order.
     """
-    config = config or estimation.OptimizerConfig()
-    try:
-        times, log_counts, _ = estimation._usable_arrays(ds)
-    except ValueError as exc:
-        raise FitError(f"{name}: {exc}") from exc
-    if times.size < 2:
-        raise FitError(f"{name}: need at least 2 usable points, got {times.size}")
 
-    def objective(z: np.ndarray) -> float:
-        # Excursions of the simplex can push exp(z) past float range; the
-        # resulting non-finite means are rejected as +inf probes.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            mu = mean_of_logparams(z, times)
-            if not np.all(np.isfinite(mu)) or np.any(mu <= 0):
-                return math.inf
-            residuals = log_counts - np.log(mu)
-            return float(residuals @ residuals)
-
-    try:
-        best, diag = estimation.nelder_mead(objective, config, start_log)
-    except ValueError as exc:
-        raise FitError(f"{name}: {exc}") from exc
-    return np.exp(best), diag
-
-
-def _exponential_mean_start(ds: FailureDataset) -> np.ndarray:
-    # beta1 = 1/t_q and beta0 solving mean(t_q) = q give an exact interpolant
-    # of the final point, a deterministic data-driven start.
-    t_q = ds.final_time
-    q = float(ds.final_count)
-    return np.log([q / -math.expm1(-1.0), 1.0 / t_q])
-
-
-class MusaBasic(ReliabilityModel):
-    """Equally likely faults, piecewise exponential interfailure times,
-    intensity proportional to the faults remaining."""
-
-    model_name = "musa-basic"
-
-    def __init__(self, params: MusaBasicParams, diagnostics: estimation.SimplexResult | None = None):
-        self.params = params
+    def __init__(
+        self, model_name: str, params, diagnostics: estimation.SimplexResult | None = None
+    ):
+        if model_name not in _CLOSED_FORMS:
+            raise ValueError(
+                f"unknown closed-form model {model_name!r}; choose from {sorted(_CLOSED_FORMS)}"
+            )
+        first, second = params
+        if not (first > 0 and second > 0):
+            raise ValueError(f"{model_name} parameters must be positive, got {params!r}")
+        self.model_name = model_name
+        self.params = (float(first), float(second))
         self.diagnostics = diagnostics
 
     @classmethod
-    def fit(cls, ds, config=None):
-        vec, diag = _fit_mean_by_log_least_squares(
-            cls.model_name,
-            lambda z, t: np.exp(z[0]) * -np.expm1(-np.exp(z[1]) * t),
-            ds,
-            _exponential_mean_start(ds),
-            config,
-        )
-        return cls(MusaBasicParams(float(vec[0]), float(vec[1])), diag)
+    def fit(cls, model_name: str, ds: FailureDataset, config=None) -> "ClosedFormModel":
+        """Least squares between log counts and the log mean, searched over
+        log-parameters so that ``exp(z)`` keeps them positive."""
+        form = _CLOSED_FORMS[model_name]
+        config = config or estimation.OptimizerConfig()
+        try:
+            times, log_counts, _ = estimation._usable_arrays(ds)
+        except ValueError as exc:
+            raise FitError(f"{model_name}: {exc}") from exc
+        if times.size < 2:
+            raise FitError(f"{model_name}: need at least 2 usable points, got {times.size}")
 
-    def predict_mean(self, t) -> float:
-        return musa_basic_mean(self.params, t)
+        def objective(z: np.ndarray) -> float:
+            # Excursions of the simplex can push exp(z) past float range; the
+            # resulting non-finite means are rejected as +inf probes.
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                mu = form.mean(np.exp(z), times)
+                if not np.all(np.isfinite(mu)) or np.any(mu <= 0):
+                    return math.inf
+                residuals = log_counts - np.log(mu)
+                return float(residuals @ residuals)
 
-    def params_dict(self) -> dict:
-        return {"beta0": self.params.beta0, "beta1": self.params.beta1}
+        # Only after the check above: the starts divide by the final count.
+        start = np.log(form.start(ds.final_time, float(ds.final_count)))
+        try:
+            best, diag = estimation.nelder_mead(objective, config, start)
+        except ValueError as exc:
+            raise FitError(f"{model_name}: {exc}") from exc
+        return cls(model_name, np.exp(best), diag)
 
-
-class MusaOkumoto(ReliabilityModel):
-    """Logarithmic Poisson growth: intensity decays exponentially with the
-    failures experienced, so the mean grows without bound."""
-
-    model_name = "musa-okumoto"
-
-    def __init__(self, params: MusaOkumotoParams, diagnostics: estimation.SimplexResult | None = None):
-        self.params = params
-        self.diagnostics = diagnostics
-
-    @classmethod
-    def fit(cls, ds, config=None):
-        t_q = ds.final_time
-        q = float(ds.final_count)
-        # theta = 1/q makes the start hit the final point exactly:
-        # ln(lambda0*theta*t_q + 1)/theta = q  =>  lambda0 = expm1(theta*q)/(theta*t_q).
-        theta0 = 1.0 / q
-        lambda0 = math.expm1(theta0 * q) / (theta0 * t_q)
-        vec, diag = _fit_mean_by_log_least_squares(
-            cls.model_name,
-            lambda z, t: np.log1p(np.exp(z[0]) * np.exp(z[1]) * t) / np.exp(z[1]),
-            ds,
-            np.log([lambda0, theta0]),
-            config,
-        )
-        return cls(MusaOkumotoParams(float(vec[0]), float(vec[1])), diag)
-
-    def predict_mean(self, t) -> float:
-        return musa_okumoto_mean(self.params, t)
+    def predict_mean(self, t):
+        """Expected cumulative failures at ``t`` (a scalar or an array)."""
+        arr = np.asarray(t, dtype=float)
+        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+            raise ValueError(f"{self.model_name}: predict_mean requires finite t >= 0, got {t!r}")
+        vals = _CLOSED_FORMS[self.model_name].mean(self.params, arr)
+        return float(vals) if arr.ndim == 0 else vals
 
     def params_dict(self) -> dict:
-        return {"lambda0": self.params.lambda0, "theta": self.params.theta}
-
-
-class Nhpp(ReliabilityModel):
-    """Poisson-counted detections with a bounded non-decreasing mean; shares
-    the exponential mean form with Musa basic but not its stochastic story."""
-
-    model_name = "nhpp"
-
-    def __init__(self, params: NhppParams, diagnostics: estimation.SimplexResult | None = None):
-        self.params = params
-        self.diagnostics = diagnostics
-
-    @classmethod
-    def fit(cls, ds, config=None):
-        vec, diag = _fit_mean_by_log_least_squares(
-            cls.model_name,
-            lambda z, t: np.exp(z[0]) * -np.expm1(-np.exp(z[1]) * t),
-            ds,
-            _exponential_mean_start(ds),
-            config,
-        )
-        return cls(NhppParams(float(vec[0]), float(vec[1])), diag)
-
-    def predict_mean(self, t) -> float:
-        return nhpp_mean(self.params, t)
-
-    def params_dict(self) -> dict:
-        return {"a": self.params.a, "b": self.params.b}
+        return dict(zip(_CLOSED_FORMS[self.model_name].param_names, self.params))
 
 
 class LittlewoodVerrall(ReliabilityModel):
@@ -399,13 +303,6 @@ class LittlewoodVerrall(ReliabilityModel):
         }
 
 
-def littlewood_verrall_fit_predict(ds: FailureDataset, config=None):
-    """Fit the quadratic Littlewood-Verrall model; returns its parameters and
-    the prediction function for expected cumulative failures."""
-    fitted = LittlewoodVerrall.fit(ds, config)
-    return fitted.params, fitted.predict_mean
-
-
 class GeometricRates(ReliabilityModel):
     """The geometric-rates model exposed through the comparison interface."""
 
@@ -434,29 +331,19 @@ class GeometricRates(ReliabilityModel):
         }
 
 
-_REFERENCE_REGISTRY = {
-    cls.model_name: cls for cls in (MusaBasic, MusaOkumoto, LittlewoodVerrall, Nhpp)
-}
-_FULL_REGISTRY = {GeometricRates.model_name: GeometricRates, **_REFERENCE_REGISTRY}
-
-REFERENCE_MODEL_NAMES = tuple(_REFERENCE_REGISTRY)
-ALL_MODEL_NAMES = tuple(_FULL_REGISTRY)
-
-
-def fit_comparison(model_name: str, ds: FailureDataset, config=None) -> ReliabilityModel:
-    """Fit one of the four reference models by name."""
-    if model_name not in _REFERENCE_REGISTRY:
-        raise ValueError(
-            f"unknown comparison model {model_name!r}; choose from {sorted(REFERENCE_MODEL_NAMES)}"
-        )
-    return _REFERENCE_REGISTRY[model_name].fit(ds, config)
+# The order of ALL_MODEL_NAMES is the order of evaluate's outputs.
+ALL_MODEL_NAMES = ("geometric", "musa-basic", "musa-okumoto", "littlewood-verrall", "nhpp")
 
 
 def fit_model(model_name: str, ds: FailureDataset, config=None) -> ReliabilityModel:
-    """Fit any supported model (the geometric-rates model or a reference
-    model) by name."""
-    if model_name not in _FULL_REGISTRY:
-        raise ValueError(
-            f"unknown model {model_name!r}; choose from {sorted(ALL_MODEL_NAMES)}"
-        )
-    return _FULL_REGISTRY[model_name].fit(ds, config)
+    """Fit any supported model by name: the geometric-rates model,
+    Littlewood-Verrall, or one of the closed-form models."""
+    if model_name in _CLOSED_FORMS:
+        return ClosedFormModel.fit(model_name, ds, config)
+    if model_name == GeometricRates.model_name:
+        return GeometricRates.fit(ds, config)
+    if model_name == LittlewoodVerrall.model_name:
+        return LittlewoodVerrall.fit(ds, config)
+    raise ValueError(
+        f"unknown model {model_name!r}; choose from {sorted(ALL_MODEL_NAMES)}"
+    )

@@ -122,13 +122,6 @@ class FailureDataset:
         idx = int(np.searchsorted(self.times, t, side="right"))
         return 0 if idx == 0 else int(self.counts[idx - 1])
 
-    def truncate(self, t_max: float) -> "FailureDataset":
-        """The sub-history of measurements taken at or before ``t_max``."""
-        kept = tuple(p for p in self.points if p[0] <= t_max)
-        if not kept:
-            raise ValueError(f"no measurements at or before t={t_max}")
-        return FailureDataset(kept, self.label, self.native_unit)
-
     def failure_times(self) -> np.ndarray:
         """Per-failure occurrence times, linearly interpolated between
         measurements.

@@ -19,7 +19,6 @@ curves.  Fits that fail at a cut are recorded as gaps, never fabricated.
 
 from __future__ import annotations
 
-import json
 import math
 import statistics
 from dataclasses import dataclass, field
@@ -36,9 +35,7 @@ __all__ = [
     "ValidityCurve",
     "aggregate_median",
     "aggregate_to_csv",
-    "aggregate_to_json",
     "curve_to_csv",
-    "curve_to_json",
     "default_cut_points",
     "number_of_failures_eval",
     "outlier_report",
@@ -265,39 +262,3 @@ def aggregate_to_csv(agg: AggregateCurve, include_labels: bool = False) -> str:
             f"{cell.center!r},{cell.median_relative_error!r}" for cell in agg.cells
         )
     return "\n".join(lines) + "\n"
-
-
-def curve_to_json(curve: ValidityCurve) -> str:
-    """CSV content plus the skipped-cut diagnostics."""
-    return json.dumps(
-        {
-            "model": curve.model_name,
-            "dataset": curve.dataset_label,
-            "points": [
-                {"normalized_time": nt, "relative_error": err} for nt, err in curve.points
-            ],
-            "skipped": [{"t_e": t, "reason": r} for t, r in curve.skipped],
-        },
-        indent=2,
-    )
-
-
-def aggregate_to_json(agg: AggregateCurve) -> str:
-    """Aggregate cells with bounds and contributor counts."""
-    return json.dumps(
-        {
-            "model": agg.model_name,
-            "grid_cells": agg.grid_cells,
-            "cells": [
-                {
-                    "lower": cell.lower,
-                    "upper": cell.upper,
-                    "normalized_time": cell.center,
-                    "relative_error": cell.median_relative_error,
-                    "contributing_projects": cell.contributing_project_count,
-                }
-                for cell in agg.cells
-            ],
-        },
-        indent=2,
-    )

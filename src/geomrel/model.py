@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -24,7 +24,6 @@ __all__ = [
     "DEFAULT_RATE_FLOOR",
     "GeometricModelParams",
     "additional_time",
-    "additional_time_abs",
     "default_truncation",
     "failure_intensity",
     "fault_cdf",
@@ -70,10 +69,8 @@ class GeometricModelParams:
     When ``truncation`` is omitted it is derived with
     :func:`default_truncation`.
 
-    ``d`` must lie strictly inside (0, 1); the degenerate d = 1 case, in
-    which every fault shares the rate p1, is available only through the
-    :meth:`constant_rates` test-mode constructor because the release-time
-    formulas and the truncation rule divide by ``1 - d`` or ``ln d``.
+    ``d`` must lie strictly inside (0, 1): the release-time formulas and
+    the truncation rule divide by ``1 - d`` or ``ln d``.
 
     Instances are immutable and hashable.
     """
@@ -81,32 +78,18 @@ class GeometricModelParams:
     p1: float
     d: float
     truncation: int | None = None
-    constant_mode: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.p1 < 1.0:
             raise ValueError(f"p1 must lie in (0, 1), got {self.p1}")
-        if self.constant_mode:
-            if self.d != 1.0:
-                raise ValueError("constant-rates mode is only meaningful for d = 1")
-            if self.truncation is None:
-                raise ValueError("constant-rates mode requires an explicit truncation")
-        elif not 0.0 < self.d < 1.0:
-            raise ValueError(
-                f"d must lie in (0, 1), got {self.d}; use "
-                "GeometricModelParams.constant_rates for the d = 1 test mode"
-            )
+        if not 0.0 < self.d < 1.0:
+            raise ValueError(f"d must lie in (0, 1), got {self.d}")
         if self.truncation is None:
             object.__setattr__(self, "truncation", default_truncation(self.d))
         n = self.truncation
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError(f"truncation must be a positive integer, got {n!r}")
         object.__setattr__(self, "truncation", int(n))
-
-    @classmethod
-    def constant_rates(cls, p1: float, truncation: int) -> "GeometricModelParams":
-        """Test-mode constructor where every fault has the same rate ``p1``."""
-        return cls(p1, 1.0, truncation, constant_mode=True)
 
     @cached_property
     def rates(self) -> np.ndarray:
@@ -243,8 +226,8 @@ def additional_time(
     and returns exactly 0 when the two intensities coincide.  With rates in
     (0, 1) the denominator is positive, so the printed formula yields a
     negative value whenever the objective lies below the current intensity;
-    the raw signed value is surfaced unchanged (see
-    :func:`additional_time_abs` for the magnitude).
+    the raw signed value is surfaced unchanged, and planning arithmetic
+    takes its magnitude.
     """
     if lambda_now <= 0 or lambda_objective <= 0:
         raise ValueError("intensities must be positive")
@@ -255,13 +238,6 @@ def additional_time(
     if lambda_objective == lambda_now:
         return 0.0
     return (math.log(lambda_objective) - math.log(lambda_now)) / _occurrence_hazard_sum(params)
-
-
-def additional_time_abs(
-    params: GeometricModelParams, lambda_now: float, lambda_objective: float
-) -> float:
-    """Magnitude of :func:`additional_time`, for planning arithmetic."""
-    return abs(additional_time(params, lambda_now, lambda_objective))
 
 
 def log_likelihood_small(params: GeometricModelParams, x: int, t: float) -> float:

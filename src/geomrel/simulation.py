@@ -18,26 +18,10 @@ from .data import FailureDataset, TimeUnit
 from .model import GeometricModelParams
 
 __all__ = [
-    "FaultRealization",
     "SimulationConfig",
-    "draw_realizations",
     "empirical_intensity",
     "simulate",
 ]
-
-
-@dataclass(frozen=True)
-class FaultRealization:
-    """One fault's sampled first-failure time, in whole incidents."""
-
-    fault_index: int
-    failure_time: int
-
-    def __post_init__(self) -> None:
-        if self.fault_index < 1:
-            raise ValueError("fault_index must be positive")
-        if self.failure_time < 1:
-            raise ValueError("failure_time must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -64,14 +48,6 @@ def _draw_failure_times(params: GeometricModelParams, rng: np.random.Generator) 
     u = rng.random(params.truncation)
     times = np.ceil(np.log1p(-u) / params.log_survival)
     return np.maximum(times, 1.0).astype(np.int64)
-
-
-def draw_realizations(
-    params: GeometricModelParams, rng: np.random.Generator
-) -> list[FaultRealization]:
-    """Sample every fault's first-failure time once."""
-    times = _draw_failure_times(params, rng)
-    return [FaultRealization(i + 1, int(t)) for i, t in enumerate(times)]
 
 
 def simulate(config: SimulationConfig) -> list[FailureDataset]:

@@ -11,15 +11,7 @@ import numpy as np
 import pytest
 
 import geomrel.cli as cli
-from geomrel.comparison import (
-    MusaBasicParams,
-    MusaOkumotoParams,
-    NhppParams,
-    fit_model,
-    musa_basic_mean,
-    musa_okumoto_mean,
-    nhpp_mean,
-)
+from geomrel.comparison import ClosedFormModel, fit_model
 from geomrel.data import FailureDataset
 from geomrel.estimation import OptimizerConfig, fit, nelder_mead
 from geomrel.evaluation import ValidityCurve, aggregate_median, number_of_failures_eval
@@ -146,18 +138,21 @@ def test_criterion_06_rosenbrock_benchmark():
 
 def test_criterion_07_validity_terminal_point():
     with Criterion(7, "relative error at t_e = t_q within 0.05 on own data, all models", 120.0):
+        closed_form_mean = ClosedFormModel.predict_mean
         grid = np.arange(10.0, 401.0, 10.0)
         own_data = {
             "geometric": rounded_mean_dataset(
                 mean_failures, GeometricModelParams(0.05, 0.95), np.arange(10.0, 201.0, 10.0), "geo"
             ),
             "musa-basic": rounded_mean_dataset(
-                musa_basic_mean, MusaBasicParams(100.0, 0.01), grid, "mb"
+                closed_form_mean, ClosedFormModel("musa-basic", (100.0, 0.01)), grid, "mb"
             ),
             "musa-okumoto": rounded_mean_dataset(
-                musa_okumoto_mean, MusaOkumotoParams(10.0, 0.1), grid, "mo"
+                closed_form_mean, ClosedFormModel("musa-okumoto", (10.0, 0.1)), grid, "mo"
             ),
-            "nhpp": rounded_mean_dataset(nhpp_mean, NhppParams(120.0, 0.008), grid, "nhpp"),
+            "nhpp": rounded_mean_dataset(
+                closed_form_mean, ClosedFormModel("nhpp", (120.0, 0.008)), grid, "nhpp"
+            ),
         }
         rng = np.random.default_rng(2024)
         idx = np.arange(1, 501)

@@ -145,6 +145,25 @@ class TestPredictCommand:
         code, out = self.predict(capsys, str(cumulative_file), "--objective", "0.1")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1, 2],
+            {"p1": "0.1", "d": 0.9, "truncation": 100},
+            {"p1": 0.1, "d": 0.9, "truncation": None},
+        ],
+        ids=["list", "string-p1", "null-truncation"],
+    )
+    def test_malformed_params_file_exits_one(self, tmp_path, cumulative_file, capsys, payload):
+        params_path = tmp_path / "params.json"
+        params_path.write_text(json.dumps(payload))
+        code, out = self.predict(
+            capsys, str(cumulative_file), "--params", str(params_path), "--objective", "1e-6"
+        )
+        assert code == 1
+        assert out.err.startswith("geomrel: error:")
+        assert "Traceback" not in out.err
+
 
 class TestEvaluateCommand:
     def test_unknown_model_listed(self, cumulative_file, tmp_path, capsys):
@@ -214,6 +233,21 @@ class TestEvaluateCommand:
         assert not (out / "aggregate_musa-basic.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["models"] == ["geometric", "nhpp"]
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--cuts", "0"], ["--bins", "0"], ["--threshold", "0"], ["--threshold", "nan"]],
+        ids=["cuts-0", "bins-0", "threshold-0", "threshold-nan"],
+    )
+    def test_invalid_setting_fails_before_any_output(self, flag, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = cli.main(
+            ["evaluate", str(REPO_DATA / "ntds_tbf.csv"), "--format", "tbf", *flag,
+             "--out", str(out)]
+        )
+        assert code == 1
+        assert flag[0] in capsys.readouterr().err
+        assert not out.exists()
 
     def test_threshold_prints_report(self, cumulative_file, tmp_path, capsys):
         code = cli.main(

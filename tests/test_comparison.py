@@ -1,90 +1,84 @@
-import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from geomrel.comparison import (
     ALL_MODEL_NAMES,
-    REFERENCE_MODEL_NAMES,
+    ClosedFormModel,
     GeometricRates,
     LittlewoodVerrall,
     LittlewoodVerrallParams,
-    MusaBasic,
-    MusaBasicParams,
-    MusaOkumoto,
-    MusaOkumotoParams,
-    Nhpp,
-    NhppParams,
-    fit_comparison,
     fit_model,
-    littlewood_verrall_fit_predict,
-    musa_basic_mean,
-    musa_okumoto_mean,
-    nhpp_mean,
 )
-from geomrel.data import FailureDataset
+from geomrel.data import FailureDataset, parse_dataset
 from geomrel.errors import FitError, PredictionError
+from geomrel.estimation import OptimizerConfig, nelder_mead
 from geomrel.model import GeometricModelParams, mean_failures
+from geomrel.simulation import SimulationConfig, simulate
+
+REPO_DATA = Path(__file__).resolve().parent.parent / "data"
+CLOSED_FORM_NAMES = ("musa-basic", "musa-okumoto", "nhpp")
 
 
-def rounded_mean_dataset(mean_fn, params, times, label):
-    points = tuple((float(t), int(round(mean_fn(params, float(t))))) for t in times)
+def rounded_mean_dataset(fitted, times, label):
+    points = tuple((float(t), int(round(fitted.predict_mean(float(t))))) for t in times)
     return FailureDataset(points, label)
 
 
 class TestMeanFunctions:
     def test_musa_basic_hand_values(self):
-        params = MusaBasicParams(100.0, 0.01)
-        assert musa_basic_mean(params, 0.0) == 0.0
-        assert musa_basic_mean(params, 100.0) == pytest.approx(100 * (1 - math.exp(-1)))
-        assert musa_basic_mean(params, 1e9) == pytest.approx(100.0)
+        model = ClosedFormModel("musa-basic", (100.0, 0.01))
+        assert model.predict_mean(0.0) == 0.0
+        assert model.predict_mean(100.0) == pytest.approx(100 * (1 - math.exp(-1)))
+        assert model.predict_mean(1e9) == pytest.approx(100.0)
 
     def test_musa_okumoto_hand_values(self):
-        params = MusaOkumotoParams(10.0, 0.1)
-        assert musa_okumoto_mean(params, 0.0) == 0.0
-        assert musa_okumoto_mean(params, 10.0) == pytest.approx(10 * math.log(11.0))
+        model = ClosedFormModel("musa-okumoto", (10.0, 0.1))
+        assert model.predict_mean(0.0) == 0.0
+        assert model.predict_mean(10.0) == pytest.approx(10 * math.log(11.0))
 
     def test_musa_okumoto_initial_slope_is_lambda0(self):
-        params = MusaOkumotoParams(10.0, 0.1)
+        model = ClosedFormModel("musa-okumoto", (10.0, 0.1))
         h = 1e-8
-        slope = musa_okumoto_mean(params, h) / h
+        slope = model.predict_mean(h) / h
         assert slope == pytest.approx(10.0, rel=1e-6)
 
     def test_musa_okumoto_unbounded(self):
-        params = MusaOkumotoParams(10.0, 0.1)
+        lambda0, theta = 10.0, 0.1
+        model = ClosedFormModel("musa-okumoto", (lambda0, theta))
         for target in (1e2, 1e3, 5e3):
-            t = (math.exp(params.theta * target) - 1) / (params.lambda0 * params.theta)
-            assert musa_okumoto_mean(params, t * 1.01) > target
+            t = (math.exp(theta * target) - 1) / (lambda0 * theta)
+            assert model.predict_mean(t * 1.01) > target
 
     def test_nhpp_hand_values(self):
-        params = NhppParams(50.0, 0.02)
-        assert nhpp_mean(params, 0.0) == 0.0
-        assert nhpp_mean(params, 50.0) == pytest.approx(50 * (1 - math.exp(-1)))
+        model = ClosedFormModel("nhpp", (50.0, 0.02))
+        assert model.predict_mean(0.0) == 0.0
+        assert model.predict_mean(50.0) == pytest.approx(50 * (1 - math.exp(-1)))
 
     def test_nhpp_defining_ode(self):
         # Detections in a small interval are proportional to the faults
         # still undetected: m'(t) = b (a - m(t)).
-        params = NhppParams(50.0, 0.02)
+        a, b = 50.0, 0.02
+        model = ClosedFormModel("nhpp", (a, b))
         h = 1e-4
         for t in (0.5, 10.0, 80.0):
-            derivative = (nhpp_mean(params, t + h) - nhpp_mean(params, t - h)) / (2 * h)
-            assert derivative == pytest.approx(
-                params.b * (params.a - nhpp_mean(params, t)), abs=1e-6
-            )
+            derivative = (model.predict_mean(t + h) - model.predict_mean(t - h)) / (2 * h)
+            assert derivative == pytest.approx(b * (a - model.predict_mean(t)), abs=1e-6)
 
     def test_musa_basic_and_nhpp_coincide_pointwise(self):
-        mb = MusaBasicParams(80.0, 0.03)
-        nh = NhppParams(80.0, 0.03)
+        mb = ClosedFormModel("musa-basic", (80.0, 0.03))
+        nh = ClosedFormModel("nhpp", (80.0, 0.03))
         grid = np.linspace(0.0, 500.0, 64)
-        assert np.allclose(musa_basic_mean(mb, grid), nhpp_mean(nh, grid), rtol=0, atol=0)
+        assert np.allclose(mb.predict_mean(grid), nh.predict_mean(grid), rtol=0, atol=0)
 
     def test_means_monotone_and_zero_at_origin(self):
         grid = np.linspace(0.0, 400.0, 128)
         curves = [
-            musa_basic_mean(MusaBasicParams(60.0, 0.02), grid),
-            musa_okumoto_mean(MusaOkumotoParams(5.0, 0.05), grid),
-            nhpp_mean(NhppParams(90.0, 0.01), grid),
+            ClosedFormModel("musa-basic", (60.0, 0.02)).predict_mean(grid),
+            ClosedFormModel("musa-okumoto", (5.0, 0.05)).predict_mean(grid),
+            ClosedFormModel("nhpp", (90.0, 0.01)).predict_mean(grid),
         ]
         for vals in curves:
             assert vals[0] == 0.0
@@ -92,20 +86,28 @@ class TestMeanFunctions:
 
     def test_bounds(self):
         grid = np.linspace(0.0, 1e5, 50)
-        assert np.all(musa_basic_mean(MusaBasicParams(60.0, 0.02), grid) <= 60.0)
-        assert np.all(nhpp_mean(NhppParams(90.0, 0.01), grid) <= 90.0)
+        assert np.all(ClosedFormModel("musa-basic", (60.0, 0.02)).predict_mean(grid) <= 60.0)
+        assert np.all(ClosedFormModel("nhpp", (90.0, 0.01)).predict_mean(grid) <= 90.0)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            MusaBasicParams(0.0, 0.1)
+            ClosedFormModel("musa-basic", (0.0, 0.1))
         with pytest.raises(ValueError):
-            MusaOkumotoParams(1.0, -0.1)
+            ClosedFormModel("musa-okumoto", (1.0, -0.1))
         with pytest.raises(ValueError):
-            NhppParams(-1.0, 0.1)
+            ClosedFormModel("nhpp", (-1.0, 0.1))
+        with pytest.raises(ValueError, match="musa-basic"):
+            ClosedFormModel("weibull", (1.0, 1.0))
         with pytest.raises(ValueError):
             LittlewoodVerrallParams(0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             LittlewoodVerrallParams(2.0, 0.0, 1.0)
+
+    def test_prediction_time_validated(self):
+        model = ClosedFormModel("nhpp", (50.0, 0.02))
+        for bad in (-1.0, math.inf, math.nan, [1.0, -2.0]):
+            with pytest.raises(ValueError, match="nhpp"):
+                model.predict_mean(bad)
 
 
 class TestLittlewoodVerrall:
@@ -139,11 +141,11 @@ class TestLittlewoodVerrall:
     def test_fit_predict_wrapper(self):
         rng = np.random.default_rng(5)
         tbf = rng.exponential(3.0, size=40)
-        params, predict = littlewood_verrall_fit_predict(FailureDataset.from_tbf(tbf))
-        assert params.beta0 > 0
-        assert predict(0.0) == 0.0
+        fitted = LittlewoodVerrall.fit(FailureDataset.from_tbf(tbf))
+        assert fitted.params.beta0 > 0
+        assert fitted.predict_mean(0.0) == 0.0
         grid = np.linspace(0.0, 100.0, 20)
-        vals = [predict(t) for t in grid]
+        vals = [fitted.predict_mean(t) for t in grid]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_too_few_failures_rejected(self):
@@ -159,38 +161,47 @@ class TestLittlewoodVerrall:
 
 class TestFitComparison:
     def test_musa_basic_self_consistency(self):
-        true = MusaBasicParams(100.0, 0.01)
-        ds = rounded_mean_dataset(musa_basic_mean, true, np.arange(10.0, 401.0, 10.0), "mb")
-        fitted = fit_comparison("musa-basic", ds)
-        assert fitted.params.beta0 == pytest.approx(100.0, rel=0.05)
+        true = ClosedFormModel("musa-basic", (100.0, 0.01))
+        ds = rounded_mean_dataset(true, np.arange(10.0, 401.0, 10.0), "mb")
+        fitted = fit_model("musa-basic", ds)
+        assert fitted.params_dict()["beta0"] == pytest.approx(100.0, rel=0.05)
 
     def test_nhpp_loses_to_musa_okumoto_on_logarithmic_data(self):
-        true = MusaOkumotoParams(10.0, 0.1)
-        ds = rounded_mean_dataset(musa_okumoto_mean, true, np.arange(10.0, 501.0, 10.0), "mo")
-        mo = fit_comparison("musa-okumoto", ds)
-        nh = fit_comparison("nhpp", ds)
+        true = ClosedFormModel("musa-okumoto", (10.0, 0.1))
+        ds = rounded_mean_dataset(true, np.arange(10.0, 501.0, 10.0), "mo")
+        mo = fit_model("musa-okumoto", ds)
+        nh = fit_model("nhpp", ds)
         assert nh.diagnostics.value > mo.diagnostics.value
 
     def test_unknown_name_listed(self):
         ds = FailureDataset(((1.0, 1), (2.0, 2)))
         with pytest.raises(ValueError, match="musa-basic"):
-            fit_comparison("jelinski", ds)
+            fit_model("jelinski", ds)
         with pytest.raises(ValueError):
-            fit_comparison("geometric", ds)  # not one of the four references
+            ClosedFormModel("geometric", (0.5, 0.5))  # not a closed-form model
 
     def test_single_point_dataset_rejected(self):
         ds = FailureDataset(((1.0, 1),))
         with pytest.raises(FitError, match="musa-basic"):
-            fit_comparison("musa-basic", ds)
+            fit_model("musa-basic", ds)
+
+    @pytest.mark.parametrize("name", CLOSED_FORM_NAMES)
+    def test_history_without_failures_rejected(self, name):
+        # A prefix whose counts are all zero has no usable point; the start,
+        # which divides by the final count, must not be reached.
+        ds = FailureDataset(((1.0, 0), (2.0, 0)))
+        with pytest.raises(FitError, match=f"{name}: no usable points"):
+            fit_model(name, ds)
 
     def test_registry_names(self):
-        assert set(REFERENCE_MODEL_NAMES) == {
+        # This order is the order of evaluate's outputs.
+        assert ALL_MODEL_NAMES == (
+            "geometric",
             "musa-basic",
             "musa-okumoto",
             "littlewood-verrall",
             "nhpp",
-        }
-        assert set(ALL_MODEL_NAMES) == set(REFERENCE_MODEL_NAMES) | {"geometric"}
+        )
 
     def test_fit_model_covers_geometric(self):
         true = GeometricModelParams(0.05, 0.95)
@@ -207,20 +218,78 @@ class TestFitComparison:
 
     def test_fit_is_deterministic(self):
         ds = rounded_mean_dataset(
-            musa_basic_mean, MusaBasicParams(100.0, 0.01), np.arange(10.0, 401.0, 10.0), "mb"
+            ClosedFormModel("musa-basic", (100.0, 0.01)), np.arange(10.0, 401.0, 10.0), "mb"
         )
-        a = fit_comparison("musa-basic", ds)
-        b = fit_comparison("musa-basic", ds)
+        a = fit_model("musa-basic", ds)
+        b = fit_model("musa-basic", ds)
         assert a.params == b.params
 
-    def test_params_json_keyed_by_model_name(self):
+    def test_params_dict_keyed_by_parameter_names(self):
         ds = rounded_mean_dataset(
-            musa_basic_mean, MusaBasicParams(100.0, 0.01), np.arange(10.0, 401.0, 10.0), "mb"
+            ClosedFormModel("musa-basic", (100.0, 0.01)), np.arange(10.0, 401.0, 10.0), "mb"
         )
-        fitted = fit_comparison("musa-basic", ds)
-        payload = json.loads(fitted.params_json())
-        assert set(payload) == {"musa-basic"}
-        assert set(payload["musa-basic"]) == {"beta0", "beta1"}
+        expected = {"musa-basic": {"beta0", "beta1"}, "musa-okumoto": {"lambda0", "theta"},
+                    "nhpp": {"a", "b"}}
+        for name, keys in expected.items():
+            fitted = fit_model(name, ds)
+            assert fitted.model_name == name
+            assert set(fitted.params_dict()) == keys
+            assert tuple(fitted.params_dict().values()) == fitted.params
+
+
+def reference_closed_form_fit(name, ds):
+    """The closed-form fits as first written: one mean and one start per
+    model, with each parameter exponentiated on its own."""
+    mask = ds.counts >= 1
+    times = ds.times[mask]
+    log_counts = np.log(ds.counts[mask].astype(float))
+    t_q = ds.final_time
+    q = float(ds.final_count)
+    if name == "musa-okumoto":
+        theta0 = 1.0 / q
+        lambda0 = math.expm1(theta0 * q) / (theta0 * t_q)
+        start = np.log([lambda0, theta0])
+
+        def mean(z, t):
+            return np.log1p(np.exp(z[0]) * np.exp(z[1]) * t) / np.exp(z[1])
+    else:
+        start = np.log([q / -math.expm1(-1.0), 1.0 / t_q])
+
+        def mean(z, t):
+            return np.exp(z[0]) * -np.expm1(-np.exp(z[1]) * t)
+
+    def objective(z):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            mu = mean(z, times)
+            if not np.all(np.isfinite(mu)) or np.any(mu <= 0):
+                return math.inf
+            residuals = log_counts - np.log(mu)
+            return float(residuals @ residuals)
+
+    best, diag = nelder_mead(objective, OptimizerConfig(), start)
+    vec = np.exp(best)
+    return (float(vec[0]), float(vec[1])), diag
+
+
+class TestClosedFormReference:
+    """The table-driven fits reproduce the reference fits bit for bit."""
+
+    @staticmethod
+    def histories():
+        with open(REPO_DATA / "ntds_tbf.csv", "rb") as handle:
+            ntds = parse_dataset(handle, "tbf_csv", label="ntds")
+        (simulated,) = simulate(
+            SimulationConfig(GeometricModelParams(0.05, 0.95), horizon=400, seed=42)
+        )
+        return ntds, simulated
+
+    @pytest.mark.parametrize("name", CLOSED_FORM_NAMES)
+    def test_fit_equals_reference(self, name):
+        for ds in self.histories():
+            fitted = fit_model(name, ds)
+            params, diag = reference_closed_form_fit(name, ds)
+            assert fitted.params == params, ds.label
+            assert fitted.diagnostics == diag, ds.label
 
 
 class TestPredictInterface:

@@ -65,13 +65,6 @@ class TestFailureDataset:
         assert ds.count_at(7.0) == 2
         assert ds.count_at(100.0) == 3
 
-    def test_truncate(self):
-        ds = FailureDataset(((3.0, 1), (5.0, 2), (10.0, 3)))
-        sub = ds.truncate(5.0)
-        assert sub.points == ((3.0, 1), (5.0, 2))
-        with pytest.raises(ValueError):
-            ds.truncate(1.0)
-
     def test_failure_times_exact_for_unit_counts(self):
         ds = FailureDataset.from_tbf([3.0, 2.0, 5.0])
         assert np.allclose(ds.failure_times(), [3.0, 5.0, 10.0])

@@ -1,4 +1,3 @@
-import json
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +19,7 @@ from geomrel.evaluation import (
     ValidityCurve,
     aggregate_median,
     aggregate_to_csv,
-    aggregate_to_json,
     curve_to_csv,
-    curve_to_json,
     default_cut_points,
     number_of_failures_eval,
     outlier_report,
@@ -349,20 +346,12 @@ class TestExports:
         assert lines[0] == "normalized_time,relative_error,model,dataset"
         assert lines[2] == "1.0,-0.125,geometric,proj"
 
-    def test_curve_json_carries_diagnostics(self):
-        payload = json.loads(curve_to_json(self.CURVE))
-        assert payload["model"] == "geometric"
-        assert payload["dataset"] == "proj"
-        assert payload["points"][0] == {"normalized_time": 0.5, "relative_error": 0.25}
-        assert payload["skipped"] == [{"t_e": 0.1, "reason": "thin"}]
-
     def test_aggregate_csv_and_json(self):
         agg = aggregate_median([self.CURVE], grid_cells=2)
         text = aggregate_to_csv(agg, include_labels=True)
         lines = text.strip().split("\n")
         assert lines[0] == "normalized_time,relative_error,model"
         assert lines[1].startswith("0.25,")
-        payload = json.loads(aggregate_to_json(agg))
-        assert payload["grid_cells"] == 2
-        assert payload["cells"][0]["contributing_projects"] == 1
+        assert agg.grid_cells == 2
+        assert agg.cells[0].contributing_project_count == 1
         assert isinstance(aggregate_median([self.CURVE]), AggregateCurve)

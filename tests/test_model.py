@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from geomrel.model import (
     GeometricModelParams,
     additional_time,
-    additional_time_abs,
     default_truncation,
     failure_intensity,
     fault_cdf,
@@ -51,16 +50,6 @@ class TestParams:
             GeometricModelParams(0.3, 0.9, 0)
         with pytest.raises(ValueError):
             GeometricModelParams(0.3, 0.9, -3)
-
-    def test_constant_rates_mode(self):
-        params = GeometricModelParams.constant_rates(0.2, 5)
-        assert params.d == 1.0
-        assert np.allclose(params.rates, 0.2)
-        # Miller-style constant rates: mean is N * (1 - (1-p1)^t).
-        t = 7.0
-        assert mean_failures(params, t) == pytest.approx(5 * (1 - 0.8**t), rel=1e-12)
-        with pytest.raises(ValueError):
-            GeometricModelParams.constant_rates(0.2, None)
 
     def test_rates_strictly_decreasing(self):
         params = GeometricModelParams(0.4, 0.9, 50)
@@ -235,7 +224,6 @@ class TestReleaseTimes:
         dt = additional_time(HALVING, 0.75, 0.375)
         assert dt == pytest.approx(math.log(0.5) / 0.4375)
         assert dt < 0
-        assert additional_time_abs(HALVING, 0.75, 0.375) == pytest.approx(-dt)
 
     def test_additional_time_is_additive(self):
         params = GeometricModelParams(0.1, 0.9)

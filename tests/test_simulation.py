@@ -6,9 +6,8 @@ import pytest
 from geomrel.data import parse_dataset, to_cumulative_csv
 from geomrel.model import GeometricModelParams, fault_cdf, failure_intensity, mean_failures
 from geomrel.simulation import (
-    FaultRealization,
     SimulationConfig,
-    draw_realizations,
+    _draw_failure_times,
     empirical_intensity,
     simulate,
 )
@@ -23,12 +22,6 @@ class TestConfig:
             SimulationConfig(params, horizon=10, seed=1, replications=0)
         with pytest.raises(ValueError):
             SimulationConfig(params, horizon=10, seed=-1)
-
-    def test_fault_realization_validation(self):
-        with pytest.raises(ValueError):
-            FaultRealization(0, 3)
-        with pytest.raises(ValueError):
-            FaultRealization(1, 0)
 
 
 class TestSimulate:
@@ -61,12 +54,13 @@ class TestSimulate:
         assert ds.final_count == 0
         assert ds.points == ((100.0, 0),)
 
-    def test_draw_realizations_indices_and_times(self):
+    def test_draw_failure_times_one_per_fault(self):
         params = GeometricModelParams(0.2, 0.9, 25)
         rng = np.random.default_rng(0)
-        draws = draw_realizations(params, rng)
-        assert [r.fault_index for r in draws] == list(range(1, 26))
-        assert all(r.failure_time >= 1 for r in draws)
+        times = _draw_failure_times(params, rng)
+        assert times.shape == (25,)
+        assert times.dtype == np.int64
+        assert np.all(times >= 1)
 
     def test_mean_count_matches_model_mean(self):
         # Monte-Carlo against the closed-form mean at three checkpoints.
@@ -123,7 +117,7 @@ class TestSingleFaultDistribution:
         params = GeometricModelParams(p, 0.5, 1)
         n = 10_000
         rng = np.random.default_rng(2024)
-        times = np.array([draw_realizations(params, rng)[0].failure_time for _ in range(n)])
+        times = np.array([_draw_failure_times(params, rng)[0] for _ in range(n)])
         grid = np.arange(1, times.max() + 1)
         empirical = np.searchsorted(np.sort(times), grid, side="right") / n
         theoretical = np.array([fault_cdf(p, float(t)) for t in grid])
