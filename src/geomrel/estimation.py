@@ -32,9 +32,11 @@ __all__ = [
 ]
 
 # Candidate decay ratios whose default truncation would exceed this many
-# fault terms are rejected as non-finite probes during fitting; they only
-# arise from optimizer excursions toward d -> 1 and would make a single
-# objective evaluation arbitrarily expensive.
+# fault terms are rejected as non-finite probes during fitting.  An
+# evaluation no longer costs more with more terms (the model's sums take
+# time independent of N); the cap keeps fitted populations at N <= 10,000.
+# A history without reliability growth pulls d towards 1 and ends the fit
+# on this cap, which FitResult.boundary reports.
 MAX_FIT_TRUNCATION = 10_000
 
 _INITIAL_DECAY_GUESS = 0.94
@@ -111,6 +113,19 @@ class FitResult:
     simplex_spread: float
     skipped_points: int
 
+    @property
+    def boundary(self) -> str | None:
+        """``"truncation-cap"`` when the fitted truncation equals
+        ``MAX_FIT_TRUNCATION``, otherwise ``None``.
+
+        A fit on the cap stopped against the search bound, not at an
+        interior optimum: the objective still falls as d moves towards 1,
+        as it does for a history without reliability growth.
+        ``converged`` only says that the simplex collapsed, which it also
+        does there.
+        """
+        return "truncation-cap" if self.params.truncation == MAX_FIT_TRUNCATION else None
+
     def to_dict(self) -> dict:
         return {
             "p1": self.params.p1,
@@ -120,6 +135,7 @@ class FitResult:
             "iterations": self.iterations,
             "converged": self.converged,
             "skipped_points": self.skipped_points,
+            "boundary": self.boundary,
         }
 
     def to_json(self) -> str:

@@ -7,6 +7,17 @@ fault's time to first failure is geometrically distributed with its own
 rate.  Expected failure counts and failure intensities are then finite
 sums over a truncated fault population.
 
+Those sums take time independent of the population size N.  Up to
+``DIRECT_SUM_MAX_TERMS`` terms they are summed fault by fault.  Beyond
+that, the first k faults, those with a rate above 1 / max(t_max, 24) for
+the largest requested time t_max, are summed directly, and the remaining
+N - k terms are replaced by a binomial power series.  Over a
+geometric progression every power sum of the rates has the closed form
+``sum_{a=k}^{N-1} p_a**j = p_k**j (1 - d**((N-k) j)) / (1 - d**j)``, which
+generalises the paper's ``p1 (1 - d**N) / (1 - d)``.  The release-time
+denominator ``sum(p_a - p_a**2)`` uses the j = 1 and j = 2 cases of the
+same identity.
+
 All operations here are pure functions of immutable inputs and safe for
 unrestricted concurrent use.
 """
@@ -37,6 +48,22 @@ __all__ = [
 # Faults whose rate falls below p1 * DEFAULT_RATE_FLOOR are dropped from the
 # default truncation of the (conceptually unbounded) fault population.
 DEFAULT_RATE_FLOOR = 1e-6
+
+# Sums over at most this many fault terms are summed fault by fault, as is
+# a longer sum whose series tail would be no longer than this.  It is the
+# measured break-even for a call at a single time: there both routes cost
+# about 30 us (2-vCPU x86_64, numpy 2.4), and below it the series' fixed
+# per-call cost exceeds what it saves.  Small populations therefore keep
+# bit-identical results.
+DIRECT_SUM_MAX_TERMS = 1000
+
+# Order of the binomial series that replaces the tail of a long sum.  The
+# head ends where max(t, SERIES_ORDER) * p_k <= 1, so term j of the series
+# is at most 1/j! relative to the first term; the first omitted one, j = 25,
+# is below 1e-25.
+SERIES_ORDER = 24
+_SERIES_STEPS = np.arange(1, SERIES_ORDER + 1, dtype=float)
+_SERIES_POWERS = np.arange(1, SERIES_ORDER + 2, dtype=float)
 
 # Enumeration caps for the exact likelihood; the subset count C(N, x) blows
 # up beyond desk scale otherwise.
@@ -137,15 +164,66 @@ def _as_time_array(t, minimum: float, what: str) -> tuple[np.ndarray, bool]:
     return arr, arr.ndim == 0
 
 
+def _series_head(params: GeometricModelParams, arr: np.ndarray) -> int | None:
+    """Number k of leading fault terms summed directly before the series
+    tail, or ``None`` when all N terms are summed directly.
+
+    k is the first index with ``max(t_max, SERIES_ORDER) * p_k <= 1``; the
+    floor of SERIES_ORDER keeps ``p_k`` small enough for the series to
+    converge fast when every requested time is small.
+    """
+    n = params.truncation
+    if n <= DIRECT_SUM_MAX_TERMS:
+        return None
+    scale = params.p1 * max(float(arr.max(initial=0.0)), SERIES_ORDER)
+    k = 0 if scale <= 1.0 else math.ceil(-math.log(scale) / math.log(params.d))
+    return None if n - k <= DIRECT_SUM_MAX_TERMS else k
+
+
+def _direct_terms(params: GeometricModelParams, k: int | None):
+    """Rates and ``ln(1 - rate)`` of the faults summed term by term: all N
+    (cached on ``params``) when ``k`` is None, else the first k."""
+    if k is None:
+        return params.rates, params.log_survival
+    rates = params.p1 * params.d ** np.arange(k, dtype=float)
+    return rates, np.log1p(-rates)
+
+
+def _tail_power_sums(params: GeometricModelParams, k: int) -> np.ndarray:
+    """``g_j = sum_{m=0}^{N-k-1} d**(m j)`` for j = 1..SERIES_ORDER + 1,
+    as ``expm1((N - k) j ln d) / expm1(j ln d)`` (cancellation-free)."""
+    x = math.log(params.d) * _SERIES_POWERS
+    return np.expm1((params.truncation - k) * x) / np.expm1(x)
+
+
+def _binomial_terms(s: np.ndarray, p: float) -> np.ndarray:
+    """``C(s, j) (-p)**j`` for j = 1..SERIES_ORDER, as a running product
+    over j, for each element of ``s`` (on a new last axis)."""
+    return np.cumprod((_SERIES_STEPS - 1.0 - s[..., np.newaxis]) * (p / _SERIES_STEPS), axis=-1)
+
+
 def mean_failures(params: GeometricModelParams, t):
     """Expected cumulative number of failures by time ``t`` (incidents).
 
     Sums each fault's occurrence probability ``1 - (1 - p_a)**t`` over the
     truncated population; non-decreasing in ``t`` and bounded above by the
     truncation count.  Accepts a scalar or an array of times.
+
+    Populations of at most ``DIRECT_SUM_MAX_TERMS`` faults are summed term
+    by term.  Larger ones sum the first k terms the same way and the
+    remaining ones as ``-sum_j C(t, j) (-p_k)**j g_j`` for j = 1..24, with
+    ``g_j`` the closed-form power sum of the tail (see the module
+    docstring).  That costs O(points * (k + 24)) whatever N is, and agrees
+    with the term-by-term sum to about 1e-15 relative (tests bound it by
+    1e-12).
     """
     arr, scalar = _as_time_array(t, 0.0, "mean_failures")
-    vals = (-np.expm1(arr[..., np.newaxis] * params.log_survival)).sum(axis=-1)
+    k = _series_head(params, arr)
+    _, log_survival = _direct_terms(params, k)
+    vals = (-np.expm1(arr[..., np.newaxis] * log_survival)).sum(axis=-1)
+    if k is not None:
+        p_k = params.p1 * params.d**k
+        vals = vals - _binomial_terms(arr, p_k) @ _tail_power_sums(params, k)[:-1]
     return float(vals) if scalar else vals
 
 
@@ -155,15 +233,32 @@ def failure_intensity(params: GeometricModelParams, t):
     Sums the per-fault probability masses ``p_a * (1 - p_a)**(t-1)``;
     strictly decreasing in ``t`` whenever ``d < 1``.  For integer ``t`` this
     equals ``mean_failures(t) - mean_failures(t - 1)``.
+
+    Like :func:`mean_failures`, populations above ``DIRECT_SUM_MAX_TERMS``
+    faults sum a head of k terms directly and the tail as
+    ``p_k sum_j C(t - 1, j) (-p_k)**j g_(j+1)`` for j = 0..24, in
+    O(points * (k + 24)) time and to about 1e-15 relative.
     """
     arr, scalar = _as_time_array(t, 1.0, "failure_intensity")
-    vals = (params.rates * np.exp((arr[..., np.newaxis] - 1.0) * params.log_survival)).sum(axis=-1)
+    k = _series_head(params, arr)
+    rates, log_survival = _direct_terms(params, k)
+    vals = (rates * np.exp((arr[..., np.newaxis] - 1.0) * log_survival)).sum(axis=-1)
+    if k is not None:
+        p_k = params.p1 * params.d**k
+        g = _tail_power_sums(params, k)
+        vals = vals + p_k * (g[0] + _binomial_terms(arr - 1.0, p_k) @ g[1:])
     return float(vals) if scalar else vals
 
 
 def _occurrence_hazard_sum(params: GeometricModelParams) -> float:
-    """``sum(p_a - p_a**2)`` over the fault population."""
-    return float(np.sum(params.rates * (1.0 - params.rates)))
+    """``sum(p_a - p_a**2)`` over the fault population, in closed form:
+    ``p1 (1 - d**N) / (1 - d) - p1**2 (1 - d**(2N)) / (1 - d**2)``, with
+    ``1 - d**x`` taken as ``-expm1(x ln d)``."""
+    p1, d = params.p1, params.d
+    x = params.truncation * math.log(d)
+    return p1 * -math.expm1(x) / (1.0 - d) - p1 * p1 * -math.expm1(2.0 * x) / (
+        (1.0 - d) * (1.0 + d)
+    )
 
 
 def time_for_intensity(params: GeometricModelParams, lambda_target: float) -> float:

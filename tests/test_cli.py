@@ -1,4 +1,8 @@
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,7 +40,9 @@ class TestFitCommand:
         assert payload["converged"] is True
         assert set(payload) == {
             "p1", "d", "truncation", "objective", "iterations", "converged", "skipped_points",
+            "boundary",
         }
+        assert payload["boundary"] is None
 
     def test_fit_tbf_format(self, capsys):
         code = cli.main(["fit", str(REPO_DATA / "ntds_tbf.csv"), "--format", "tbf"])
@@ -122,6 +128,37 @@ class TestPredictCommand:
         assert payload["delta_t_abs_calendar_days"] == pytest.approx(
             payload["delta_t_abs"] / 20.0
         )
+
+    def test_huge_population_runs_in_bounded_memory(self):
+        # 10^9 fault terms: one float per fault would take 8 GB.  The child
+        # gets a 1 GiB address-space limit so that a regression fails fast
+        # with a MemoryError instead of exhausting the host.
+        resource = pytest.importorskip("resource")
+        limit = 1 << 30
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "geomrel.cli", "predict",
+                str(REPO_DATA / "ntds_tbf.csv"), "--format", "tbf",
+                "--p1", "0.05", "--d", "0.9", "--truncation", "1000000000",
+                "--objective", "0.01",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=cap_memory,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        for key in ("mu", "lambda", "delta_t_raw", "delta_t_abs"):
+            assert math.isfinite(payload[key])
 
     def test_objective_above_current_exits_two(self, cumulative_file, capsys):
         code, out = self.predict(

@@ -253,8 +253,27 @@ class TestFit:
             "iterations",
             "converged",
             "skipped_points",
+            "boundary",
         }
         assert payload["converged"] is True
+
+    def test_boundary_names_the_truncation_cap(self):
+        # A history without reliability growth, one failure every 25
+        # incidents, drives d towards 1 until the fit stops on the cap; a
+        # seeded growth history ends inside it.
+        flat = FailureDataset(tuple((25.0 * c, c) for c in range(1, 33)))
+        capped = fit(flat)
+        assert capped.params.truncation == estimation.MAX_FIT_TRUNCATION
+        assert capped.boundary == "truncation-cap"
+        assert json.loads(capped.to_json())["boundary"] == "truncation-cap"
+
+        growth = simulate(
+            SimulationConfig(GeometricModelParams(0.05, 0.95), horizon=800, seed=11, replications=1)
+        )[0]
+        interior = fit(growth)
+        assert interior.params.truncation < estimation.MAX_FIT_TRUNCATION
+        assert interior.boundary is None
+        assert json.loads(interior.to_json())["boundary"] is None
 
     def test_median_d_recovery_on_simulated_histories(self):
         # Consistency on stochastic data: 20 independent histories with a

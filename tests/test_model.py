@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomrel.model import (
+    DIRECT_SUM_MAX_TERMS,
     GeometricModelParams,
+    _series_head,
     additional_time,
     default_truncation,
     failure_intensity,
@@ -19,6 +21,23 @@ from geomrel.model import (
 )
 
 HALVING = GeometricModelParams(0.5, 0.5, 2)
+
+# Decay ratios up to about where the default truncation reaches the fitting
+# cap of 10,000 terms.  Above d ~= 0.9863 the default population exceeds
+# DIRECT_SUM_MAX_TERMS and the sums take the head-plus-series route.
+WIDE_D = st.floats(0.3, 0.99862)
+
+
+def direct_sums(p1, d, n, t):
+    """Term-by-term mean and intensity over n faults at each time of ``t``
+    (the intensity at max(t, 1)), one time at a time."""
+    rates = p1 * d ** np.arange(n, dtype=float)
+    log_survival = np.log1p(-rates)
+    flat = np.ravel(np.asarray(t, dtype=float))
+    mean = [np.sum(-np.expm1(s * log_survival)) for s in flat]
+    intensity = [np.sum(rates * np.exp((max(s, 1.0) - 1.0) * log_survival)) for s in flat]
+    shape = np.shape(t)
+    return np.reshape(mean, shape), np.reshape(intensity, shape)
 
 
 class TestParams:
@@ -116,7 +135,7 @@ class TestMeanFailures:
 
     @given(
         p1=st.floats(0.001, 0.9),
-        d=st.floats(0.3, 0.97),
+        d=WIDE_D,
     )
     @settings(max_examples=40, deadline=None)
     def test_monotone_and_bounded(self, p1, d):
@@ -151,8 +170,10 @@ class TestFailureIntensity:
         # 0.5*0.5 + 0.25*0.75
         assert failure_intensity(HALVING, 2.0) == pytest.approx(0.4375)
 
-    def test_strictly_decreasing(self):
-        params = GeometricModelParams(0.2, 0.9)
+    @given(p1=st.floats(0.001, 0.9), d=WIDE_D)
+    @settings(max_examples=30, deadline=None)
+    def test_strictly_decreasing(self, p1, d):
+        params = GeometricModelParams(p1, d)
         grid = np.linspace(1.0, 300.0, 80)
         vals = failure_intensity(params, grid)
         assert np.all(np.diff(vals) < 0)
@@ -161,13 +182,95 @@ class TestFailureIntensity:
         with pytest.raises(ValueError):
             failure_intensity(HALVING, 0.5)
 
-    @given(p1=st.floats(0.001, 0.9), d=st.floats(0.3, 0.97))
+    @given(p1=st.floats(0.001, 0.9), d=WIDE_D)
     @settings(max_examples=30, deadline=None)
     def test_first_difference_of_mean(self, p1, d):
         params = GeometricModelParams(p1, d)
         for t in (1, 2, 7, 40, 200):
             diff = mean_failures(params, float(t)) - mean_failures(params, float(t - 1))
             assert diff == pytest.approx(failure_intensity(params, float(t)), abs=1e-10)
+
+
+class TestSeriesTail:
+    """The head-plus-series route against the term-by-term sums."""
+
+    @given(
+        p1=st.floats(1e-6, 0.9),
+        d=st.floats(0.3, 0.99999),
+        truncation=st.one_of(st.none(), st.integers(1, 50_000)),
+        shape=st.sampled_from([(), (0,), (1,), (5,), (2, 3)]),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_direct_sum(self, p1, d, truncation, shape, data):
+        params = GeometricModelParams(p1, d, truncation)
+        size = int(np.prod(shape))
+        values = data.draw(st.lists(st.floats(0.0, 1e5), min_size=size, max_size=size))
+        t = np.reshape(np.array(values, dtype=float), shape)
+        mean_ref, intensity_ref = direct_sums(p1, d, params.truncation, t)
+
+        mean = mean_failures(params, t)
+        intensity = failure_intensity(params, np.maximum(t, 1.0))
+        assert np.shape(mean) == np.shape(intensity) == shape
+        np.testing.assert_allclose(mean, mean_ref, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(intensity, intensity_ref, rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize(
+        "p1, d, n, t_max, k",
+        [
+            # No head: 250 * p1 <= 1.
+            (2e-4, 0.99862, 10_000, 250.0, 0),
+            # A head of some hundred terms.
+            (0.05, 0.995, 10_000, 250.0, 504),
+            # Times below SERIES_ORDER: the head still runs until
+            # 24 * p_k <= 1, which keeps the series converging fast.
+            (0.5, 0.999, 10_000, 1.5, 2484),
+        ],
+    )
+    def test_series_route_taken(self, p1, d, n, t_max, k):
+        params = GeometricModelParams(p1, d, n)
+        t = np.linspace(0.0, t_max, 7)
+        assert _series_head(params, t) == k
+        scale = max(t_max, 24.0)
+        assert scale * p1 * d**k <= 1.0
+        assert k == 0 or scale * p1 * d ** (k - 1) > 1.0
+        mean_ref, intensity_ref = direct_sums(p1, d, n, t)
+        np.testing.assert_allclose(mean_failures(params, t), mean_ref, rtol=1e-12)
+        np.testing.assert_allclose(
+            failure_intensity(params, np.maximum(t, 1.0)), intensity_ref, rtol=1e-12
+        )
+
+    def test_population_beyond_memory(self):
+        # 10^9 terms would take 8 GB one float per fault; faults past the
+        # 5,000th add less than 1e-200 to either sum at t = 250.
+        huge = GeometricModelParams(0.05, 0.9, 10**9)
+        assert _series_head(huge, np.array(250.0)) == 24
+        small = GeometricModelParams(0.05, 0.9, 5_000)
+        assert mean_failures(huge, 250.0) == pytest.approx(mean_failures(small, 250.0), rel=1e-12)
+        assert failure_intensity(huge, 250.0) == pytest.approx(
+            failure_intensity(small, 250.0), rel=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "p1, d, n, t_max",
+        [
+            (0.3, 0.95, 270, 400.0),
+            (0.01, 0.999, DIRECT_SUM_MAX_TERMS, 100.0),
+            # Past the gate, but at t = 1e5 the head would run to about
+            # 11,400 terms, leaving a tail shorter than the gate.
+            (0.9, 0.999, 12_000, 1e5),
+        ],
+    )
+    def test_small_populations_bit_identical(self, p1, d, n, t_max):
+        params = GeometricModelParams(p1, d, n)
+        t = np.array([0.0, 1.0, 17.25, t_max])
+        assert _series_head(params, t) is None
+        rates = p1 * d ** np.arange(n, dtype=float)
+        log_survival = np.log1p(-rates)
+        mean = (-np.expm1(t[:, np.newaxis] * log_survival)).sum(axis=-1)
+        intensity = (rates * np.exp((t[1:, np.newaxis] - 1.0) * log_survival)).sum(axis=-1)
+        assert np.array_equal(mean_failures(params, t), mean)
+        assert np.array_equal(failure_intensity(params, t[1:]), intensity)
 
 
 class TestReleaseTimes:
