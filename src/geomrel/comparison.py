@@ -14,11 +14,14 @@ row by the same log-scale least squares used for the geometric model.
 Musa basic and NHPP share the exponential mean ``a(1 - exp(-bt))`` (Goel &
 Okumoto 1979) and therefore fit identically; they keep separate names,
 parameter names and outputs.  Littlewood-Verrall is TBF-native and is
-fitted by maximizing its marginal likelihood.  Every route uses the
-in-house Nelder-Mead optimizer, so cross-model comparisons reflect model
-shape rather than toolchain differences.  Absolute fitted values therefore
-need not match those of other estimation toolchains even on identical
-data.
+fitted by maximizing its marginal likelihood over the inverse gamma shape
+``u = 1/alpha`` and mean-interval scales, a parametrization in which the
+exponential limit ``alpha -> inf`` is the finite point ``u = 0``; its
+predictions invert a closed-form expected time to failure n.  Every
+route uses the in-house Nelder-Mead optimizer, so cross-model comparisons
+reflect model shape rather than toolchain differences.  Absolute fitted
+values therefore need not match those of other estimation toolchains even
+on identical data.
 
 Fitted models are immutable; independent fits may run concurrently.
 """
@@ -47,9 +50,9 @@ __all__ = [
     "fit_model",
 ]
 
-# Expected-TBF accumulation in Littlewood-Verrall predictions stops here;
-# reaching the cap means the requested horizon is absurd for the fit.
-_LV_PREDICTION_INDEX_CAP = 50_000_000
+# A Littlewood-Verrall fit whose inverse shape 1/alpha falls below this
+# sits at the exponential limit alpha -> inf (LittlewoodVerrall.boundary).
+EXPONENTIAL_LIMIT_INVERSE_SHAPE = 1e-6
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -76,35 +79,52 @@ class ReliabilityModel(ABC):
 
 @dataclass(frozen=True)
 class LittlewoodVerrallParams:
-    """Gamma shape ``alpha`` and quadratic trend ``phi(i) = beta0 + beta1*i**2``.
+    """Inverse gamma shape ``inverse_shape`` (u) and quadratic mean-interval
+    scales ``s(i) = scale0 + scale1*i**2``.
 
-    Expected times between failures are ``phi(i) / (alpha - 1)``, which is
-    finite only for ``alpha > 1``.  Construction allows any positive alpha
-    so that a fit landing at alpha <= 1 can still be reported; predictions
-    from such a fit are refused.
+    In the gamma-shape form of Littlewood & Verrall (1973), with shape
+    ``alpha`` and trend ``phi(i) = beta0 + beta1*i**2``, these are
+    ``u = 1/alpha``, ``scale0 = beta0/alpha`` and ``scale1 = beta1/alpha``.
+    ``u = 0`` is the exponential limit ``alpha -> inf``: intervals become
+    exponential with mean ``s(i)``.  Expected times between failures are
+    ``s(i) / (1 - u)``, finite only for ``u < 1`` (``alpha > 1``).
+    Construction allows any finite ``u >= 0`` so that a fit landing at
+    ``u >= 1`` can still be reported; predictions from such a fit are
+    refused.
     """
 
-    alpha: float
-    beta0: float
-    beta1: float
+    inverse_shape: float
+    scale0: float
+    scale1: float
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if not (self.beta0 > 0 and self.beta1 > 0):
-            raise ValueError("beta0 and beta1 must be positive")
+        if not all(math.isfinite(v) for v in (self.inverse_shape, self.scale0, self.scale1)):
+            raise ValueError("Littlewood-Verrall parameters must be finite")
+        if not self.inverse_shape >= 0:
+            raise ValueError("inverse_shape must be non-negative")
+        if not (self.scale0 > 0 and self.scale1 >= 0):
+            raise ValueError("scale0 must be positive and scale1 non-negative")
 
-    def trend(self, i) -> float:
-        return self.beta0 + self.beta1 * np.square(i)
+    def scale(self, i) -> float:
+        return self.scale0 + self.scale1 * np.square(i)
 
     def expected_tbf(self, i) -> float:
-        """Expected interval before failure ``i``; needs alpha > 1."""
-        if self.alpha <= 1.0:
+        """Expected interval before failure ``i``; needs inverse_shape < 1."""
+        if self.inverse_shape >= 1.0:
             raise PredictionError(
-                f"shape alpha={self.alpha:.4g} <= 1 makes expected times between "
-                "failures infinite; prediction refused"
+                f"inverse shape u={self.inverse_shape:.4g} >= 1 (gamma shape alpha <= 1) "
+                "makes expected times between failures infinite; prediction refused"
             )
-        return self.trend(i) / (self.alpha - 1.0)
+        return self.scale(i) / (1.0 - self.inverse_shape)
+
+    def expected_time_to(self, n: int) -> float:
+        """Expected time to failure ``n``: the sum of ``expected_tbf(i)``
+        over i = 1..n, ``(n*scale0 + scale1*n(n+1)(2n+1)/6) / (1 - u)``."""
+        self.expected_tbf(1)  # refuses u >= 1
+        n = float(n)
+        # scale1 multiplies first, so scale1 = 0 gives 0 where n**3 overflows.
+        squares = self.scale1 * n * (n + 1.0) * (2.0 * n + 1.0) / 6.0
+        return (n * self.scale0 + squares) / (1.0 - self.inverse_shape)
 
 
 class _ClosedForm(NamedTuple):
@@ -224,12 +244,25 @@ class LittlewoodVerrall(ReliabilityModel):
     """Bayesian TBF model: exponential interfailure times whose hazards carry
     gamma priors with quadratically growing scale parameter.
 
-    Integrating the prior makes each observed interval Pareto-distributed
-    with density ``alpha * phi(i)**alpha / (t + phi(i))**(alpha + 1)``;
-    the fit maximizes that marginal likelihood.  Predictions accumulate
-    expected intervals ``phi(i)/(alpha - 1)`` until they cover the asked
-    time, interpolating inside the last interval, because the model has no
-    closed-form mean value function.
+    Integrating the prior makes each observed interval ``t_i``
+    Pareto-distributed.  With inverse shape ``u`` and scale
+    ``s_i = scale0 + scale1*i**2`` (see :class:`LittlewoodVerrallParams`)
+    its negative log-density is
+
+        ln s_i + (1 + u) * (t_i/s_i) * L(u * t_i/s_i),   L(x) = log1p(x)/x,
+
+    with ``L(0) = 1``.  This is the classic
+    ``-ln[alpha phi_i**alpha / (t_i + phi_i)**(alpha + 1)]`` rewritten so
+    that it stays finite and continuous at ``u = 0``, the exponential limit
+    ``alpha -> inf``, and at ``scale1 = 0``.  The fit minimizes the sum of
+    these terms over ``u = z0**2``, ``scale0 = exp(z1)`` and
+    ``scale1 = z2**2``, so the simplex reaches both limits in finitely many
+    steps instead of drifting towards them.  A fit at the exponential limit
+    is named by :attr:`boundary`.
+
+    Predictions invert the closed-form expected time to failure n,
+    ``(n*scale0 + scale1*n(n+1)(2n+1)/6)/(1 - u)``, by integer bisection
+    and interpolate inside the last interval.
     """
 
     model_name = "littlewood-verrall"
@@ -239,67 +272,96 @@ class LittlewoodVerrall(ReliabilityModel):
         self.params = params
         self.diagnostics = diagnostics
 
+    @property
+    def boundary(self) -> str | None:
+        """``"exponential-limit"`` when the inverse shape is below
+        ``EXPONENTIAL_LIMIT_INVERSE_SHAPE``, otherwise ``None``.
+
+        There the fit sits at the edge ``alpha -> inf`` of the gamma
+        family: the history shows no evidence of varying hazards, and the
+        intervals are fitted as exponential with means ``s(i)``.
+        ``converged`` still says whether the simplex collapsed.
+        """
+        if self.params.inverse_shape < EXPONENTIAL_LIMIT_INVERSE_SHAPE:
+            return "exponential-limit"
+        return None
+
     @classmethod
     def fit(cls, ds, config=None):
-        config = config or estimation.OptimizerConfig(max_iterations=4000)
+        config = config or estimation.OptimizerConfig()
         tbf = ds.time_between_failures()
         n = tbf.size
         if n < cls.min_failures:
             raise FitError(
                 f"{cls.model_name}: needs at least {cls.min_failures} failures, got {n}"
             )
-        indices = np.arange(1, n + 1, dtype=float)
-        squared = np.square(indices)
+        squared = np.square(np.arange(1, n + 1, dtype=float))
 
         def negative_log_likelihood(z: np.ndarray) -> float:
-            # Above the log of the largest float, exp(z) overflows.
-            if max(z.tolist()) > _LOG_FLOAT_MAX:
+            z0, z1, z2 = z.tolist()
+            # Above the log of the largest float, exp(z1) overflows; below
+            # its negative, scale0 underflows to zero.
+            if abs(z1) > _LOG_FLOAT_MAX:
                 return math.inf
-            alpha, beta0, beta1 = np.exp(z)
-            if not (np.isfinite(alpha) and np.isfinite(beta0) and np.isfinite(beta1)):
-                return math.inf
-            phi = beta0 + beta1 * squared
-            ll = n * math.log(alpha) + alpha * np.log(phi).sum() - (alpha + 1.0) * np.log(tbf + phi).sum()
-            return -float(ll) if math.isfinite(ll) else math.inf
+            # z*z, not z**2: a float power raises OverflowError where a
+            # product gives inf.
+            u, scale0, scale1 = z0 * z0, math.exp(z1), z2 * z2
+            # Tiny scales or huge u can still overflow the ratios below;
+            # such probes come out non-finite, which nelder_mead rejects as
+            # +inf.
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                scales = scale0 + scale1 * squared
+                ratios = tbf / scales
+                x = u * ratios
+                log1p_ratio = np.divide(np.log1p(x), x, out=np.ones_like(x), where=x > 0)
+                return float((np.log(scales) + (1.0 + u) * ratios * log1p_ratio).sum())
 
         # Moment-style start: regress the intervals on i^2 for the trend and
-        # begin at alpha = 2, where expected TBF equals the trend itself.
+        # begin at alpha = 2 (u = 1/2) with s(i) half the trend, so that the
+        # expected TBF s(i)/(1 - u) equals the trend itself.
         slope, intercept = np.polyfit(squared, tbf, 1)
         scale = float(np.mean(tbf))
         beta1_start = max(float(slope), 1e-6 * scale / squared[-1])
         beta0_start = max(float(intercept), 1e-3 * scale)
-        start = np.log([2.0, beta0_start, beta1_start])
+        start = np.array(
+            [math.sqrt(0.5), math.log(beta0_start / 2.0), math.sqrt(beta1_start / 2.0)]
+        )
 
         try:
             best, diag = estimation.nelder_mead(negative_log_likelihood, config, start)
         except ValueError as exc:
             raise FitError(f"{cls.model_name}: {exc}") from exc
-        alpha, beta0, beta1 = np.exp(best)
-        return cls(LittlewoodVerrallParams(float(alpha), float(beta0), float(beta1)), diag)
+        z0, z1, z2 = best.tolist()
+        return cls(LittlewoodVerrallParams(z0 * z0, math.exp(z1), z2 * z2), diag)
 
     def predict_mean(self, t) -> float:
         if t < 0 or not math.isfinite(t):
             raise ValueError(f"predict_mean requires finite t >= 0, got {t!r}")
         if t == 0:
             return 0.0
-        covered = 0.0
-        i = 1
-        while i <= _LV_PREDICTION_INDEX_CAP:
-            interval = self.params.expected_tbf(i)
-            if covered + interval >= t:
-                return (i - 1) + (t - covered) / interval
-            covered += interval
-            i += 1
-        raise PredictionError(
-            f"{self.model_name}: horizon t={t} needs more than "
-            f"{_LV_PREDICTION_INDEX_CAP} expected intervals"
-        )
+        time_to = self.params.expected_time_to
+        # Find n with time_to(n - 1) < t <= time_to(n): grow the bracket
+        # by doubling, then bisect it.
+        lo, hi = 0, 1
+        while time_to(hi) < t:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if time_to(mid) < t:
+                lo = mid
+            else:
+                hi = mid
+        # Interpolate inside interval n = hi.  Dividing by the difference of
+        # the two sums keeps the fraction in (0, 1] under rounding, so the
+        # prediction never decreases across an interval boundary.
+        covered = time_to(lo)
+        return lo + (t - covered) / (time_to(hi) - covered)
 
     def params_dict(self) -> dict:
         return {
-            "alpha": self.params.alpha,
-            "beta0": self.params.beta0,
-            "beta1": self.params.beta1,
+            "inverse_shape": self.params.inverse_shape,
+            "scale0": self.params.scale0,
+            "scale1": self.params.scale1,
         }
 
 

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomrel.comparison import (
     ALL_MODEL_NAMES,
@@ -15,6 +17,7 @@ from geomrel.comparison import (
 from geomrel.data import FailureDataset, parse_dataset
 from geomrel.errors import FitError, PredictionError
 from geomrel.estimation import OptimizerConfig, nelder_mead
+from geomrel.evaluation import default_cut_points
 from geomrel.model import GeometricModelParams, mean_failures
 from geomrel.simulation import SimulationConfig, simulate
 
@@ -99,9 +102,11 @@ class TestMeanFunctions:
         with pytest.raises(ValueError, match="musa-basic"):
             ClosedFormModel("weibull", (1.0, 1.0))
         with pytest.raises(ValueError):
-            LittlewoodVerrallParams(0.0, 1.0, 1.0)
+            LittlewoodVerrallParams(math.inf, 1.0, 1.0)  # alpha = 0
         with pytest.raises(ValueError):
-            LittlewoodVerrallParams(2.0, 0.0, 1.0)
+            LittlewoodVerrallParams(-0.5, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            LittlewoodVerrallParams(0.5, 0.0, 0.5)
 
     def test_prediction_time_validated(self):
         model = ClosedFormModel("nhpp", (50.0, 0.02))
@@ -110,16 +115,43 @@ class TestMeanFunctions:
                 model.predict_mean(bad)
 
 
+def loop_prediction(params, t):
+    """Littlewood-Verrall prediction by accumulating expected intervals
+    one failure at a time."""
+    if t == 0:
+        return 0.0
+    covered = 0.0
+    i = 1
+    while True:
+        interval = params.expected_tbf(i)
+        if covered + interval >= t:
+            return (i - 1) + (t - covered) / interval
+        covered += interval
+        i += 1
+
+
+def lv_terms(params, tbf):
+    """Per-interval negative log marginal likelihood, in plain floats."""
+    u = params.inverse_shape
+    terms = []
+    for i, t in enumerate(tbf, start=1):
+        s = params.scale0 + params.scale1 * i * i
+        ratio = t / s
+        x = u * ratio
+        terms.append(math.log(s) + (1.0 + u) * ratio * (math.log1p(x) / x if x > 0 else 1.0))
+    return terms
+
+
 class TestLittlewoodVerrall:
     def test_expected_tbf_increases_with_quadratic_trend(self):
-        params = LittlewoodVerrallParams(2.0, 10.0, 1.0)
+        params = LittlewoodVerrallParams(0.5, 5.0, 0.5)
         tbfs = [params.expected_tbf(i) for i in range(1, 30)]
         assert all(b > a for a, b in zip(tbfs, tbfs[1:]))
 
     def test_nearly_constant_trend_predicts_linearly(self):
-        # With beta1 -> 0 the expected interval is essentially constant
-        # beta0/(alpha-1), so the prediction grows linearly in t.
-        params = LittlewoodVerrallParams(3.0, 10.0, 1e-12)
+        # With scale1 -> 0 the expected interval is essentially constant
+        # scale0/(1 - u), so the prediction grows linearly in t.
+        params = LittlewoodVerrallParams(1.0 / 3.0, 10.0 / 3.0, 1e-12 / 3.0)
         model = LittlewoodVerrall(params)
         interval = 10.0 / 2.0
         assert model.predict_mean(0.0) == 0.0
@@ -136,13 +168,13 @@ class TestLittlewoodVerrall:
         lam = rng.gamma(shape=alpha, scale=1.0 / (beta0 + beta1 * idx**2))
         tbf = rng.exponential(1.0 / lam)
         fitted = LittlewoodVerrall.fit(FailureDataset.from_tbf(tbf, "lv"))
-        assert fitted.params.alpha == pytest.approx(alpha, rel=0.25)
+        assert 1.0 / fitted.params.inverse_shape == pytest.approx(alpha, rel=0.25)
 
     def test_fit_predict_wrapper(self):
         rng = np.random.default_rng(5)
         tbf = rng.exponential(3.0, size=40)
         fitted = LittlewoodVerrall.fit(FailureDataset.from_tbf(tbf))
-        assert fitted.params.beta0 > 0
+        assert fitted.params.scale0 > 0
         assert fitted.predict_mean(0.0) == 0.0
         grid = np.linspace(0.0, 100.0, 20)
         vals = [fitted.predict_mean(t) for t in grid]
@@ -154,9 +186,129 @@ class TestLittlewoodVerrall:
             LittlewoodVerrall.fit(ds)
 
     def test_alpha_at_most_one_refuses_prediction(self):
-        model = LittlewoodVerrall(LittlewoodVerrallParams(0.9, 10.0, 1.0))
+        model = LittlewoodVerrall(LittlewoodVerrallParams(1.0 / 0.9, 10.0 / 0.9, 1.0 / 0.9))
         with pytest.raises(PredictionError, match="alpha"):
             model.predict_mean(5.0)
+
+    def test_exponential_limit_is_a_finite_point(self):
+        # u = 0 and scale1 = 0: exponential intervals with constant mean.
+        params = LittlewoodVerrallParams(0.0, 4.0, 0.0)
+        assert LittlewoodVerrall(params).boundary == "exponential-limit"
+        assert LittlewoodVerrall(LittlewoodVerrallParams(1e-6, 4.0, 0.0)).boundary is None
+        assert params.expected_tbf(3) == 4.0
+
+
+class TestLittlewoodVerrallPrediction:
+    PARAMS = (
+        LittlewoodVerrallParams(0.5, 5.0, 0.5),
+        LittlewoodVerrallParams(0.27361907936598856, 5.276616322923474, 0.0049848215837968385),
+        LittlewoodVerrallParams(0.0, 5.7126652289885484, 0.005459348864276504),
+        LittlewoodVerrallParams(0.9, 0.01, 3.0),
+        LittlewoodVerrallParams(0.1, 2.0, 0.0),
+    )
+
+    def test_flat_trend_is_linear_at_long_horizons(self):
+        u, s0 = 0.25, 3.7
+        model = LittlewoodVerrall(LittlewoodVerrallParams(u, s0, 0.0))
+        for t in (1e12, 1e200):
+            assert model.predict_mean(t) == pytest.approx(t * (1.0 - u) / s0, rel=1e-12)
+
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_matches_interval_loop(self, params):
+        model = LittlewoodVerrall(params)
+        grid = np.concatenate([np.linspace(0.0, 50.0, 41), np.geomspace(1e-3, 2e4, 60)])
+        for t in grid:
+            expected = loop_prediction(params, float(t))
+            assert model.predict_mean(float(t)) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_zero_at_origin_and_never_decreasing(self, params):
+        model = LittlewoodVerrall(params)
+        assert model.predict_mean(0.0) == 0.0
+        # Dense grid plus every interval boundary and its float neighbours.
+        ends = [params.expected_time_to(n) for n in range(1, 60)]
+        grid = sorted(
+            {0.0, *np.linspace(0.0, ends[-1], 997).tolist(), *ends,
+             *(math.nextafter(e, 0.0) for e in ends), *(math.nextafter(e, math.inf) for e in ends)}
+        )
+        values = [model.predict_mean(t) for t in grid]
+        assert all(b >= a for a, b in zip(values, values[1:]))
+        assert [model.predict_mean(e) for e in ends] == pytest.approx(range(1, 60), rel=1e-12)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(0.0, 0.99),
+        st.floats(1e-3, 1e3),
+        st.one_of(st.just(0.0), st.floats(1e-6, 1e2)),
+        st.integers(1, 10**9),
+    )
+    def test_never_decreasing_across_interval_ends(self, u, scale0, scale1, n):
+        # Around the expected time to failure n the prediction passes n;
+        # rounding must not make it step back there.
+        model = LittlewoodVerrall(LittlewoodVerrallParams(u, scale0, scale1))
+        end = model.params.expected_time_to(n)
+        around = (math.nextafter(end, 0.0), end, math.nextafter(end, math.inf))
+        values = [model.predict_mean(t) for t in around]
+        assert values[0] <= values[1] <= values[2]
+        assert values[1] == pytest.approx(n, rel=1e-12)
+
+
+class TestLittlewoodVerrallOnNtds:
+    # The negative log marginal likelihood at the parameters the earlier
+    # fit in (log alpha, log beta0, log beta1) reached on each distinct
+    # NTDS prefix (keyed by failure count), computed at 50 digits.  That
+    # fit stopped on its 4,000-iteration budget on every prefix but the
+    # full history.
+    EARLIER_NLL = {
+        7: 20.762790451077282,
+        8: 23.848011885178221,
+        11: 31.512631503549787,
+        13: 36.292874735101616,
+        16: 43.987197879992593,
+        18: 48.502723089607817,
+        20: 53.164561957098357,
+        21: 56.890423215196971,
+        22: 63.718690314211058,
+        23: 67.030321398639570,
+        26: 81.319942560066518,
+    }
+
+    @pytest.fixture(scope="class")
+    def fits(self):
+        with open(REPO_DATA / "ntds_tbf.csv", "rb") as handle:
+            ntds = parse_dataset(handle, "tbf_csv", label="ntds")
+        prefixes = {
+            n: FailureDataset(ntds.points[:n], ntds.label, ntds.native_unit)
+            for n in self.EARLIER_NLL
+        }
+        harness_prefixes = {
+            int(np.searchsorted(ntds.times, t, side="right")) for t in default_cut_points(ntds)
+        }
+        assert harness_prefixes == set(prefixes)
+        return {n: (sub, LittlewoodVerrall.fit(sub)) for n, sub in prefixes.items()}
+
+    def test_every_prefix_converges(self, fits):
+        for n, (_, fitted) in fits.items():
+            assert fitted.diagnostics.converged, n
+            assert fitted.diagnostics.iterations <= 200, n
+
+    def test_no_worse_than_earlier_fit(self, fits):
+        for n, (_, fitted) in fits.items():
+            assert fitted.diagnostics.value <= self.EARLIER_NLL[n] + 1e-9, n
+
+    def test_value_is_the_likelihood_at_the_fitted_params(self, fits):
+        for n, (sub, fitted) in fits.items():
+            terms = lv_terms(fitted.params, sub.time_between_failures().tolist())
+            assert fitted.diagnostics.value == pytest.approx(math.fsum(terms), rel=1e-12), n
+
+    def test_exponential_limit_named(self, fits):
+        flagged = {n for n, (_, fitted) in fits.items() if fitted.boundary == "exponential-limit"}
+        assert flagged == {7, 8, 11, 13, 16, 18, 20, 21, 22, 23}
+        full = fits[26][1]
+        assert full.boundary is None
+        assert full.params.inverse_shape == pytest.approx(0.27, abs=0.01)
+        assert set(full.params_dict()) == {"inverse_shape", "scale0", "scale1"}
 
 
 class TestFitComparison:

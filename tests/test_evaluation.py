@@ -236,9 +236,11 @@ class TestUnitInvariance:
             "exact unit invariance is unattainable here: the geometric-rates "
             "family is not closed under time rescaling (survival probabilities "
             "transform as (1-p)**c, which is no longer a geometric rate "
-            "sequence), and the Littlewood-Verrall marginal likelihood is so "
-            "flat that rescaled optimizer trajectories stop at different "
-            "points of the valley; deviations are of order 1e-3, not 1e-6"
+            "sequence; deviations of 1.3e-3), and the Littlewood-Verrall search "
+            "steps in sqrt(scale1), which a change of time unit stretches, so "
+            "rescaled simplex runs stop at different points inside the 1e-8 "
+            "value tolerance (deviations of 1.1e-5, shrinking with the "
+            "tolerance); neither meets 1e-6"
         ),
     )
     def test_open_families_exact_invariance(self, model_name):
