@@ -249,9 +249,11 @@ def cmd_simulate(args) -> int:
     config = SimulationConfig(
         params=params, horizon=args.horizon, seed=args.seed, replications=args.replications
     )
+    # Drawn first, so that a failed draw leaves no output directory behind.
+    datasets = simulate(config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for index, ds in enumerate(simulate(config)):
+    for index, ds in enumerate(datasets):
         (out_dir / f"replication_{index:03d}.csv").write_text(to_cumulative_csv(ds))
     manifest = RunManifest(
         command="simulate",
@@ -352,6 +354,8 @@ def main(argv=None) -> int:
         return _fail(str(exc), EXIT_INPUT)
     except PredictionError as exc:
         return _fail(str(exc), EXIT_NUMERICAL)
+    except MemoryError as exc:
+        return _fail(f"out of memory: {exc}", EXIT_INPUT)
 
 
 if __name__ == "__main__":

@@ -5,12 +5,13 @@ Four classic models (Musa basic, Musa-Okumoto, Littlewood-Verrall in its
 quadratic form, and an NHPP with exponentially bounded mean) are exposed
 with the same contract as the geometric-rates model so that a validity
 harness can treat all five uniformly; :func:`fit_model` fits any of them
-by name.
+by name, and every fit reports its optimizer run and boundary alike.
 
 Musa basic, Musa-Okumoto, and NHPP are rows of one table of closed-form
 mean value functions, each with its parameter names and a start that
 interpolates the history's final point.  :class:`ClosedFormModel` fits any
-row by the same log-scale least squares used for the geometric model.
+row by minimizing the log-scale least-squares objective of the geometric
+model (:mod:`geomrel.estimation`).
 Musa basic and NHPP share the exponential mean ``a(1 - exp(-bt))`` (Goel &
 Okumoto 1979) and therefore fit identically; they keep separate names,
 parameter names and outputs.  Littlewood-Verrall is TBF-native and is
@@ -64,9 +65,19 @@ class ReliabilityModel(ABC):
     optimizer config.  ``predict_mean`` returns the expected cumulative
     failure count at a time, is 0 at t = 0, and never decreases.
     Instances are immutable once constructed.
+
+    ``diagnostics`` is the optimizer run of the fit (``None`` for given
+    parameters).  ``boundary`` names the edge of the parameter space at
+    which a fit stopped short of an interior optimum, or is ``None``.
     """
 
     model_name: str
+    diagnostics: estimation.SimplexResult | None
+    boundary: str | None = None
+
+    def __init__(self, params, diagnostics: estimation.SimplexResult | None = None):
+        self.params = params
+        self.diagnostics = diagnostics
 
     @abstractmethod
     def predict_mean(self, t: float) -> float:
@@ -194,8 +205,7 @@ class ClosedFormModel(ReliabilityModel):
         if not (first > 0 and second > 0):
             raise ValueError(f"{model_name} parameters must be positive, got {params!r}")
         self.model_name = model_name
-        self.params = (float(first), float(second))
-        self.diagnostics = diagnostics
+        super().__init__((float(first), float(second)), diagnostics)
 
     @classmethod
     def fit(cls, model_name: str, ds: FailureDataset, config=None) -> "ClosedFormModel":
@@ -204,21 +214,15 @@ class ClosedFormModel(ReliabilityModel):
         form = _CLOSED_FORMS[model_name]
         config = config or estimation.OptimizerConfig()
         try:
-            times, log_counts, _ = estimation._usable_arrays(ds)
+            times, log_counts, _ = estimation._usable_arrays(ds, fewest=2)
         except ValueError as exc:
             raise FitError(f"{model_name}: {exc}") from exc
-        if times.size < 2:
-            raise FitError(f"{model_name}: need at least 2 usable points, got {times.size}")
+
+        def mean(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+            return form.mean(np.exp(z), t)
 
         def objective(z: np.ndarray) -> float:
-            # Excursions of the simplex can push exp(z) past float range; the
-            # resulting non-finite means are rejected as +inf probes.
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                mu = form.mean(np.exp(z), times)
-                if not np.all(np.isfinite(mu)) or np.any(mu <= 0):
-                    return math.inf
-                residuals = log_counts - np.log(mu)
-                return float(residuals @ residuals)
+            return estimation._log_count_objective(mean, z, times, log_counts)
 
         # Only after the check above: the starts divide by the final count.
         start = np.log(form.start(ds.final_time, float(ds.final_count)))
@@ -267,10 +271,6 @@ class LittlewoodVerrall(ReliabilityModel):
 
     model_name = "littlewood-verrall"
     min_failures = 5
-
-    def __init__(self, params: LittlewoodVerrallParams, diagnostics: estimation.SimplexResult | None = None):
-        self.params = params
-        self.diagnostics = diagnostics
 
     @property
     def boundary(self) -> str | None:
@@ -354,8 +354,14 @@ class LittlewoodVerrall(ReliabilityModel):
         # Interpolate inside interval n = hi.  Dividing by the difference of
         # the two sums keeps the fraction in (0, 1] under rounding, so the
         # prediction never decreases across an interval boundary.
-        covered = time_to(lo)
-        return lo + (t - covered) / (time_to(hi) - covered)
+        covered, reached = time_to(lo), time_to(hi)
+        # An overflowing sum (inf, or nan from 0 * inf) ends no interval.
+        if not math.isfinite(reached):
+            raise PredictionError(
+                f"{self.model_name}: the expected time to failure overflows "
+                f"before it reaches t={t!r}"
+            )
+        return lo + (t - covered) / (reached - covered)
 
     def params_dict(self) -> dict:
         return {
@@ -370,9 +376,10 @@ class GeometricRates(ReliabilityModel):
 
     model_name = "geometric"
 
-    def __init__(self, params: model.GeometricModelParams, fit_result: estimation.FitResult | None = None):
-        self.params = params
-        self.fit_result = fit_result
+    @property
+    def boundary(self) -> str | None:
+        """As :attr:`geomrel.estimation.FitResult.boundary`."""
+        return estimation._truncation_boundary(self.params)
 
     @classmethod
     def fit(cls, ds, config=None):
@@ -380,7 +387,7 @@ class GeometricRates(ReliabilityModel):
             result = estimation.fit(ds, config)
         except ValueError as exc:
             raise FitError(f"{cls.model_name}: {exc}") from exc
-        return cls(result.params, result)
+        return cls(result.params, result.diagnostics)
 
     def predict_mean(self, t) -> float:
         return model.mean_failures(self.params, t)

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -54,11 +53,16 @@ class FailureDataset:
     zero failures is implicit) and counts never decrease.  At least one
     point is required; fitting operations additionally need two usable
     points, which they check themselves.
+
+    ``times`` (float) and ``counts`` (int64) hold the points as read-only
+    arrays.
     """
 
     points: tuple[tuple[float, int], ...]
     label: str = ""
     native_unit: TimeUnit = TimeUnit.INCIDENT
+    times: np.ndarray = field(init=False, repr=False, compare=False)
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         normalized = []
@@ -88,23 +92,13 @@ class FailureDataset:
             raise ValueError("cumulative failure counts must be non-negative")
         if np.any(np.diff(counts) < 0):
             raise ValueError("cumulative failure counts must not decrease")
+        times.setflags(write=False)
+        counts.setflags(write=False)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "counts", counts)
 
     def __len__(self) -> int:
         return len(self.points)
-
-    @cached_property
-    def times(self) -> np.ndarray:
-        """Measurement times as a read-only float array."""
-        arr = np.array([p[0] for p in self.points], dtype=float)
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
-    def counts(self) -> np.ndarray:
-        """Cumulative failure counts as a read-only integer array."""
-        arr = np.array([p[1] for p in self.points], dtype=np.int64)
-        arr.setflags(write=False)
-        return arr
 
     @property
     def final_time(self) -> float:

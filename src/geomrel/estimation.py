@@ -1,14 +1,16 @@
-"""Least-squares parameter estimation for the geometric-rates model.
+"""Least-squares parameter estimation, shared by every model fitted to
+cumulative counts, and the fit of the geometric-rates model.
 
 The objective is the squared distance between observed and modelled
 cumulative failure counts on a log scale,
 
-    S(p1, d) = sum_j (ln r_j - ln mu(t_j; p1, d))**2,
+    S = sum_j (ln r_j - ln mu(t_j))**2,
 
-minimized with a self-contained Nelder-Mead simplex optimizer.  The two
-parameters live in (0, 1)^2; the search runs in an unconstrained space via
-the inverse-sigmoid map of each parameter so feasibility never has to be
-patched up afterwards.
+minimized with a self-contained Nelder-Mead simplex optimizer whose record,
+:class:`SimplexResult`, is every fitted model's ``diagnostics``.  The
+geometric model's parameters p1 and d live in (0, 1)^2; the search runs in
+an unconstrained space via the inverse-sigmoid map of each parameter so
+feasibility never has to be patched up afterwards.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ __all__ = [
 # evaluation no longer costs more with more terms (the model's sums take
 # time independent of N); the cap keeps fitted populations at N <= 10,000.
 # A history without reliability growth pulls d towards 1 and ends the fit
-# on this cap, which FitResult.boundary reports.
+# on this cap, which the fitted model's ``boundary`` names.
 MAX_FIT_TRUNCATION = 10_000
 
 _INITIAL_DECAY_GUESS = 0.94
@@ -44,8 +46,8 @@ _INITIAL_DECAY_GUESS = 0.94
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Nelder-Mead coefficients, termination settings, and the optional
-    starting point for :func:`fit`.
+    """Nelder-Mead coefficients and termination settings, shared by every
+    model's fit.
 
     Termination watches the function-value spread across the simplex
     rather than vertex distances because the fit objective is flat in the
@@ -58,7 +60,6 @@ class OptimizerConfig:
     shrink: float = 0.5
     tolerance: float = 1e-8
     max_iterations: int = 2000
-    initial_guess: tuple[float, float] | None = None
     initial_step: float = 0.25
 
     def __post_init__(self) -> None:
@@ -92,13 +93,20 @@ class SimplexResult:
     converged: bool
     simplex_spread: float
     nonfinite_evaluations: int
-    initial_step: float
     evaluations: int
+
+
+def _truncation_boundary(params: GeometricModelParams) -> str | None:
+    """``"truncation-cap"`` when the truncation equals ``MAX_FIT_TRUNCATION``
+    (the fit stopped against its search bound: the objective still falls as
+    d moves towards 1, as for a history without reliability growth), else
+    ``None``.  ``converged`` says only that the simplex collapsed."""
+    return "truncation-cap" if params.truncation == MAX_FIT_TRUNCATION else None
 
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted parameters plus optimizer diagnostics.
+    """Fitted parameters plus the optimizer run that found them.
 
     ``objective_value`` is the least-squares objective at ``params`` and
     matches a recomputation via :func:`least_squares_objective` exactly.
@@ -107,24 +115,21 @@ class FitResult:
     """
 
     params: GeometricModelParams
-    objective_value: float
-    iterations: int
-    converged: bool
-    simplex_spread: float
+    diagnostics: SimplexResult
     skipped_points: int
 
     @property
-    def boundary(self) -> str | None:
-        """``"truncation-cap"`` when the fitted truncation equals
-        ``MAX_FIT_TRUNCATION``, otherwise ``None``.
+    def objective_value(self) -> float:
+        return self.diagnostics.value
 
-        A fit on the cap stopped against the search bound, not at an
-        interior optimum: the objective still falls as d moves towards 1,
-        as it does for a history without reliability growth.
-        ``converged`` only says that the simplex collapsed, which it also
-        does there.
-        """
-        return "truncation-cap" if self.params.truncation == MAX_FIT_TRUNCATION else None
+    @property
+    def converged(self) -> bool:
+        return self.diagnostics.converged
+
+    @property
+    def boundary(self) -> str | None:
+        """See :func:`_truncation_boundary`."""
+        return _truncation_boundary(self.params)
 
     def to_dict(self) -> dict:
         return {
@@ -132,7 +137,7 @@ class FitResult:
             "d": self.params.d,
             "truncation": self.params.truncation,
             "objective": self.objective_value,
-            "iterations": self.iterations,
+            "iterations": self.diagnostics.iterations,
             "converged": self.converged,
             "skipped_points": self.skipped_points,
             "boundary": self.boundary,
@@ -142,23 +147,30 @@ class FitResult:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _usable_arrays(ds: FailureDataset) -> tuple[np.ndarray, np.ndarray, int]:
-    """Times and log-counts of the points with at least one failure."""
+def _usable_arrays(ds: FailureDataset, fewest: int = 1) -> tuple[np.ndarray, np.ndarray, int]:
+    """Times and log-counts of the points with at least one failure; raises
+    unless there are at least ``fewest`` of them (a fit needs 2)."""
     mask = ds.counts >= 1
     if not mask.any():
         raise ValueError("no usable points: every cumulative count is zero")
     times = ds.times[mask]
+    if times.size < fewest:
+        raise ValueError(f"need at least {fewest} usable points to fit, got {times.size}")
     log_counts = np.log(ds.counts[mask].astype(float))
     return times, log_counts, int((~mask).sum())
 
 
-def _objective_on_arrays(params: GeometricModelParams, times, log_counts) -> float:
-    mu = mean_failures(params, times)
-    mu = np.atleast_1d(mu)
-    if np.any(mu <= 0.0) or not np.all(np.isfinite(mu)):
-        return math.inf
-    residuals = log_counts - np.log(mu)
-    return float(residuals @ residuals)
+def _log_count_objective(mean, x, times, log_counts) -> float:
+    """``sum_j (log_counts_j - ln mean(x, times_j))**2``, or +inf unless the
+    mean is finite and positive at every time."""
+    # Simplex excursions can overflow a mean, or the parameters it builds
+    # from x; such probes are rejected as +inf, not warned about.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mu = mean(x, times)
+        if not np.all(np.isfinite(mu)) or np.any(mu <= 0):
+            return math.inf
+        residuals = log_counts - np.log(mu)
+        return float(residuals @ residuals)
 
 
 def least_squares_objective(params: GeometricModelParams, ds: FailureDataset) -> float:
@@ -169,7 +181,7 @@ def least_squares_objective(params: GeometricModelParams, ds: FailureDataset) ->
     Raises if no point is usable.
     """
     times, log_counts, _ = _usable_arrays(ds)
-    return _objective_on_arrays(params, times, log_counts)
+    return _log_count_objective(mean_failures, params, times, log_counts)
 
 
 def nelder_mead(objective, config: OptimizerConfig, start) -> tuple[np.ndarray, SimplexResult]:
@@ -283,7 +295,6 @@ def nelder_mead(objective, config: OptimizerConfig, start) -> tuple[np.ndarray, 
         converged=converged,
         simplex_spread=float(values[-1] - values[0]),
         nonfinite_evaluations=nonfinite,
-        initial_step=config.initial_step,
         evaluations=evaluations,
     )
     return simplex[0].copy(), result
@@ -328,26 +339,15 @@ def fit(ds: FailureDataset, config: OptimizerConfig | None = None) -> FitResult:
     The search runs over logit-transformed parameters, so the returned
     values are strictly inside (0, 1) no matter where the simplex wanders;
     the truncation is re-derived from each candidate decay ratio during the
-    search and fixed from the final one.  Unless ``config.initial_guess``
-    says otherwise, the start point uses a decay ratio of 0.94 with the
-    leading rate chosen so the modelled mean matches the final observed
-    count.  Non-convergence is reported through ``converged``, never
-    silently.
+    search and fixed from the final one.  The start point uses a decay
+    ratio of 0.94 with the leading rate chosen so the modelled mean matches
+    the final observed count.  Non-convergence is reported through
+    ``converged``, never silently.
     """
     config = config or OptimizerConfig()
-    times, log_counts, skipped = _usable_arrays(ds)
-    if times.size < 2:
-        raise ValueError(
-            f"need at least 2 usable points to fit, got {times.size}"
-        )
-
-    if config.initial_guess is not None:
-        p1_start, d_start = config.initial_guess
-        if not (0.0 < p1_start < 1.0 and 0.0 < d_start < 1.0):
-            raise ValueError(f"initial guess must lie in (0, 1)^2, got {config.initial_guess}")
-    else:
-        d_start = _INITIAL_DECAY_GUESS
-        p1_start = _initial_p1(float(times[-1]), float(math.exp(log_counts[-1])))
+    times, log_counts, skipped = _usable_arrays(ds, fewest=2)
+    # exp(ln q) differs from q for some counts; starting from q moves fits.
+    p1_start = _initial_p1(float(times[-1]), float(math.exp(log_counts[-1])))
 
     def objective(z: np.ndarray) -> float:
         p1 = _expit(float(z[0]))
@@ -357,19 +357,11 @@ def fit(ds: FailureDataset, config: OptimizerConfig | None = None) -> FitResult:
         n = default_truncation(d)
         if n > MAX_FIT_TRUNCATION:
             return math.inf
-        return _objective_on_arrays(GeometricModelParams(p1, d, n), times, log_counts)
+        return _log_count_objective(mean_failures, GeometricModelParams(p1, d, n), times, log_counts)
 
-    start = np.array([_logit(p1_start), _logit(d_start)])
+    start = np.array([_logit(p1_start), _logit(_INITIAL_DECAY_GUESS)])
     best, diag = nelder_mead(objective, config, start)
 
     p1 = _expit(float(best[0]))
     d = _expit(float(best[1]))
-    params = GeometricModelParams(p1, d, default_truncation(d))
-    return FitResult(
-        params=params,
-        objective_value=diag.value,
-        iterations=diag.iterations,
-        converged=diag.converged,
-        simplex_spread=diag.simplex_spread,
-        skipped_points=skipped,
-    )
+    return FitResult(GeometricModelParams(p1, d, default_truncation(d)), diag, skipped)

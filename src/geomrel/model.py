@@ -261,6 +261,19 @@ def _occurrence_hazard_sum(params: GeometricModelParams) -> float:
     )
 
 
+def _initial_intensity(params: GeometricModelParams, lambda_target: float) -> float:
+    """The intensity at t = 1, once ``lambda_target`` is checked to be a
+    positive intensity not above it."""
+    lam1 = failure_intensity(params, 1.0)
+    if lambda_target <= 0:
+        raise ValueError(f"intensity target must be positive, got {lambda_target}")
+    if lambda_target > lam1:
+        raise ValueError(
+            f"intensity target {lambda_target} exceeds the initial intensity {lam1}"
+        )
+    return lam1
+
+
 def time_for_intensity(params: GeometricModelParams, lambda_target: float) -> float:
     """Closed-form time at which the intensity reaches ``lambda_target``.
 
@@ -271,13 +284,7 @@ def time_for_intensity(params: GeometricModelParams, lambda_target: float) -> fl
     can decide how to interpret it.  Use :func:`time_for_intensity_exact`
     for the numerical inverse of the intensity curve.
     """
-    lam1 = failure_intensity(params, 1.0)
-    if lambda_target <= 0:
-        raise ValueError(f"intensity target must be positive, got {lambda_target}")
-    if lambda_target > lam1:
-        raise ValueError(
-            f"intensity target {lambda_target} exceeds the initial intensity {lam1}"
-        )
+    _initial_intensity(params, lambda_target)
     return math.log(lambda_target) / _occurrence_hazard_sum(params) + 1.0
 
 
@@ -288,13 +295,7 @@ def time_for_intensity_exact(params: GeometricModelParams, lambda_target: float)
     to floating-point resolution.  The intensity is strictly decreasing, so
     the root is unique.
     """
-    lam1 = failure_intensity(params, 1.0)
-    if lambda_target <= 0:
-        raise ValueError(f"intensity target must be positive, got {lambda_target}")
-    if lambda_target > lam1:
-        raise ValueError(
-            f"intensity target {lambda_target} exceeds the initial intensity {lam1}"
-        )
+    lam1 = _initial_intensity(params, lambda_target)
     if lambda_target == lam1:
         return 1.0
     lo, hi = 1.0, 2.0

@@ -9,7 +9,7 @@ import pytest
 
 import geomrel.cli as cli
 from geomrel.data import FailureDataset, to_cumulative_csv
-from geomrel.estimation import FitResult
+from geomrel.estimation import FitResult, SimplexResult
 from geomrel.model import GeometricModelParams
 
 REPO_DATA = Path(__file__).resolve().parent.parent / "data"
@@ -28,6 +28,29 @@ def cumulative_file(tmp_path):
 
 def read_tree(root: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(root.iterdir()) if p.is_file()}
+
+
+def run_cli_in_one_gib(*args):
+    """``python -m geomrel.cli`` in a child limited to 1 GiB of address
+    space, so that a run needing one float per fault fails fast with a
+    ``MemoryError`` instead of exhausting the host."""
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "geomrel.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=cap_memory,
+        timeout=120,
+    )
 
 
 class TestFitCommand:
@@ -62,10 +85,15 @@ class TestFitCommand:
     def test_non_convergence_exits_two(self, monkeypatch, capsys, cumulative_file):
         stub = FitResult(
             params=GeometricModelParams(0.1, 0.9),
-            objective_value=1.0,
-            iterations=2000,
-            converged=False,
-            simplex_spread=1.0,
+            diagnostics=SimplexResult(
+                x=(0.0, 0.0),
+                value=1.0,
+                iterations=2000,
+                converged=False,
+                simplex_spread=1.0,
+                nonfinite_evaluations=0,
+                evaluations=4000,
+            ),
             skipped_points=0,
         )
         monkeypatch.setattr(cli, "fit", lambda ds, config=None: stub)
@@ -130,30 +158,11 @@ class TestPredictCommand:
         )
 
     def test_huge_population_runs_in_bounded_memory(self):
-        # 10^9 fault terms: one float per fault would take 8 GB.  The child
-        # gets a 1 GiB address-space limit so that a regression fails fast
-        # with a MemoryError instead of exhausting the host.
-        resource = pytest.importorskip("resource")
-        limit = 1 << 30
-
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "geomrel.cli", "predict",
-                str(REPO_DATA / "ntds_tbf.csv"), "--format", "tbf",
-                "--p1", "0.05", "--d", "0.9", "--truncation", "1000000000",
-                "--objective", "0.01",
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            preexec_fn=cap_memory,
-            timeout=120,
+        # 10^9 fault terms: one float per fault would take 8 GB.
+        proc = run_cli_in_one_gib(
+            "predict", str(REPO_DATA / "ntds_tbf.csv"), "--format", "tbf",
+            "--p1", "0.05", "--d", "0.9", "--truncation", "1000000000",
+            "--objective", "0.01",
         )
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(proc.stdout)
@@ -334,6 +343,18 @@ class TestSimulateCommand:
         )
         assert code == 1
         assert "p1" in capsys.readouterr().err
+
+    def test_population_beyond_memory_is_an_error_line(self, tmp_path):
+        # The draw takes one uniform per fault: 8 GB at 10^9 faults.
+        out = tmp_path / "sim"
+        proc = run_cli_in_one_gib(
+            "simulate", "--p1", "0.05", "--d", "0.9", "--truncation", "1000000000",
+            "--horizon", "100", "--seed", "1", "--out", str(out),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("geomrel: error: out of memory"), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_simulated_output_refits(self, tmp_path, capsys):
         out = tmp_path / "sim"

@@ -16,7 +16,7 @@ from geomrel.comparison import (
 )
 from geomrel.data import FailureDataset, parse_dataset
 from geomrel.errors import FitError, PredictionError
-from geomrel.estimation import OptimizerConfig, nelder_mead
+from geomrel.estimation import OptimizerConfig, SimplexResult, fit, nelder_mead
 from geomrel.evaluation import default_cut_points
 from geomrel.model import GeometricModelParams, mean_failures
 from geomrel.simulation import SimulationConfig, simulate
@@ -235,6 +235,27 @@ class TestLittlewoodVerrallPrediction:
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert [model.predict_mean(e) for e in ends] == pytest.approx(range(1, 60), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "params, t",
+        [
+            (LittlewoodVerrallParams(0.0, 1e-300, 0.0), 1e10),
+            (LittlewoodVerrallParams(0.0, 1e-300, 0.0), 1e300),
+            (LittlewoodVerrallParams(0.0, 1e-10, 0.0), 1e300),
+            (LittlewoodVerrallParams(0.5, 1e-300, 0.0), 1e300),
+            (LittlewoodVerrallParams(0.0, 1.0, 1.0), 1e308),
+        ],
+    )
+    def test_overflowing_sums_refused(self, params, t):
+        # At scale1 = 0 the count at t exceeds the largest float and the
+        # sum turns nan (0 * inf); at scale1 = 1 the sum n(n+1)(2n+1)/6
+        # overflows near t = 1e308 although the count (6.7e102) would not.
+        with pytest.raises(PredictionError, match="overflows"):
+            LittlewoodVerrall(params).predict_mean(t)
+
+    def test_finite_sums_near_float_range_predict(self):
+        model = LittlewoodVerrall(LittlewoodVerrallParams(0.0, 1.0, 1.0))
+        assert model.predict_mean(1e307) == pytest.approx((3e307) ** (1 / 3), rel=1e-12)
+
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -442,6 +463,25 @@ class TestClosedFormReference:
             params, diag = reference_closed_form_fit(name, ds)
             assert fitted.params == params, ds.label
             assert fitted.diagnostics == diag, ds.label
+
+
+class TestFitDiagnostics:
+    def test_every_model_reports_one_record(self):
+        with open(REPO_DATA / "ntds_tbf.csv", "rb") as handle:
+            ntds = parse_dataset(handle, "tbf_csv", label="ntds")
+        for name in ALL_MODEL_NAMES:
+            fitted = fit_model(name, ntds)
+            assert isinstance(fitted.diagnostics, SimplexResult), name
+            assert fitted.boundary in (None, "truncation-cap", "exponential-limit"), name
+        result = fit(ntds)
+        geometric = fit_model("geometric", ntds)
+        assert geometric.diagnostics == result.diagnostics
+        assert geometric.boundary == result.boundary
+
+    def test_geometric_boundary_names_the_truncation_cap(self):
+        flat = FailureDataset(tuple((25.0 * c, c) for c in range(1, 33)), "flat")
+        assert fit_model("geometric", flat).boundary == "truncation-cap"
+        assert fit_model("musa-basic", flat).boundary is None
 
 
 class TestPredictInterface:
