@@ -17,17 +17,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .comparison import ALL_MODEL_NAMES
+from .comparison import ALL_MODEL_NAMES, _fit_key
 from .data import TimeConversionProfile, TimeUnit, convert_time, parse_dataset, to_cumulative_csv
 from .errors import DataFormatError, FitError, PredictionError
 from .estimation import fit
 from .evaluation import (
+    _renamed,
     aggregate_median,
     aggregate_to_csv,
     curve_to_csv,
@@ -129,8 +131,8 @@ def _params_from_args(args) -> GeometricModelParams:
 def cmd_predict(args) -> int:
     ds = _read_dataset(args.input, args.format)
     params = _params_from_args(args)
-    if args.objective <= 0:
-        return _fail("--objective must be positive", EXIT_INPUT)
+    if not args.objective > 0 or not math.isfinite(args.objective):
+        return _fail("--objective must be finite and positive", EXIT_INPUT)
     t_now = ds.final_time
     if t_now < 1.0:
         return _fail(
@@ -207,13 +209,19 @@ def cmd_evaluate(args) -> int:
         used.add(label)
         labels.append(label)
 
+    # Models whose fits are equal (Musa basic and NHPP) are evaluated once;
+    # the later name gets copies of the first one's curves.
+    evaluated = {}
     for model_name in models:
-        curves = []
-        for label, ds in zip(labels, datasets):
-            curve = number_of_failures_eval(
-                model_name, ds, default_cut_points(ds, args.cuts)
-            )
-            curves.append(curve)
+        key = _fit_key(model_name)
+        if key in evaluated:
+            curves = [_renamed(curve, model_name) for curve in evaluated[key]]
+        else:
+            curves = evaluated[key] = [
+                number_of_failures_eval(model_name, ds, default_cut_points(ds, args.cuts))
+                for ds in datasets
+            ]
+        for label, curve in zip(labels, curves):
             path = out_dir / f"curve_{label}_{model_name}.csv"
             path.write_text(curve_to_csv(curve, include_labels=True))
         aggregate = aggregate_median(curves, args.bins)

@@ -13,12 +13,14 @@ interpolates the history's final point.  :class:`ClosedFormModel` fits any
 row by minimizing the log-scale least-squares objective of the geometric
 model (:mod:`geomrel.estimation`).
 Musa basic and NHPP share the exponential mean ``a(1 - exp(-bt))`` (Goel &
-Okumoto 1979) and therefore fit identically; they keep separate names,
-parameter names and outputs.  Littlewood-Verrall is TBF-native and is
-fitted by maximizing its marginal likelihood over the inverse gamma shape
-``u = 1/alpha`` and mean-interval scales, a parametrization in which the
-exponential limit ``alpha -> inf`` is the finite point ``u = 0``; its
-predictions invert a closed-form expected time to failure n.  Every
+Okumoto 1979) and their start, and therefore fit identically; they keep
+separate names, parameter names and outputs, but ``geomrel evaluate``
+fits each prefix once for both (:func:`_fit_key` names the fits that are
+equal).  Littlewood-Verrall is TBF-native and is fitted by maximizing its
+marginal likelihood over the inverse gamma shape ``u = 1/alpha`` and
+mean-interval scales, a parametrization in which the exponential limit
+``alpha -> inf`` is the finite point ``u = 0``; its predictions invert a
+closed-form expected time to failure n.  Every
 route uses the in-house Nelder-Mead optimizer, so cross-model comparisons
 reflect model shape rather than toolchain differences.  Absolute fitted
 values therefore need not match those of other estimation toolchains even
@@ -402,6 +404,13 @@ class GeometricRates(ReliabilityModel):
 
 # The order of ALL_MODEL_NAMES is the order of evaluate's outputs.
 ALL_MODEL_NAMES = ("geometric", "musa-basic", "musa-okumoto", "littlewood-verrall", "nhpp")
+
+
+def _fit_key(model_name: str):
+    """A key two model names share exactly when their fits are equal: the
+    ``(mean, start)`` of a closed-form row, otherwise the name itself."""
+    form = _CLOSED_FORMS.get(model_name)
+    return model_name if form is None else (form.mean, form.start)
 
 
 def fit_model(model_name: str, ds: FailureDataset, config=None) -> ReliabilityModel:

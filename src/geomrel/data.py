@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -34,6 +35,10 @@ __all__ = [
 ]
 
 DATASET_FORMATS = ("cumulative_csv", "tbf_csv")
+
+# The smallest integer count that rounds to 2**63 as a float, and so no
+# longer fits the int64 counts of a FailureDataset.
+_COUNT_LIMIT = 2**63 - 512
 
 
 class TimeUnit(Enum):
@@ -69,9 +74,14 @@ class FailureDataset:
         for point in self.points:
             t, c = point
             t = float(t)
-            c_float = float(c)
+            try:
+                c_float = float(c)
+            except OverflowError:
+                raise ValueError("cumulative failure counts must fit in 64 bits") from None
             if not c_float.is_integer():
                 raise ValueError(f"cumulative failure counts must be integers, got {c!r}")
+            if abs(c_float) >= 2.0**63:
+                raise ValueError(f"cumulative failure counts must fit in 64 bits, got {c!r}")
             normalized.append((t, int(c_float)))
         if not normalized:
             raise ValueError("a failure history needs at least one point")
@@ -274,7 +284,10 @@ def parse_dataset(
     if format not in DATASET_FORMATS:
         raise ValueError(f"unknown dataset format {format!r}; choose from {DATASET_FORMATS}")
     text = _decode(source)
-    rows = list(csv.reader(io.StringIO(text)))
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise DataFormatError(f"unreadable CSV: {exc}") from exc
     # Trailing blank lines are tolerated; blank lines inside the data are not.
     while rows and not any(cell.strip() for cell in rows[-1]):
         rows.pop()
@@ -302,12 +315,16 @@ def parse_dataset(
                 c = int(row[1])
             except ValueError as exc:
                 raise DataFormatError(f"malformed row {row!r}: {exc}", line=lineno) from exc
+            if not math.isfinite(t):
+                raise DataFormatError(f"time must be finite, got {t}", line=lineno)
             if t <= prev_time:
                 raise DataFormatError(
                     f"non-monotone time: {t} does not exceed {prev_time}", line=lineno
                 )
             if c < 0:
                 raise DataFormatError(f"negative failure count {c}", line=lineno)
+            if c >= _COUNT_LIMIT:
+                raise DataFormatError(f"failure count {c} does not fit in 64 bits", line=lineno)
             if c < prev_count:
                 raise DataFormatError(
                     f"cumulative failures fell from {prev_count} to {c}", line=lineno
@@ -317,6 +334,7 @@ def parse_dataset(
         return FailureDataset(tuple(points), label, native_unit)
 
     tbf = []
+    total = 0.0
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != 1:
             raise DataFormatError(f"expected 1 field, got {len(row)}", line=lineno)
@@ -326,6 +344,16 @@ def parse_dataset(
             raise DataFormatError(f"malformed row {row!r}: {exc}", line=lineno) from exc
         if v <= 0:
             raise DataFormatError(f"time between failures must be positive, got {v}", line=lineno)
+        # The failure time FailureDataset.from_tbf will compute (np.cumsum
+        # adds in the same order), checked here so that a problem with it
+        # is reported on its line, and an overflow raises no numpy warning.
+        previous, total = total, total + v
+        if not math.isfinite(total):
+            raise DataFormatError(f"failure time {total} is not finite", line=lineno)
+        if total <= previous:
+            raise DataFormatError(
+                f"failure time does not advance past {previous} by {v}", line=lineno
+            )
         tbf.append(v)
     return FailureDataset.from_tbf(tbf, label, native_unit)
 

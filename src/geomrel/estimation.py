@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FailureDataset
-from .model import GeometricModelParams, default_truncation, mean_failures
+from .model import GeometricModelParams, _occurrence_sum, default_truncation, mean_failures
 
 __all__ = [
     "FitResult",
@@ -311,14 +311,22 @@ def _expit(z: float) -> float:
     return e / (1.0 + e)
 
 
-def _initial_p1(t_q: float, q: float, d: float = _INITIAL_DECAY_GUESS) -> float:
-    """Rate of the leading fault such that the modelled mean hits the final
-    observed count, found by bisection (the mean is increasing in p1)."""
-    n = default_truncation(d)
+def _initial_p1(t_q: float, q: float) -> float:
+    """Rate of the leading fault such that the modelled mean at the initial
+    decay ratio hits the final observed count, found by bisection (the mean
+    is increasing in p1).
+
+    The mean is ``mean_failures(GeometricModelParams(p1, 0.94), t_q)``,
+    whose 224 terms are summed directly, evaluated with the same operations
+    over powers of 0.94 computed once.  The bisection stops as soon as the
+    midpoint equals an end of the bracket, after which it cannot move."""
+    d = _INITIAL_DECAY_GUESS
+    powers = d ** np.arange(default_truncation(d), dtype=float)
+    t = np.asarray(t_q, dtype=float)
     lo, hi = 1e-12, 1.0 - 1e-12
 
     def excess(p1: float) -> float:
-        return mean_failures(GeometricModelParams(p1, d, n), t_q) - q
+        return float(_occurrence_sum(t, np.log1p(-(p1 * powers)))) - q
 
     if excess(hi) <= 0:
         return hi
@@ -326,6 +334,8 @@ def _initial_p1(t_q: float, q: float, d: float = _INITIAL_DECAY_GUESS) -> float:
         return lo
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if excess(mid) < 0:
             lo = mid
         else:

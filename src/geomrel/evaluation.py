@@ -13,6 +13,11 @@ between the same two measurements leave the same data and share its fit
 and prediction (or its failure reason).  Because fits are deterministic,
 the curves are identical to those of a fresh fit at every cut.
 
+Models whose fits are equal, such as Musa basic and NHPP, have equal
+curves up to their names.  ``geomrel evaluate`` therefore computes one
+curve per distinct fit and gives the other names a renamed copy, which
+equals the curve :func:`number_of_failures_eval` returns for them.
+
 Evaluations are deterministic: the same inputs produce bit-identical
 curves.  Fits that fail at a cut are recorded as gaps, never fabricated.
 """
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -172,6 +177,18 @@ def number_of_failures_eval(
         else:
             points.append((t_e / t_q, (outcome - q) / q))
     return ValidityCurve(model_name, ds.label, tuple(points), tuple(skipped))
+
+
+def _renamed(curve: ValidityCurve, model_name: str) -> ValidityCurve:
+    """``curve`` as :func:`number_of_failures_eval` returns it for
+    ``model_name``, whose fits equal those of ``curve.model_name``.  A
+    failed fit's reason starts with the model's name, which is swapped."""
+    prefix = f"{curve.model_name}: "
+    skipped = tuple(
+        (t, f"{model_name}: {reason[len(prefix):]}" if reason.startswith(prefix) else reason)
+        for t, reason in curve.skipped
+    )
+    return replace(curve, model_name=model_name, skipped=skipped)
 
 
 def _cell_index(normalized_time: float, grid_cells: int) -> int:

@@ -19,7 +19,10 @@ denominator ``sum(p_a - p_a**2)`` uses the j = 1 and j = 2 cases of the
 same identity.
 
 All operations here are pure functions of immutable inputs and safe for
-unrestricted concurrent use.
+unrestricted concurrent use.  The params cache what they compute in their
+``__dict__``: the ``rates`` of all N faults, and the longest head of rates
+the series route has built, which it slices for shorter heads.  A racing
+writer can only replace one valid head with another.
 """
 
 from __future__ import annotations
@@ -182,11 +185,25 @@ def _series_head(params: GeometricModelParams, arr: np.ndarray) -> int | None:
 
 def _direct_terms(params: GeometricModelParams, k: int | None):
     """Rates and ``ln(1 - rate)`` of the faults summed term by term: all N
-    (cached on ``params``) when ``k`` is None, else the first k."""
+    when ``k`` is None, else the first k.  Both are cached on ``params``;
+    a head is sliced from the longest one built so far, which gives the
+    same floats as building it afresh (``d**n`` is elementwise)."""
     if k is None:
         return params.rates, params.log_survival
-    rates = params.p1 * params.d ** np.arange(k, dtype=float)
-    return rates, np.log1p(-rates)
+    head = params.__dict__.get("_head")
+    if head is None or head[0].size < k:
+        rates = params.p1 * params.d ** np.arange(k, dtype=float)
+        log_survival = np.log1p(-rates)
+        rates.setflags(write=False)
+        log_survival.setflags(write=False)
+        head = params.__dict__["_head"] = (rates, log_survival)
+    return head[0][:k], head[1][:k]
+
+
+def _occurrence_sum(t: np.ndarray, log_survival: np.ndarray):
+    """``sum_a 1 - (1 - p_a)**t`` for each time in ``t``, as
+    ``-expm1(t ln(1 - p_a))`` summed over the last axis."""
+    return (-np.expm1(t[..., np.newaxis] * log_survival)).sum(axis=-1)
 
 
 def _tail_power_sums(params: GeometricModelParams, k: int) -> np.ndarray:
@@ -220,7 +237,7 @@ def mean_failures(params: GeometricModelParams, t):
     arr, scalar = _as_time_array(t, 0.0, "mean_failures")
     k = _series_head(params, arr)
     _, log_survival = _direct_terms(params, k)
-    vals = (-np.expm1(arr[..., np.newaxis] * log_survival)).sum(axis=-1)
+    vals = _occurrence_sum(arr, log_survival)
     if k is not None:
         p_k = params.p1 * params.d**k
         vals = vals - _binomial_terms(arr, p_k) @ _tail_power_sums(params, k)[:-1]
@@ -263,10 +280,10 @@ def _occurrence_hazard_sum(params: GeometricModelParams) -> float:
 
 def _initial_intensity(params: GeometricModelParams, lambda_target: float) -> float:
     """The intensity at t = 1, once ``lambda_target`` is checked to be a
-    positive intensity not above it."""
+    finite positive intensity not above it."""
+    if not lambda_target > 0 or not math.isfinite(lambda_target):
+        raise ValueError(f"intensity target must be finite and positive, got {lambda_target}")
     lam1 = failure_intensity(params, 1.0)
-    if lambda_target <= 0:
-        raise ValueError(f"intensity target must be positive, got {lambda_target}")
     if lambda_target > lam1:
         raise ValueError(
             f"intensity target {lambda_target} exceeds the initial intensity {lam1}"
@@ -325,8 +342,9 @@ def additional_time(
     the raw signed value is surfaced unchanged, and planning arithmetic
     takes its magnitude.
     """
-    if lambda_now <= 0 or lambda_objective <= 0:
-        raise ValueError("intensities must be positive")
+    for lam in (lambda_now, lambda_objective):
+        if not lam > 0 or not math.isfinite(lam):
+            raise ValueError(f"intensities must be finite and positive, got {lam}")
     if lambda_objective > lambda_now:
         raise ValueError(
             f"objective intensity {lambda_objective} exceeds current intensity {lambda_now}"

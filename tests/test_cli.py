@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import geomrel.cli as cli
-from geomrel.data import FailureDataset, to_cumulative_csv
+import geomrel.evaluation as evaluation
+from geomrel.data import FailureDataset, parse_dataset, to_cumulative_csv
 from geomrel.estimation import FitResult, SimplexResult
 from geomrel.model import GeometricModelParams
 
@@ -104,6 +105,23 @@ class TestFitCommand:
         assert cli.main([]) == 1
         assert cli.main(["fit"]) == 1
 
+    @pytest.mark.parametrize(
+        "fmt, text",
+        [
+            ("cumulative", "time,cumulative_failures\n1,1\n2,999999999999999999999999999999\n"),
+            ("tbf", "tbf\n1e308\n1e308\n"),
+        ],
+        ids=["count-beyond-int64", "tbf-sum-overflows"],
+    )
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    def test_out_of_range_input_is_an_error_line(self, tmp_path, capsys, fmt, text, command):
+        path = tmp_path / "history.csv"
+        path.write_text(text)
+        extra = ["--out", str(tmp_path / "o")] if command == "evaluate" else []
+        assert cli.main([command, str(path), "--format", fmt, *extra]) == 1
+        assert capsys.readouterr().err.startswith("geomrel: error: line 3: ")
+        assert not (tmp_path / "o").exists()
+
 
 class TestPredictCommand:
     def predict(self, capsys, *extra):
@@ -168,6 +186,15 @@ class TestPredictCommand:
         payload = json.loads(proc.stdout)
         for key in ("mu", "lambda", "delta_t_raw", "delta_t_abs"):
             assert math.isfinite(payload[key])
+
+    @pytest.mark.parametrize("objective", ["nan", "inf"])
+    def test_non_finite_objective_exits_one(self, cumulative_file, capsys, objective):
+        code, out = self.predict(
+            capsys, str(cumulative_file), "--p1", "0.05", "--d", "0.9", "--objective", objective
+        )
+        assert code == 1
+        assert out.out == ""
+        assert out.err.startswith("geomrel: error: --objective must be finite and positive")
 
     def test_objective_above_current_exits_two(self, cumulative_file, capsys):
         code, out = self.predict(
@@ -294,6 +321,40 @@ class TestEvaluateCommand:
         assert code == 1
         assert flag[0] in capsys.readouterr().err
         assert not out.exists()
+
+    def test_shared_fit_is_evaluated_once(self, monkeypatch, tmp_path, capsys):
+        fitted = []
+        original = evaluation.fit_model
+
+        def counting_fit_model(model_name, ds, config=None):
+            fitted.append(model_name)
+            return original(model_name, ds, config)
+
+        monkeypatch.setattr(evaluation, "fit_model", counting_fit_model)
+        out = tmp_path / "o"
+        source = REPO_DATA / "ntds_tbf.csv"
+        code = cli.main(
+            ["evaluate", str(source), "--format", "tbf", "--models", "nhpp,geometric,musa-basic",
+             "--cuts", "6", "--threshold", "1e-9", "--out", str(out)]
+        )
+        assert code == 0
+        assert sorted(set(fitted)) == ["geometric", "nhpp"]
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split("]")[0] for line in printed] == [
+            "outlier [nhpp", "outlier [geometric", "outlier [musa-basic"
+        ]
+        with open(source, "rb") as handle:
+            ds = parse_dataset(handle, "tbf_csv", label="ntds_tbf")
+        for name in ("nhpp", "musa-basic"):
+            direct = evaluation.number_of_failures_eval(
+                name, ds, evaluation.default_cut_points(ds, 6)
+            )
+            assert (out / f"curve_ntds_tbf_{name}.csv").read_text() == evaluation.curve_to_csv(
+                direct, include_labels=True
+            )
+            assert (out / f"aggregate_{name}.csv").read_text() == evaluation.aggregate_to_csv(
+                evaluation.aggregate_median([direct]), include_labels=True
+            )
 
     def test_threshold_prints_report(self, cumulative_file, tmp_path, capsys):
         code = cli.main(

@@ -54,6 +54,11 @@ class TestFailureDataset:
         with pytest.raises(ValueError):
             FailureDataset(((1.0, -1),))
 
+    @pytest.mark.parametrize("count", [2**63, 10**30, 10**400])
+    def test_counts_beyond_int64_rejected(self, count):
+        with pytest.raises(ValueError, match="64 bits"):
+            FailureDataset(((1.0, count),))
+
     def test_non_integer_counts_rejected(self):
         with pytest.raises(ValueError):
             FailureDataset(((1.0, 1.5),))
@@ -156,6 +161,63 @@ class TestParseDataset:
         ds = FailureDataset(((3.5, 1), (5.25, 2), (10.125, 4)), label="rt")
         again = parse_dataset(to_cumulative_csv(ds).encode(), "cumulative_csv", label="rt")
         assert again.points == ds.points
+
+    @pytest.mark.parametrize(
+        "text, fmt, line",
+        [
+            (b"time,cumulative_failures\n1,1\n2,999999999999999999999999999999\n",
+             "cumulative_csv", 3),
+            # 2**63 - 512 rounds to 2**63 on its way through a float.
+            (b"time,cumulative_failures\n1,9223372036854775296\n", "cumulative_csv", 2),
+            (b"time,cumulative_failures\n1,1\nnan,2\n", "cumulative_csv", 3),
+            (b"time,cumulative_failures\n1,1\ninf,2\n", "cumulative_csv", 3),
+            (b"tbf\n1e308\n1e308\n", "tbf_csv", 3),
+            (b"tbf\n1\ninf\n", "tbf_csv", 3),
+            (b"tbf\n1\nnan\n", "tbf_csv", 3),
+            # 1e20 + 1 == 1e20: the second failure time would not advance.
+            (b"tbf\n1e20\n1\n", "tbf_csv", 3),
+        ],
+        ids=["count-1e30", "count-2**63-512", "time-nan", "time-inf", "tbf-sum-overflows",
+             "tbf-inf", "tbf-nan", "tbf-below-resolution"],
+    )
+    def test_out_of_range_values_report_their_line(self, text, fmt, line):
+        with pytest.raises(DataFormatError) as err:
+            parse_dataset(text, fmt)
+        assert err.value.line == line
+
+    def test_largest_count_an_int64_holds_is_accepted(self):
+        ds = parse_dataset(b"time,cumulative_failures\n1,9223372036854775295\n", "cumulative_csv")
+        assert ds.final_count == 2**63 - 1024
+
+
+# Cells drawn from the characters numbers are written with, and the ones
+# that break CSV rows: commas, quotes, line ends and NUL.
+_CELLS = st.one_of(
+    st.text(alphabet="0123456789+-.eE,", max_size=8),
+    st.sampled_from(
+        ["nan", "inf", "-inf", "1e308", "1e400", "1e-320", "\x00", "1\x002", '"', "\r",
+         "9" * 30, "", " "]
+    ),
+)
+_ROWS = st.lists(_CELLS, max_size=3).map(",".join)
+
+
+@given(
+    header=st.sampled_from(
+        ["time,cumulative_failures", "tbf", " TBF ", "time", "", "tbf,x", "\x00"]
+    ),
+    rows=st.lists(_ROWS, max_size=8),
+    ending=st.sampled_from(["", "\n", "\n\n", "\r\n"]),
+    fmt=st.sampled_from(["cumulative_csv", "tbf_csv"]),
+)
+@settings(max_examples=400, deadline=None)
+def test_parse_dataset_fuzz_gives_a_dataset_or_a_format_error(header, rows, ending, fmt):
+    text = "\n".join([header, *rows]) + ending
+    try:
+        ds = parse_dataset(text.encode(), fmt)
+    except DataFormatError:
+        return
+    assert isinstance(ds, FailureDataset)
 
 
 class TestTimeConversion:

@@ -339,6 +339,60 @@ class TestEvaluationCount:
         assert tally >= 4 + diag.iterations
 
 
+def reference_initial_p1(t_q, q):
+    """The start as first written: 80 bisection steps on p1, each through
+    ``mean_failures`` on new params at d = 0.94.  Also returns how many
+    mean evaluations it takes to reach the first midpoint that equals an
+    end of the bracket, from where the bisection no longer moves."""
+    d = 0.94
+
+    def excess(p1):
+        return mean_failures(GeometricModelParams(p1, d, default_truncation(d)), t_q) - q
+
+    lo, hi = 1e-12, 1.0 - 1e-12
+    if excess(hi) <= 0:
+        return hi, 1
+    if excess(lo) >= 0:
+        return lo, 2
+    evaluations = None
+    for step in range(80):
+        mid = 0.5 * (lo + hi)
+        if evaluations is None and (mid == lo or mid == hi):
+            evaluations = 2 + step
+        if excess(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), 82 if evaluations is None else evaluations
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    t_q=st.floats(1e-3, 1e7),
+    # Tiny counts reach the lower end of the bracket, counts above the
+    # 224 faults at d = 0.94 its upper end.
+    q=st.one_of(st.floats(1e-12, 1e-6), st.floats(0.5, 400.0)),
+)
+def test_initial_p1_equals_full_bisection(t_q, q):
+    """The start equals the 80-step bisection through ``mean_failures``, and
+    stops evaluating as soon as the bracket can no longer move."""
+    calls = [0]
+    original = estimation._occurrence_sum
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    estimation._occurrence_sum = counted
+    try:
+        start = estimation._initial_p1(t_q, q)
+    finally:
+        estimation._occurrence_sum = original
+    expected, evaluations = reference_initial_p1(t_q, q)
+    assert start == expected
+    assert calls[0] == evaluations
+
+
 def reference_geometric_fit(ds):
     """The geometric fit as first written: logit-mapped (p1, d), probes past
     10,000 fault terms rejected as +inf, and a start that meets the final
@@ -357,24 +411,7 @@ def reference_geometric_fit(ds):
         return math.log(p / (1.0 - p))
 
     d_start = 0.94
-    t_q, q = float(times[-1]), float(math.exp(log_counts[-1]))
-
-    def excess(p1):
-        return mean_failures(GeometricModelParams(p1, d_start, default_truncation(d_start)), t_q) - q
-
-    lo, hi = 1e-12, 1.0 - 1e-12
-    if excess(hi) <= 0:
-        p1_start = hi
-    elif excess(lo) >= 0:
-        p1_start = lo
-    else:
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if excess(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-        p1_start = 0.5 * (lo + hi)
+    p1_start, _ = reference_initial_p1(float(times[-1]), float(math.exp(log_counts[-1])))
 
     def objective(z):
         p1, d = expit(float(z[0])), expit(float(z[1]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import geomrel.evaluation as evaluation
-from geomrel.comparison import ALL_MODEL_NAMES, fit_model
+from geomrel.comparison import ALL_MODEL_NAMES, _fit_key, fit_model
 from geomrel.data import (
     FailureDataset,
     TimeConversionProfile,
@@ -204,6 +204,48 @@ class TestDistinctPrefixReuse:
         assert reasons == {"littlewood-verrall: needs at least 5 failures, got 4"}
         assert [nt for nt, _ in curve.points] == [1.0]
         assert curve == per_cut_reference("littlewood-verrall", ds, cuts)
+
+
+class TestSharedFits:
+    """Musa basic and NHPP fit identically, so ``evaluate`` computes one
+    curve for both; the renamed copy equals a direct evaluation."""
+
+    @staticmethod
+    def histories():
+        with open(REPO_DATA / "ntds_tbf.csv", "rb") as handle:
+            ntds = parse_dataset(handle, "tbf_csv", label="ntds")
+        (simulated,) = simulate(
+            SimulationConfig(GeometricModelParams(0.05, 0.95), horizon=400, seed=42)
+        )
+        # Skipped cuts: one measurement, two without a failure, and one
+        # with a single usable point; the last two fail inside the fit.
+        zero_start = FailureDataset(
+            ((5.0, 0), (10.0, 0), (15.0, 1), (20.0, 2), (30.0, 4), (40.0, 5), (60.0, 7)),
+            "zero-start",
+        )
+        return [
+            (ntds, default_cut_points(ntds)),
+            (simulated, default_cut_points(simulated)),
+            (zero_start, [7.0, 12.0, 17.0, 35.0, 60.0]),
+        ]
+
+    def test_only_musa_basic_and_nhpp_share_a_fit(self):
+        keys = {name: _fit_key(name) for name in ALL_MODEL_NAMES}
+        assert keys["musa-basic"] == keys["nhpp"]
+        assert len(set(keys.values())) == len(ALL_MODEL_NAMES) - 1
+
+    @pytest.mark.parametrize("first, second", [("musa-basic", "nhpp"), ("nhpp", "musa-basic")])
+    def test_renamed_curve_equals_direct_evaluation(self, first, second):
+        for ds, cuts in self.histories():
+            shared = number_of_failures_eval(first, ds, cuts)
+            direct = number_of_failures_eval(second, ds, cuts)
+            assert evaluation._renamed(shared, second) == direct, ds.label
+        reasons = [reason for _, reason in direct.skipped]
+        assert reasons == [
+            "fewer than 2 measurements at this cut",
+            f"{second}: no usable points: every cumulative count is zero",
+            f"{second}: need at least 2 usable points to fit, got 1",
+        ]
 
 
 class TestUnitInvariance:

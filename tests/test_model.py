@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from geomrel.model import (
     DIRECT_SUM_MAX_TERMS,
     GeometricModelParams,
+    _direct_terms,
     _series_head,
     additional_time,
     default_truncation,
@@ -273,6 +274,55 @@ class TestSeriesTail:
         assert np.array_equal(failure_intensity(params, t[1:]), intensity)
 
 
+class TestSeriesHeadCache:
+    """The series route slices its head from the longest one built on the
+    params; results never depend on the calls made before."""
+
+    @given(
+        d=st.floats(0.3, 0.99999),
+        lengths=st.lists(st.integers(0, 20_000), min_size=2, max_size=2),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_slice_of_longer_powers_is_exact(self, d, lengths):
+        k, longest = sorted(lengths)
+        assert np.array_equal(
+            (d ** np.arange(longest, dtype=float))[:k], d ** np.arange(k, dtype=float)
+        )
+
+    @given(p1=st.floats(1e-6, 0.9), d=st.floats(0.3, 0.99999), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_direct_terms_equal_a_fresh_head(self, p1, d, data):
+        params = GeometricModelParams(p1, d, 50_000)
+        for k in data.draw(st.lists(st.integers(0, 5_000), min_size=1, max_size=8)):
+            rates, log_survival = _direct_terms(params, k)
+            fresh = p1 * d ** np.arange(k, dtype=float)
+            assert np.array_equal(rates, fresh)
+            assert np.array_equal(log_survival, np.log1p(-fresh))
+
+    @given(
+        p1=st.floats(1e-3, 0.5),
+        d=st.floats(0.999, 0.99995),
+        times=st.lists(st.floats(1.0, 5_000.0), min_size=2, max_size=12, unique=True),
+        order=st.sampled_from(["rising", "falling", "shuffled"]),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_any_call_order_equals_fresh_params(self, p1, d, times, order, data):
+        if order == "shuffled":
+            times = data.draw(st.permutations(times))
+        else:
+            times = sorted(times, reverse=order == "falling")
+        shared = GeometricModelParams(p1, d, 200_000)
+        for t in times:
+            assert _series_head(shared, np.array(t)) is not None
+            fresh = GeometricModelParams(p1, d, 200_000)
+            assert failure_intensity(shared, t) == failure_intensity(fresh, t)
+            fresh = GeometricModelParams(p1, d, 200_000)
+            assert mean_failures(shared, t) == mean_failures(fresh, t)
+        fresh = GeometricModelParams(p1, d, 200_000)
+        assert np.array_equal(mean_failures(shared, times), mean_failures(fresh, times))
+
+
 class TestReleaseTimes:
     def test_denominator_series_identity(self):
         # sum(p_a - p_a^2) has the closed form
@@ -338,6 +388,19 @@ class TestReleaseTimes:
     def test_objective_above_current_rejected(self):
         with pytest.raises(ValueError):
             additional_time(HALVING, 0.5, 0.6)
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+    def test_non_finite_targets_rejected(self, target):
+        params = GeometricModelParams(0.05, 0.95)
+        lam = failure_intensity(params, 10.0)
+        for call in (
+            lambda: time_for_intensity(params, target),
+            lambda: time_for_intensity_exact(params, target),
+            lambda: additional_time(params, lam, target),
+            lambda: additional_time(params, target, lam),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                call()
 
 
 class TestLogLikelihoodSmall:
