@@ -30,6 +30,7 @@ from .errors import DataFormatError, FitError, PredictionError
 from .estimation import fit
 from .evaluation import (
     _renamed,
+    _require_failures,
     aggregate_median,
     aggregate_to_csv,
     curve_to_csv,
@@ -196,6 +197,8 @@ def cmd_evaluate(args) -> int:
     if args.threshold is not None and not args.threshold > 0:
         return _fail("--threshold must be positive", EXIT_INPUT)
     datasets = [_read_dataset(path, args.format) for path in args.inputs]
+    for ds in datasets:
+        _require_failures(ds)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -310,13 +310,12 @@ class LittlewoodVerrall(ReliabilityModel):
             u, scale0, scale1 = z0 * z0, math.exp(z1), z2 * z2
             # Tiny scales or huge u can still overflow the ratios below;
             # such probes come out non-finite, which nelder_mead rejects as
-            # +inf.
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                scales = scale0 + scale1 * squared
-                ratios = tbf / scales
-                x = u * ratios
-                log1p_ratio = np.divide(np.log1p(x), x, out=np.ones_like(x), where=x > 0)
-                return float((np.log(scales) + (1.0 + u) * ratios * log1p_ratio).sum())
+            # +inf, with numpy's warnings off for its whole run.
+            scales = scale0 + scale1 * squared
+            ratios = tbf / scales
+            x = u * ratios
+            log1p_ratio = np.divide(np.log1p(x), x, out=np.ones_like(x), where=x > 0)
+            return float((np.log(scales) + (1.0 + u) * ratios * log1p_ratio).sum())
 
         # Moment-style start: regress the intervals on i^2 for the trend and
         # begin at alpha = 2 (u = 1/2) with s(i) half the trend, so that the

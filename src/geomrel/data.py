@@ -82,7 +82,8 @@ class FailureDataset:
                 raise ValueError(f"cumulative failure counts must be integers, got {c!r}")
             if abs(c_float) >= 2.0**63:
                 raise ValueError(f"cumulative failure counts must fit in 64 bits, got {c!r}")
-            normalized.append((t, int(c_float)))
+            # An integer is kept exact: its float loses digits above 2**53.
+            normalized.append((t, int(c) if isinstance(c, (int, np.integer)) else int(c_float)))
         if not normalized:
             raise ValueError("a failure history needs at least one point")
         object.__setattr__(self, "points", tuple(normalized))

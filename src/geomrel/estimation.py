@@ -161,16 +161,18 @@ def _usable_arrays(ds: FailureDataset, fewest: int = 1) -> tuple[np.ndarray, np.
 
 
 def _log_count_objective(mean, x, times, log_counts) -> float:
-    """``sum_j (log_counts_j - ln mean(x, times_j))**2``, or +inf unless the
-    mean is finite and positive at every time."""
-    # Simplex excursions can overflow a mean, or the parameters it builds
-    # from x; such probes are rejected as +inf, not warned about.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mu = mean(x, times)
-        if not np.all(np.isfinite(mu)) or np.any(mu <= 0):
-            return math.inf
-        residuals = log_counts - np.log(mu)
-        return float(residuals @ residuals)
+    """``sum_j (log_counts_j - ln mean(x, times_j))**2``, or +inf when that
+    value is not finite.
+
+    The value itself decides validity: a NaN, infinite, zero or negative
+    mean gives a NaN or infinite residual, while a finite positive mean
+    keeps every ``|ln mu|`` below about 745 and so the sum finite.  Callers
+    run it with numpy's over/invalid/divide warnings off, as
+    :func:`nelder_mead` does for its whole search: simplex excursions can
+    overflow a mean, or the parameters it builds from x."""
+    residuals = log_counts - np.log(mean(x, times))
+    value = float(residuals @ residuals)
+    return value if math.isfinite(value) else math.inf
 
 
 def least_squares_objective(params: GeometricModelParams, ds: FailureDataset) -> float:
@@ -181,7 +183,8 @@ def least_squares_objective(params: GeometricModelParams, ds: FailureDataset) ->
     Raises if no point is usable.
     """
     times, log_counts, _ = _usable_arrays(ds)
-    return _log_count_objective(mean_failures, params, times, log_counts)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _log_count_objective(mean_failures, params, times, log_counts)
 
 
 def nelder_mead(objective, config: OptimizerConfig, start) -> tuple[np.ndarray, SimplexResult]:
@@ -196,108 +199,125 @@ def nelder_mead(objective, config: OptimizerConfig, start) -> tuple[np.ndarray, 
     runs out; the best vertex seen is returned either way and is never
     worse than the best initial vertex.
 
+    The objective gets each probe as a fresh 1-d float array.  The whole
+    run is under one ``np.errstate`` that silences overflow, invalid and
+    divide warnings: a probe that trips them comes out non-finite and is
+    rejected as +inf anyway, so objectives need no guard of their own.
+    The vertices are kept as lists of Python floats; every coordinate is
+    the same IEEE expression, in the same operand order, as elementwise
+    array arithmetic would give, so results match it bit for bit.
+
     Two deterministic tie conventions matter on plateaus: a reflected
     point that exactly ties the worst vertex takes the contraction branch
     that works with the reflected point (replacing the worst vertex with
     an equal-valued mirror image instead would cycle forever), and a value
     spread of exactly zero across geometrically distinct vertices counts
     as a tie plateau rather than convergence (it happens when the simplex
-    straddles a kink symmetrically), so the walk continues there.
+    straddles a kink symmetrically), so the walk continues there.  Vertices
+    are ordered by value with a stable sort, so ties keep their order.
     """
     x0 = np.asarray(start, dtype=float)
     if x0.ndim != 1 or x0.size == 0:
         raise ValueError("start must be a non-empty 1-d vector")
     k = x0.size
+    reflection, expansion = config.reflection, config.expansion
+    contraction, shrink = config.contraction, config.shrink
 
     nonfinite = 0
     evaluations = 0
 
-    def evaluate(x: np.ndarray) -> float:
+    def evaluate(x: list[float]) -> float:
         nonlocal nonfinite, evaluations
         evaluations += 1
-        v = float(objective(x))
+        v = float(objective(np.array(x)))
         if not math.isfinite(v):
             nonfinite += 1
             return math.inf
         return v
 
-    simplex = [x0.copy()]
-    for i in range(k):
-        vertex = x0.copy()
-        vertex[i] += config.initial_step
-        simplex.append(vertex)
-    values = [evaluate(v) for v in simplex]
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError("objective is not finite at the initial simplex vertices")
+    def shrink_towards_best() -> None:
+        best = simplex[0]
+        for i in range(1, k + 1):
+            simplex[i] = [b + shrink * (v - b) for b, v in zip(best, simplex[i])]
+            values[i] = evaluate(simplex[i])
 
     def tolerance_met() -> bool:
         spread = values[-1] - values[0]
         if spread > config.tolerance:
             return False
         if spread == 0.0:
-            return all(np.array_equal(v, simplex[0]) for v in simplex[1:])
+            best = simplex[0]
+            return all(a == b for vertex in simplex[1:] for a, b in zip(vertex, best))
         return True
 
-    iterations = 0
-    converged = False
-    while True:
-        order = np.argsort(values, kind="stable")
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        if tolerance_met():
-            converged = True
-            break
-        if iterations >= config.max_iterations:
-            break
-        iterations += 1
+    simplex = [x0.tolist()]
+    for i in range(k):
+        vertex = x0.tolist()
+        vertex[i] += config.initial_step
+        simplex.append(vertex)
 
-        # np.mean(simplex[:-1], axis=0) bit for bit (the same left-to-right
-        # row sum, divided by k), without its per-call dispatch cost.
-        centroid = simplex[0].copy()
-        for vertex in simplex[1:-1]:
-            centroid += vertex
-        centroid /= k
-        reflected = centroid + config.reflection * (centroid - simplex[-1])
-        f_reflected = evaluate(reflected)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        values = [evaluate(v) for v in simplex]
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("objective is not finite at the initial simplex vertices")
 
-        if f_reflected < values[0]:
-            expanded = centroid + config.expansion * (reflected - centroid)
-            f_expanded = evaluate(expanded)
-            if f_expanded < f_reflected:
-                simplex[-1], values[-1] = expanded, f_expanded
-            else:
+        iterations = 0
+        converged = False
+        while True:
+            order = sorted(range(k + 1), key=values.__getitem__)
+            simplex = [simplex[i] for i in order]
+            values = [values[i] for i in order]
+            if tolerance_met():
+                converged = True
+                break
+            if iterations >= config.max_iterations:
+                break
+            iterations += 1
+
+            # The row sum from the best vertex on, left to right, divided by
+            # k: np.mean(simplex[:-1], axis=0) bit for bit.
+            centroid = simplex[0]
+            for vertex in simplex[1:-1]:
+                centroid = [c + v for c, v in zip(centroid, vertex)]
+            centroid = [c / k for c in centroid]
+            worst = simplex[-1]
+            reflected = [c + reflection * (c - w) for c, w in zip(centroid, worst)]
+            f_reflected = evaluate(reflected)
+
+            if f_reflected < values[0]:
+                expanded = [c + expansion * (r - c) for c, r in zip(centroid, reflected)]
+                f_expanded = evaluate(expanded)
+                if f_expanded < f_reflected:
+                    simplex[-1], values[-1] = expanded, f_expanded
+                else:
+                    simplex[-1], values[-1] = reflected, f_reflected
+            elif f_reflected < values[-2]:
                 simplex[-1], values[-1] = reflected, f_reflected
-        elif f_reflected < values[-2]:
-            simplex[-1], values[-1] = reflected, f_reflected
-        elif f_reflected <= values[-1]:
-            contracted = centroid + config.contraction * (reflected - centroid)
-            f_contracted = evaluate(contracted)
-            if f_contracted <= f_reflected:
-                simplex[-1], values[-1] = contracted, f_contracted
+            elif f_reflected <= values[-1]:
+                contracted = [c + contraction * (r - c) for c, r in zip(centroid, reflected)]
+                f_contracted = evaluate(contracted)
+                if f_contracted <= f_reflected:
+                    simplex[-1], values[-1] = contracted, f_contracted
+                else:
+                    shrink_towards_best()
             else:
-                for i in range(1, k + 1):
-                    simplex[i] = simplex[0] + config.shrink * (simplex[i] - simplex[0])
-                    values[i] = evaluate(simplex[i])
-        else:
-            contracted = centroid + config.contraction * (simplex[-1] - centroid)
-            f_contracted = evaluate(contracted)
-            if f_contracted < values[-1]:
-                simplex[-1], values[-1] = contracted, f_contracted
-            else:
-                for i in range(1, k + 1):
-                    simplex[i] = simplex[0] + config.shrink * (simplex[i] - simplex[0])
-                    values[i] = evaluate(simplex[i])
+                contracted = [c + contraction * (w - c) for c, w in zip(centroid, worst)]
+                f_contracted = evaluate(contracted)
+                if f_contracted < values[-1]:
+                    simplex[-1], values[-1] = contracted, f_contracted
+                else:
+                    shrink_towards_best()
 
     result = SimplexResult(
-        x=tuple(float(v) for v in simplex[0]),
+        x=tuple(simplex[0]),
         value=values[0],
         iterations=iterations,
         converged=converged,
-        simplex_spread=float(values[-1] - values[0]),
+        simplex_spread=values[-1] - values[0],
         nonfinite_evaluations=nonfinite,
         evaluations=evaluations,
     )
-    return simplex[0].copy(), result
+    return np.array(simplex[0]), result
 
 
 def _logit(p: float) -> float:
@@ -360,8 +380,9 @@ def fit(ds: FailureDataset, config: OptimizerConfig | None = None) -> FitResult:
     p1_start = _initial_p1(float(times[-1]), float(math.exp(log_counts[-1])))
 
     def objective(z: np.ndarray) -> float:
-        p1 = _expit(float(z[0]))
-        d = _expit(float(z[1]))
+        z0, z1 = z.tolist()
+        p1 = _expit(z0)
+        d = _expit(z1)
         if not (0.0 < p1 < 1.0 and 0.0 < d < 1.0):
             return math.inf
         n = default_truncation(d)

@@ -126,6 +126,13 @@ def default_cut_points(
     return [float(v) for v in np.linspace(start_fraction * t_q, t_q, count)]
 
 
+def _require_failures(ds: FailureDataset) -> None:
+    """Raise unless ``ds`` records a failure: relative errors of the final
+    count are undefined otherwise."""
+    if ds.final_count < 1:
+        raise ValueError("the history records no failures; relative errors are undefined")
+
+
 def number_of_failures_eval(
     model_name: str,
     ds: FailureDataset,
@@ -144,9 +151,8 @@ def number_of_failures_eval(
         raise ValueError(
             f"unknown model {model_name!r}; choose from {sorted(ALL_MODEL_NAMES)}"
         )
+    _require_failures(ds)
     q = ds.final_count
-    if q < 1:
-        raise ValueError("the history records no failures; relative errors are undefined")
     t_q = ds.final_time
     if cut_points is None:
         cut_points = default_cut_points(ds)

@@ -162,7 +162,8 @@ def fault_cdf(p: float, t: float) -> float:
 
 def _as_time_array(t, minimum: float, what: str) -> tuple[np.ndarray, bool]:
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < minimum) or not np.all(np.isfinite(arr)):
+    # A NaN fails the first comparison, and -inf or +inf one of the two.
+    if arr.size and not (arr.min() >= minimum and arr.max() < math.inf):
         raise ValueError(f"{what} requires finite t >= {minimum}, got {t!r}")
     return arr, arr.ndim == 0
 

@@ -322,6 +322,21 @@ class TestEvaluateCommand:
         assert flag[0] in capsys.readouterr().err
         assert not out.exists()
 
+    def test_history_without_failures_fails_before_any_output(
+        self, cumulative_file, tmp_path, capsys
+    ):
+        zero = tmp_path / "zero.csv"
+        zero.write_text("time,cumulative_failures\n1,0\n2,0\n")
+        out = tmp_path / "o"
+        code = cli.main(
+            ["evaluate", str(cumulative_file), str(zero), "--format", "cumulative",
+             "--models", "geometric", "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "the history records no failures; relative errors are undefined" in err
+        assert not out.exists()
+
     def test_shared_fit_is_evaluated_once(self, monkeypatch, tmp_path, capsys):
         fitted = []
         original = evaluation.fit_model

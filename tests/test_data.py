@@ -63,6 +63,19 @@ class TestFailureDataset:
         with pytest.raises(ValueError):
             FailureDataset(((1.0, 1.5),))
 
+    @pytest.mark.parametrize(
+        "count", [2**53 + 1, np.int64(2**53 + 1), np.uint64(2**62 + 1), 2**63 - 513]
+    )
+    def test_integer_counts_kept_exactly(self, count):
+        ds = FailureDataset(((1.0, count),))
+        assert ds.final_count == int(count)
+        assert type(ds.final_count) is int
+        assert int(ds.counts[-1]) == int(count)
+
+    def test_integral_float_counts_accepted(self):
+        ds = FailureDataset(((1.0, 3.0), (2.0, 2.0**60)))
+        assert ds.points == ((1.0, 3), (2.0, 2**60))
+
     def test_count_at_steps(self):
         ds = FailureDataset(((3.0, 1), (5.0, 2), (10.0, 3)))
         assert ds.count_at(2.9) == 0
@@ -187,7 +200,13 @@ class TestParseDataset:
 
     def test_largest_count_an_int64_holds_is_accepted(self):
         ds = parse_dataset(b"time,cumulative_failures\n1,9223372036854775295\n", "cumulative_csv")
-        assert ds.final_count == 2**63 - 1024
+        assert ds.final_count == 2**63 - 513
+        assert int(ds.counts[-1]) == 2**63 - 513
+
+    def test_counts_above_2_53_load_exactly(self):
+        ds = parse_dataset(b"time,cumulative_failures\n1,9007199254740993\n", "cumulative_csv")
+        assert ds.points == ((1.0, 2**53 + 1),)
+        assert int(ds.counts[-1]) == 2**53 + 1
 
 
 # Cells drawn from the characters numbers are written with, and the ones

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -13,6 +14,7 @@ from geomrel.data import FailureDataset, parse_dataset
 from geomrel.estimation import (
     FitResult,
     OptimizerConfig,
+    SimplexResult,
     fit,
     least_squares_objective,
     nelder_mead,
@@ -467,3 +469,319 @@ class TestGeometricReference:
             assert result.converged == diag.converged, ds.label
             expected = "truncation-cap" if ds.label == "flat" else None
             assert result.boundary == expected, ds.label
+
+
+def reference_nelder_mead(objective, config, start, branches=None):
+    """The optimizer as first written, with numpy-array vertices, no
+    ``np.errstate`` of its own and ``np.argsort(kind="stable")`` ordering.
+    Adds the name of every branch it takes to ``branches`` if given."""
+    hit = branches.add if branches is not None else (lambda name: None)
+    x0 = np.asarray(start, dtype=float)
+    k = x0.size
+    nonfinite = 0
+    evaluations = 0
+
+    def evaluate(x):
+        nonlocal nonfinite, evaluations
+        evaluations += 1
+        v = float(objective(x))
+        if not math.isfinite(v):
+            hit("nonfinite")
+            nonfinite += 1
+            return math.inf
+        return v
+
+    simplex = [x0.copy()]
+    for i in range(k):
+        vertex = x0.copy()
+        vertex[i] += config.initial_step
+        simplex.append(vertex)
+    values = [evaluate(v) for v in simplex]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("objective is not finite at the initial simplex vertices")
+
+    def tolerance_met():
+        spread = values[-1] - values[0]
+        if spread > config.tolerance:
+            return False
+        if spread == 0.0:
+            collapsed = all(np.array_equal(v, simplex[0]) for v in simplex[1:])
+            if not collapsed:
+                hit("tie-plateau")
+            return collapsed
+        return True
+
+    def shrink(name):
+        hit(name)
+        for i in range(1, k + 1):
+            simplex[i] = simplex[0] + config.shrink * (simplex[i] - simplex[0])
+            values[i] = evaluate(simplex[i])
+
+    iterations = 0
+    converged = False
+    while True:
+        order = np.argsort(values, kind="stable")
+        simplex = [simplex[i] for i in order]
+        values = [values[i] for i in order]
+        if tolerance_met():
+            converged = True
+            break
+        if iterations >= config.max_iterations:
+            break
+        iterations += 1
+        centroid = simplex[0].copy()
+        for vertex in simplex[1:-1]:
+            centroid += vertex
+        centroid /= k
+        reflected = centroid + config.reflection * (centroid - simplex[-1])
+        f_reflected = evaluate(reflected)
+        if f_reflected < values[0]:
+            expanded = centroid + config.expansion * (reflected - centroid)
+            f_expanded = evaluate(expanded)
+            if f_expanded < f_reflected:
+                hit("expand")
+                simplex[-1], values[-1] = expanded, f_expanded
+            else:
+                simplex[-1], values[-1] = reflected, f_reflected
+        elif f_reflected < values[-2]:
+            simplex[-1], values[-1] = reflected, f_reflected
+        elif f_reflected <= values[-1]:
+            contracted = centroid + config.contraction * (reflected - centroid)
+            f_contracted = evaluate(contracted)
+            if f_contracted <= f_reflected:
+                hit("contract-outside")
+                simplex[-1], values[-1] = contracted, f_contracted
+            else:
+                shrink("shrink-outside")
+        else:
+            contracted = centroid + config.contraction * (simplex[-1] - centroid)
+            f_contracted = evaluate(contracted)
+            if f_contracted < values[-1]:
+                hit("contract-inside")
+                simplex[-1], values[-1] = contracted, f_contracted
+            else:
+                shrink("shrink-inside")
+
+    result = SimplexResult(
+        x=tuple(float(v) for v in simplex[0]),
+        value=values[0],
+        iterations=iterations,
+        converged=converged,
+        simplex_spread=float(values[-1] - values[0]),
+        nonfinite_evaluations=nonfinite,
+        evaluations=evaluations,
+    )
+    return simplex[0].copy(), result
+
+
+# Test objectives over Python floats (products, not powers, so that an
+# excursion overflows to inf instead of raising).
+def _quadratic(z):
+    return sum((v - 0.5 * i) * (v - 0.5 * i) for i, v in enumerate(z.tolist()))
+
+
+def _rosenbrock(z):
+    v = z.tolist()
+    total = (1.0 - v[0]) * (1.0 - v[0])
+    for a, b in zip(v, v[1:]):
+        total += 100.0 * (b - a * a) * (b - a * a) + (1.0 - a) * (1.0 - a)
+    return total
+
+
+def _absolute(z):
+    return sum(abs(v - 1.0) for v in z.tolist())
+
+
+def _step(z):
+    # Integer levels: plateaus of equal values, so ties everywhere.
+    return float(sum(math.floor(abs(v)) for v in z.tolist()))
+
+
+def _holed(z):
+    # A quadratic that is NaN to one side and +inf to another.
+    v = z.tolist()
+    if v[0] > 1.5:
+        return math.nan
+    if v[-1] < -2.0:
+        return math.inf
+    return _quadratic(z)
+
+
+_OBJECTIVES = {
+    "quadratic": _quadratic,
+    "rosenbrock": _rosenbrock,
+    "abs": _absolute,
+    "step": _step,
+    "holed": _holed,
+}
+
+_BRANCHES = {
+    "expand", "contract-outside", "contract-inside", "shrink-outside", "shrink-inside",
+    "tie-plateau", "nonfinite",
+}
+
+
+def _run_both(name, config, start, branches=None):
+    """Outcomes of the live and the reference optimizer: ``(best, result)``
+    or the message of the ``ValueError`` raised."""
+    objective = _OBJECTIVES[name]
+    outcomes = []
+    for run in (nelder_mead, lambda *a: reference_nelder_mead(*a, branches=branches)):
+        try:
+            best, result = run(objective, config, np.array(start))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+        else:
+            assert isinstance(best, np.ndarray) and best.dtype == float and best.ndim == 1
+            outcomes.append((best.tolist(), result))
+    return outcomes
+
+
+def _assert_same(outcomes):
+    live, reference = outcomes
+    if isinstance(reference, str):
+        assert live == reference
+        return
+    (best, result), (best_ref, result_ref) = live, reference
+    # Coordinate by coordinate and field by field, with ==, and zeros of
+    # the same sign.
+    assert best == best_ref
+    assert [math.copysign(1.0, v) for v in best] == [math.copysign(1.0, v) for v in best_ref]
+    for field in dataclasses.fields(SimplexResult):
+        assert getattr(result, field.name) == getattr(result_ref, field.name), field.name
+
+
+_COORDINATE = st.floats(-4.0, 4.0, allow_nan=False)
+
+
+@st.composite
+def _optimizer_cases(draw):
+    k = draw(st.integers(1, 3))
+    start = draw(st.lists(_COORDINATE, min_size=k, max_size=k))
+    config = OptimizerConfig(
+        reflection=draw(st.sampled_from([1.0, 0.5, 1.3, draw(st.floats(0.1, 3.0))])),
+        expansion=draw(st.sampled_from([2.0, 1.5, draw(st.floats(1.01, 4.0))])),
+        contraction=draw(st.sampled_from([0.5, draw(st.floats(0.05, 0.95))])),
+        shrink=draw(st.sampled_from([0.5, draw(st.floats(0.05, 0.95))])),
+        tolerance=draw(st.sampled_from([1e-8, 1e-12, 1e-3])),
+        max_iterations=draw(st.integers(1, 150)),
+        initial_step=draw(st.sampled_from([0.25, -0.7, 1.0, draw(st.floats(0.01, 2.0))])),
+    )
+    return draw(st.sampled_from(sorted(_OBJECTIVES))), config, start
+
+
+@settings(max_examples=400, deadline=None)
+@given(_optimizer_cases())
+def test_nelder_mead_equals_array_reference(case):
+    """The float bookkeeping gives the same best vertex and the same record,
+    field by field, as the numpy-array version it replaced."""
+    _assert_same(_run_both(*case))
+
+
+def test_reference_cases_reach_every_branch():
+    """Fixed cases that together take every branch of the optimizer, the
+    tie plateau and the non-finite tally included, each equal to the
+    reference."""
+    branches = set()
+    cases = [
+        ("rosenbrock", OptimizerConfig(), [-1.2, 1.0]),
+        ("rosenbrock", OptimizerConfig(max_iterations=400), [-1.0, 0.5, 2.0]),
+        ("quadratic", OptimizerConfig(), [3.0]),
+        ("abs", OptimizerConfig(), [0.0, 0.0]),
+        ("abs", OptimizerConfig(max_iterations=300), [2.5, -1.0, 0.25]),
+        ("step", OptimizerConfig(max_iterations=100), [2.7, -3.1]),
+        ("step", OptimizerConfig(max_iterations=100, initial_step=1.0), [1.5, 1.5, 1.5]),
+        ("rosenbrock", OptimizerConfig(initial_step=-0.7), [-2.6, -2.6]),
+        ("step", OptimizerConfig(max_iterations=100, initial_step=1.0), [-0.2]),
+        ("holed", OptimizerConfig(initial_step=1.0), [0.2, 2.1]),
+        ("holed", OptimizerConfig(initial_step=-0.7), [-1.2]),
+    ]
+    for name, config, start in cases:
+        _assert_same(_run_both(name, config, start, branches))
+    assert branches == _BRANCHES
+
+
+class TestNelderMeadErrorState:
+    """The run's ``np.errstate`` hides numpy warnings from the objective and
+    leaves the caller's error state as it found it."""
+
+    def test_objective_runs_without_numpy_warnings(self):
+        seen = []
+
+        def objective(z):
+            seen.append(np.geterr())
+            return float(np.log(np.abs(z)).sum() ** 2)
+
+        before = np.geterr()
+        nelder_mead(objective, OptimizerConfig(max_iterations=50), np.array([1.0, 2.0]))
+        assert np.geterr() == before
+        assert all(
+            state["over"] == state["invalid"] == state["divide"] == "ignore" for state in seen
+        )
+
+    def test_state_restored_when_objective_raises(self):
+        calls = [0]
+
+        def objective(z):
+            calls[0] += 1
+            if calls[0] > 5:
+                raise RuntimeError("stop")
+            return float(z @ z)
+
+        before = np.geterr()
+        with pytest.raises(RuntimeError, match="stop"):
+            nelder_mead(objective, OptimizerConfig(), np.array([1.0, 2.0]))
+        assert np.geterr() == before
+
+    def test_probe_is_a_fresh_float_vector(self):
+        probes = []
+
+        def objective(z):
+            probes.append(z)
+            return float(z @ z)
+
+        start = np.array([1.0, 2.0])
+        nelder_mead(objective, OptimizerConfig(max_iterations=20), start)
+        assert all(z.dtype == float and z.shape == (2,) for z in probes)
+        assert len({id(z) for z in probes}) == len(probes)
+        assert all(z is not start for z in probes)
+
+
+def reference_log_count_objective(mean, x, times, log_counts):
+    """The objective as first written: +inf unless the mean is finite and
+    positive at every time, checked before the residuals are formed."""
+    mu = mean(x, times)
+    if not np.all(np.isfinite(mu)) or np.any(mu <= 0):
+        return math.inf
+    residuals = log_counts - np.log(mu)
+    return float(residuals @ residuals)
+
+
+class TestLogCountObjective:
+    times = np.array([1.0, 2.0, 5.0, 9.0])
+    log_counts = np.log(np.array([1.0, 3.0, 4.0, 7.0]))
+
+    def value(self, objective, mu):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return objective(lambda x, t: np.asarray(mu, dtype=float), None, self.times,
+                             self.log_counts)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -1e-300])
+    @pytest.mark.parametrize("where", [0, 3])
+    def test_invalid_mean_gives_inf(self, bad, where):
+        mu = [1.0, 2.5, 4.0, 8.0]
+        mu[where] = bad
+        assert self.value(estimation._log_count_objective, mu) == math.inf
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.floats(5e-324, 1.7976931348623157e308), st.floats(1e-3, 1e3)),
+            min_size=4,
+            max_size=4,
+        )
+    )
+    def test_valid_mean_equals_checked_objective(self, mu):
+        value = self.value(estimation._log_count_objective, mu)
+        assert math.isfinite(value)
+        assert value == self.value(reference_log_count_objective, mu)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from geomrel.model import (
     DIRECT_SUM_MAX_TERMS,
     GeometricModelParams,
+    _as_time_array,
     _direct_terms,
     _series_head,
     additional_time,
@@ -115,6 +116,42 @@ class TestFaultCdf:
             fault_cdf(0.0, 1.0)
         with pytest.raises(ValueError):
             fault_cdf(0.5, -1.0)
+
+
+def reference_accepts_times(t, minimum):
+    """The time check as first written, with numpy's any/all."""
+    arr = np.asarray(t, dtype=float)
+    return not (np.any(arr < minimum) or not np.all(np.isfinite(arr)))
+
+
+_SPECIAL_TIMES = st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, np.nextafter(0.0, -1.0),
+     np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 5e-324, 1e308]
+)
+_TIME = st.one_of(_SPECIAL_TIMES, st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    times=st.one_of(
+        _TIME,
+        st.lists(_TIME, max_size=6),
+        st.lists(st.lists(_TIME, min_size=2, max_size=2), max_size=3),
+    ),
+    minimum=st.sampled_from([0.0, 1.0]),
+)
+def test_time_check_accepts_what_the_any_all_check_accepts(times, minimum):
+    """Scalars (0-d), empty, 1-d and 2-d input: accepted exactly when no
+    time is below ``minimum`` and every time is finite, and then returned
+    unchanged with its scalar flag."""
+    accepted = reference_accepts_times(times, minimum)
+    if accepted:
+        arr, scalar = _as_time_array(times, minimum, "f")
+        assert np.array_equal(arr, np.asarray(times, dtype=float))
+        assert scalar == (arr.ndim == 0)
+    else:
+        with pytest.raises(ValueError, match=f"f requires finite t >= {minimum}"):
+            _as_time_array(times, minimum, "f")
 
 
 class TestMeanFailures:
