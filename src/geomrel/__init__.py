@@ -31,7 +31,6 @@ from .data import (
 from .errors import DataFormatError, FitError, PredictionError
 from .estimation import (
     FitResult,
-    OptimizerConfig,
     SimplexResult,
     fit,
     least_squares_objective,
@@ -81,7 +80,6 @@ __all__ = [
     "GeometricRates",
     "LittlewoodVerrall",
     "LittlewoodVerrallParams",
-    "OptimizerConfig",
     "PredictionError",
     "ReliabilityModel",
     "SimplexResult",

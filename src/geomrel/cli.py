@@ -118,10 +118,15 @@ def _params_from_args(args) -> GeometricModelParams:
             payload = json.load(handle)
         if not isinstance(payload, dict):
             raise DataFormatError("params file must hold a JSON object")
-        try:
-            return GeometricModelParams(
-                payload["p1"], payload["d"], int(payload["truncation"])
+        truncation = payload["truncation"]
+        # JSON integers load as int; a float such as 2.5, 1e400 or
+        # Infinity, a string, a boolean or null is refused, not coerced.
+        if isinstance(truncation, bool) or not isinstance(truncation, int):
+            raise DataFormatError(
+                f"params truncation must be a JSON integer, got {truncation!r}"
             )
+        try:
+            return GeometricModelParams(payload["p1"], payload["d"], truncation)
         except TypeError as exc:
             raise DataFormatError(f"invalid params: {exc}") from exc
     if args.p1 is None or args.d is None:

@@ -63,10 +63,10 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 class ReliabilityModel(ABC):
     """Common contract of every fitted model.
 
-    Fits (see :func:`fit_model`) are deterministic for a given dataset and
-    optimizer config.  ``predict_mean`` returns the expected cumulative
-    failure count at a time, is 0 at t = 0, and never decreases.
-    Instances are immutable once constructed.
+    Fits (see :func:`fit_model`) are deterministic for a given dataset.
+    ``predict_mean`` returns the expected cumulative failure count at a
+    time, is 0 at t = 0, and never decreases.  Instances are immutable
+    once constructed.
 
     ``diagnostics`` is the optimizer run of the fit (``None`` for given
     parameters).  ``boundary`` names the edge of the parameter space at
@@ -210,11 +210,10 @@ class ClosedFormModel(ReliabilityModel):
         super().__init__((float(first), float(second)), diagnostics)
 
     @classmethod
-    def fit(cls, model_name: str, ds: FailureDataset, config=None) -> "ClosedFormModel":
+    def fit(cls, model_name: str, ds: FailureDataset) -> "ClosedFormModel":
         """Least squares between log counts and the log mean, searched over
         log-parameters so that ``exp(z)`` keeps them positive."""
         form = _CLOSED_FORMS[model_name]
-        config = config or estimation.OptimizerConfig()
         try:
             times, log_counts, _ = estimation._usable_arrays(ds, fewest=2)
         except ValueError as exc:
@@ -229,7 +228,7 @@ class ClosedFormModel(ReliabilityModel):
         # Only after the check above: the starts divide by the final count.
         start = np.log(form.start(ds.final_time, float(ds.final_count)))
         try:
-            best, diag = estimation.nelder_mead(objective, config, start)
+            best, diag = estimation.nelder_mead(objective, start)
         except ValueError as exc:
             raise FitError(f"{model_name}: {exc}") from exc
         return cls(model_name, np.exp(best), diag)
@@ -289,8 +288,7 @@ class LittlewoodVerrall(ReliabilityModel):
         return None
 
     @classmethod
-    def fit(cls, ds, config=None):
-        config = config or estimation.OptimizerConfig()
+    def fit(cls, ds):
         tbf = ds.time_between_failures()
         n = tbf.size
         if n < cls.min_failures:
@@ -329,7 +327,7 @@ class LittlewoodVerrall(ReliabilityModel):
         )
 
         try:
-            best, diag = estimation.nelder_mead(negative_log_likelihood, config, start)
+            best, diag = estimation.nelder_mead(negative_log_likelihood, start)
         except ValueError as exc:
             raise FitError(f"{cls.model_name}: {exc}") from exc
         z0, z1, z2 = best.tolist()
@@ -383,9 +381,9 @@ class GeometricRates(ReliabilityModel):
         return estimation._truncation_boundary(self.params)
 
     @classmethod
-    def fit(cls, ds, config=None):
+    def fit(cls, ds):
         try:
-            result = estimation.fit(ds, config)
+            result = estimation.fit(ds)
         except ValueError as exc:
             raise FitError(f"{cls.model_name}: {exc}") from exc
         return cls(result.params, result.diagnostics)
@@ -412,15 +410,15 @@ def _fit_key(model_name: str):
     return model_name if form is None else (form.mean, form.start)
 
 
-def fit_model(model_name: str, ds: FailureDataset, config=None) -> ReliabilityModel:
+def fit_model(model_name: str, ds: FailureDataset) -> ReliabilityModel:
     """Fit any supported model by name: the geometric-rates model,
     Littlewood-Verrall, or one of the closed-form models."""
     if model_name in _CLOSED_FORMS:
-        return ClosedFormModel.fit(model_name, ds, config)
+        return ClosedFormModel.fit(model_name, ds)
     if model_name == GeometricRates.model_name:
-        return GeometricRates.fit(ds, config)
+        return GeometricRates.fit(ds)
     if model_name == LittlewoodVerrall.model_name:
-        return LittlewoodVerrall.fit(ds, config)
+        return LittlewoodVerrall.fit(ds)
     raise ValueError(
         f"unknown model {model_name!r}; choose from {sorted(ALL_MODEL_NAMES)}"
     )

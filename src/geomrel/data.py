@@ -36,9 +36,9 @@ __all__ = [
 
 DATASET_FORMATS = ("cumulative_csv", "tbf_csv")
 
-# The smallest integer count that rounds to 2**63 as a float, and so no
-# longer fits the int64 counts of a FailureDataset.
-_COUNT_LIMIT = 2**63 - 512
+# The smallest integer count that no longer fits the int64 counts of a
+# FailureDataset.
+_COUNT_LIMIT = 2**63
 
 
 class TimeUnit(Enum):
@@ -74,16 +74,20 @@ class FailureDataset:
         for point in self.points:
             t, c = point
             t = float(t)
-            try:
-                c_float = float(c)
-            except OverflowError:
-                raise ValueError("cumulative failure counts must fit in 64 bits") from None
-            if not c_float.is_integer():
-                raise ValueError(f"cumulative failure counts must be integers, got {c!r}")
-            if abs(c_float) >= 2.0**63:
-                raise ValueError(f"cumulative failure counts must fit in 64 bits, got {c!r}")
-            # An integer is kept exact: its float loses digits above 2**53.
-            normalized.append((t, int(c) if isinstance(c, (int, np.integer)) else int(c_float)))
+            # An integer is checked and kept exact: its float loses digits
+            # above 2**53 and rounds 2**63 - 1 up to 2**63.
+            if not isinstance(c, (int, np.integer)):
+                try:
+                    c_float = float(c)
+                except OverflowError:
+                    raise ValueError("cumulative failure counts must fit in 64 bits") from None
+                if not c_float.is_integer():
+                    raise ValueError(f"cumulative failure counts must be integers, got {c!r}")
+                c = c_float
+            c = int(c)
+            if abs(c) >= _COUNT_LIMIT:
+                raise ValueError("cumulative failure counts must fit in 64 bits")
+            normalized.append((t, c))
         if not normalized:
             raise ValueError("a failure history needs at least one point")
         object.__setattr__(self, "points", tuple(normalized))

@@ -26,7 +26,6 @@ from .model import GeometricModelParams, _occurrence_sum, default_truncation, me
 
 __all__ = [
     "FitResult",
-    "OptimizerConfig",
     "SimplexResult",
     "fit",
     "least_squares_objective",
@@ -44,39 +43,18 @@ MAX_FIT_TRUNCATION = 10_000
 _INITIAL_DECAY_GUESS = 0.94
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Nelder-Mead coefficients and termination settings, shared by every
-    model's fit.
-
-    Termination watches the function-value spread across the simplex
-    rather than vertex distances because the fit objective is flat in the
-    decay ratio near the optimum, where distance criteria stall.
-    """
-
-    reflection: float = 1.0
-    expansion: float = 2.0
-    contraction: float = 0.5
-    shrink: float = 0.5
-    tolerance: float = 1e-8
-    max_iterations: int = 2000
-    initial_step: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.reflection <= 0:
-            raise ValueError("reflection coefficient must be positive")
-        if self.expansion <= 1:
-            raise ValueError("expansion coefficient must exceed 1")
-        if not 0 < self.contraction < 1:
-            raise ValueError("contraction coefficient must lie in (0, 1)")
-        if not 0 < self.shrink < 1:
-            raise ValueError("shrink coefficient must lie in (0, 1)")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.initial_step == 0:
-            raise ValueError("initial_step must be non-zero")
+# Every fit uses the standard Nelder & Mead (1965) coefficients, the same
+# budget and the same first step.  Termination watches the function-value
+# spread across the simplex rather than vertex distances, because the fit
+# objective is flat in the decay ratio near the optimum, where distance
+# criteria stall.
+_REFLECTION = 1.0
+_EXPANSION = 2.0
+_CONTRACTION = 0.5
+_SHRINK = 0.5
+_TOLERANCE = 1e-8
+_MAX_ITERATIONS = 2000
+_INITIAL_STEP = 0.25
 
 
 @dataclass(frozen=True)
@@ -187,17 +165,17 @@ def least_squares_objective(params: GeometricModelParams, ds: FailureDataset) ->
         return _log_count_objective(mean_failures, params, times, log_counts)
 
 
-def nelder_mead(objective, config: OptimizerConfig, start) -> tuple[np.ndarray, SimplexResult]:
+def nelder_mead(objective, start) -> tuple[np.ndarray, SimplexResult]:
     """Minimize a k-dimensional function with the reflect/expand/contract/
-    shrink simplex method.
+    shrink simplex method, with the coefficients 1, 2, 1/2 and 1/2.
 
-    The initial simplex is ``start`` plus ``config.initial_step`` along each
-    coordinate; the objective must be finite at all of these vertices.
-    Later probes returning non-finite values are treated as +inf and
-    tallied in the diagnostics.  Iteration stops when the function-value
-    spread across the simplex drops to ``config.tolerance`` or the budget
-    runs out; the best vertex seen is returned either way and is never
-    worse than the best initial vertex.
+    The initial simplex is ``start`` plus 0.25 along each coordinate; the
+    objective must be finite at all of these vertices.  Later probes
+    returning non-finite values are treated as +inf and tallied in the
+    diagnostics.  Iteration stops when the function-value spread across
+    the simplex drops to 1e-8 or after 2,000 iterations; the best vertex
+    seen is returned either way and is never worse than the best initial
+    vertex.  Every fit runs this one setting.
 
     The objective gets each probe as a fresh 1-d float array.  The whole
     run is under one ``np.errstate`` that silences overflow, invalid and
@@ -220,8 +198,6 @@ def nelder_mead(objective, config: OptimizerConfig, start) -> tuple[np.ndarray, 
     if x0.ndim != 1 or x0.size == 0:
         raise ValueError("start must be a non-empty 1-d vector")
     k = x0.size
-    reflection, expansion = config.reflection, config.expansion
-    contraction, shrink = config.contraction, config.shrink
 
     nonfinite = 0
     evaluations = 0
@@ -238,12 +214,12 @@ def nelder_mead(objective, config: OptimizerConfig, start) -> tuple[np.ndarray, 
     def shrink_towards_best() -> None:
         best = simplex[0]
         for i in range(1, k + 1):
-            simplex[i] = [b + shrink * (v - b) for b, v in zip(best, simplex[i])]
+            simplex[i] = [b + _SHRINK * (v - b) for b, v in zip(best, simplex[i])]
             values[i] = evaluate(simplex[i])
 
     def tolerance_met() -> bool:
         spread = values[-1] - values[0]
-        if spread > config.tolerance:
+        if spread > _TOLERANCE:
             return False
         if spread == 0.0:
             best = simplex[0]
@@ -253,7 +229,7 @@ def nelder_mead(objective, config: OptimizerConfig, start) -> tuple[np.ndarray, 
     simplex = [x0.tolist()]
     for i in range(k):
         vertex = x0.tolist()
-        vertex[i] += config.initial_step
+        vertex[i] += _INITIAL_STEP
         simplex.append(vertex)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -270,7 +246,7 @@ def nelder_mead(objective, config: OptimizerConfig, start) -> tuple[np.ndarray, 
             if tolerance_met():
                 converged = True
                 break
-            if iterations >= config.max_iterations:
+            if iterations >= _MAX_ITERATIONS:
                 break
             iterations += 1
 
@@ -281,11 +257,11 @@ def nelder_mead(objective, config: OptimizerConfig, start) -> tuple[np.ndarray, 
                 centroid = [c + v for c, v in zip(centroid, vertex)]
             centroid = [c / k for c in centroid]
             worst = simplex[-1]
-            reflected = [c + reflection * (c - w) for c, w in zip(centroid, worst)]
+            reflected = [c + _REFLECTION * (c - w) for c, w in zip(centroid, worst)]
             f_reflected = evaluate(reflected)
 
             if f_reflected < values[0]:
-                expanded = [c + expansion * (r - c) for c, r in zip(centroid, reflected)]
+                expanded = [c + _EXPANSION * (r - c) for c, r in zip(centroid, reflected)]
                 f_expanded = evaluate(expanded)
                 if f_expanded < f_reflected:
                     simplex[-1], values[-1] = expanded, f_expanded
@@ -294,14 +270,14 @@ def nelder_mead(objective, config: OptimizerConfig, start) -> tuple[np.ndarray, 
             elif f_reflected < values[-2]:
                 simplex[-1], values[-1] = reflected, f_reflected
             elif f_reflected <= values[-1]:
-                contracted = [c + contraction * (r - c) for c, r in zip(centroid, reflected)]
+                contracted = [c + _CONTRACTION * (r - c) for c, r in zip(centroid, reflected)]
                 f_contracted = evaluate(contracted)
                 if f_contracted <= f_reflected:
                     simplex[-1], values[-1] = contracted, f_contracted
                 else:
                     shrink_towards_best()
             else:
-                contracted = [c + contraction * (w - c) for c, w in zip(centroid, worst)]
+                contracted = [c + _CONTRACTION * (w - c) for c, w in zip(centroid, worst)]
                 f_contracted = evaluate(contracted)
                 if f_contracted < values[-1]:
                     simplex[-1], values[-1] = contracted, f_contracted
@@ -363,7 +339,7 @@ def _initial_p1(t_q: float, q: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def fit(ds: FailureDataset, config: OptimizerConfig | None = None) -> FitResult:
+def fit(ds: FailureDataset) -> FitResult:
     """Estimate (p1, d) for a failure history.
 
     The search runs over logit-transformed parameters, so the returned
@@ -374,7 +350,6 @@ def fit(ds: FailureDataset, config: OptimizerConfig | None = None) -> FitResult:
     the final observed count.  Non-convergence is reported through
     ``converged``, never silently.
     """
-    config = config or OptimizerConfig()
     times, log_counts, skipped = _usable_arrays(ds, fewest=2)
     # exp(ln q) differs from q for some counts; starting from q moves fits.
     p1_start = _initial_p1(float(times[-1]), float(math.exp(log_counts[-1])))
@@ -391,7 +366,7 @@ def fit(ds: FailureDataset, config: OptimizerConfig | None = None) -> FitResult:
         return _log_count_objective(mean_failures, GeometricModelParams(p1, d, n), times, log_counts)
 
     start = np.array([_logit(p1_start), _logit(_INITIAL_DECAY_GUESS)])
-    best, diag = nelder_mead(objective, config, start)
+    best, diag = nelder_mead(objective, start)
 
     p1 = _expit(float(best[0]))
     d = _expit(float(best[1]))

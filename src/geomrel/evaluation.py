@@ -108,22 +108,16 @@ class AggregateCurve:
     cells: tuple[AggregateCell, ...]
 
 
-def default_cut_points(
-    ds: FailureDataset,
-    count: int = DEFAULT_CUT_COUNT,
-    start_fraction: float = DEFAULT_CUT_START_FRACTION,
-) -> list[float]:
-    """Evenly spaced fitting horizons from ``start_fraction * t_q`` to
-    ``t_q``.  Below roughly 20% of the window most fits are degenerate,
-    hence the default start."""
+def default_cut_points(ds: FailureDataset, count: int = DEFAULT_CUT_COUNT) -> list[float]:
+    """``count`` evenly spaced fitting horizons from
+    ``DEFAULT_CUT_START_FRACTION * t_q`` (20% of the window) to ``t_q``.
+    Below roughly 20% of the window most fits are degenerate."""
     if count < 1:
         raise ValueError("need at least one cut point")
-    if not 0 < start_fraction <= 1:
-        raise ValueError("start_fraction must lie in (0, 1]")
     t_q = ds.final_time
     if count == 1:
         return [t_q]
-    return [float(v) for v in np.linspace(start_fraction * t_q, t_q, count)]
+    return [float(v) for v in np.linspace(DEFAULT_CUT_START_FRACTION * t_q, t_q, count)]
 
 
 def _require_failures(ds: FailureDataset) -> None:
@@ -133,12 +127,7 @@ def _require_failures(ds: FailureDataset) -> None:
         raise ValueError("the history records no failures; relative errors are undefined")
 
 
-def number_of_failures_eval(
-    model_name: str,
-    ds: FailureDataset,
-    cut_points=None,
-    config=None,
-) -> ValidityCurve:
+def number_of_failures_eval(model_name: str, ds: FailureDataset, cut_points=None) -> ValidityCurve:
     """Refit ``model_name`` on truncations of ``ds`` and score each
     prediction of the final failure count; each distinct truncation is
     fitted once however many cuts leave it.
@@ -174,7 +163,7 @@ def number_of_failures_eval(
         if n not in outcomes:
             sub = FailureDataset(ds.points[:n], ds.label, ds.native_unit)
             try:
-                outcomes[n] = fit_model(model_name, sub, config).predict_mean(t_q)
+                outcomes[n] = fit_model(model_name, sub).predict_mean(t_q)
             except (FitError, PredictionError, ValueError, OverflowError) as exc:
                 outcomes[n] = str(exc)
         outcome = outcomes[n]

@@ -19,10 +19,10 @@ denominator ``sum(p_a - p_a**2)`` uses the j = 1 and j = 2 cases of the
 same identity.
 
 All operations here are pure functions of immutable inputs and safe for
-unrestricted concurrent use.  The params cache what they compute in their
-``__dict__``: the ``rates`` of all N faults, and the longest head of rates
-the series route has built, which it slices for shorter heads.  A racing
-writer can only replace one valid head with another.
+unrestricted concurrent use.  The params cache one array of leading fault
+rates, with their ``ln(1 - rate)``, in their ``__dict__``: the longest
+head any sum (or ``rates``) has asked for, which is sliced for shorter
+ones.  A racing writer can only replace one valid head with another.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -74,19 +73,17 @@ MAX_LIKELIHOOD_TRUNCATION = 20
 MAX_LIKELIHOOD_FAILURES = 5
 
 
-def default_truncation(d: float, rate_floor: float = DEFAULT_RATE_FLOOR) -> int:
+def default_truncation(d: float) -> int:
     """Number of fault terms kept by default for decay ratio ``d``.
 
-    Returns the smallest N with ``d**N <= rate_floor``, i.e. the fault
-    population is cut once rates drop below ``p1 * rate_floor``.  The tail
-    beyond N contributes at most ``rate_floor * p1`` per dropped fault to
-    any intensity value.
+    Returns the smallest N with ``d**N <= DEFAULT_RATE_FLOOR``, i.e. the
+    fault population is cut once rates drop below
+    ``p1 * DEFAULT_RATE_FLOOR``.  The tail beyond N contributes at most
+    ``DEFAULT_RATE_FLOOR * p1`` per dropped fault to any intensity value.
     """
     if not 0.0 < d < 1.0:
         raise ValueError(f"d must lie in (0, 1) to derive a truncation, got {d}")
-    if not 0.0 < rate_floor < 1.0:
-        raise ValueError(f"rate_floor must lie in (0, 1), got {rate_floor}")
-    return max(1, math.ceil(math.log(rate_floor) / math.log(d)))
+    return max(1, math.ceil(math.log(DEFAULT_RATE_FLOOR) / math.log(d)))
 
 
 @dataclass(frozen=True)
@@ -121,19 +118,15 @@ class GeometricModelParams:
             raise ValueError(f"truncation must be a positive integer, got {n!r}")
         object.__setattr__(self, "truncation", int(n))
 
-    @cached_property
+    @property
     def rates(self) -> np.ndarray:
         """Per-fault rates ``p1 * d**(n-1)`` for n = 1..truncation (read-only)."""
-        r = self.p1 * self.d ** np.arange(self.truncation, dtype=float)
-        r.setflags(write=False)
-        return r
+        return _direct_terms(self, self.truncation)[0]
 
-    @cached_property
+    @property
     def log_survival(self) -> np.ndarray:
         """``ln(1 - rate)`` per fault, evaluated cancellation-free (read-only)."""
-        s = np.log1p(-self.rates)
-        s.setflags(write=False)
-        return s
+        return _direct_terms(self, self.truncation)[1]
 
 
 def fault_rate(params: GeometricModelParams, n: int) -> float:
@@ -168,9 +161,9 @@ def _as_time_array(t, minimum: float, what: str) -> tuple[np.ndarray, bool]:
     return arr, arr.ndim == 0
 
 
-def _series_head(params: GeometricModelParams, arr: np.ndarray) -> int | None:
+def _series_head(params: GeometricModelParams, arr: np.ndarray) -> int:
     """Number k of leading fault terms summed directly before the series
-    tail, or ``None`` when all N terms are summed directly.
+    tail; k = N when all N terms are summed directly and there is no tail.
 
     k is the first index with ``max(t_max, SERIES_ORDER) * p_k <= 1``; the
     floor of SERIES_ORDER keeps ``p_k`` small enough for the series to
@@ -178,19 +171,17 @@ def _series_head(params: GeometricModelParams, arr: np.ndarray) -> int | None:
     """
     n = params.truncation
     if n <= DIRECT_SUM_MAX_TERMS:
-        return None
+        return n
     scale = params.p1 * max(float(arr.max(initial=0.0)), SERIES_ORDER)
     k = 0 if scale <= 1.0 else math.ceil(-math.log(scale) / math.log(params.d))
-    return None if n - k <= DIRECT_SUM_MAX_TERMS else k
+    return n if n - k <= DIRECT_SUM_MAX_TERMS else k
 
 
-def _direct_terms(params: GeometricModelParams, k: int | None):
-    """Rates and ``ln(1 - rate)`` of the faults summed term by term: all N
-    when ``k`` is None, else the first k.  Both are cached on ``params``;
-    a head is sliced from the longest one built so far, which gives the
-    same floats as building it afresh (``d**n`` is elementwise)."""
-    if k is None:
-        return params.rates, params.log_survival
+def _direct_terms(params: GeometricModelParams, k: int):
+    """Rates and ``ln(1 - rate)`` of the first k faults, those summed term
+    by term.  Both are cached on ``params``; a head is sliced from the
+    longest one built so far, which gives the same floats as building it
+    afresh (``d**n`` is elementwise)."""
     head = params.__dict__.get("_head")
     if head is None or head[0].size < k:
         rates = params.p1 * params.d ** np.arange(k, dtype=float)
@@ -239,7 +230,7 @@ def mean_failures(params: GeometricModelParams, t):
     k = _series_head(params, arr)
     _, log_survival = _direct_terms(params, k)
     vals = _occurrence_sum(arr, log_survival)
-    if k is not None:
+    if k < params.truncation:
         p_k = params.p1 * params.d**k
         vals = vals - _binomial_terms(arr, p_k) @ _tail_power_sums(params, k)[:-1]
     return float(vals) if scalar else vals
@@ -261,7 +252,7 @@ def failure_intensity(params: GeometricModelParams, t):
     k = _series_head(params, arr)
     rates, log_survival = _direct_terms(params, k)
     vals = (rates * np.exp((arr[..., np.newaxis] - 1.0) * log_survival)).sum(axis=-1)
-    if k is not None:
+    if k < params.truncation:
         p_k = params.p1 * params.d**k
         g = _tail_power_sums(params, k)
         vals = vals + p_k * (g[0] + _binomial_terms(arr - 1.0, p_k) @ g[1:])

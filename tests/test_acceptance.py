@@ -13,7 +13,7 @@ import pytest
 import geomrel.cli as cli
 from geomrel.comparison import ClosedFormModel, fit_model
 from geomrel.data import FailureDataset
-from geomrel.estimation import OptimizerConfig, fit, nelder_mead
+from geomrel.estimation import fit, nelder_mead
 from geomrel.evaluation import ValidityCurve, aggregate_median, number_of_failures_eval
 from geomrel.model import (
     GeometricModelParams,
@@ -131,7 +131,7 @@ def test_criterion_05_parameter_recovery():
 def test_criterion_06_rosenbrock_benchmark():
     with Criterion(6, "Nelder-Mead reaches the Rosenbrock minimum from (-1.2, 1)", 1.0):
         rosen = lambda z: (1.0 - z[0]) ** 2 + 100.0 * (z[1] - z[0] ** 2) ** 2
-        best, diag = nelder_mead(rosen, OptimizerConfig(), np.array([-1.2, 1.0]))
+        best, diag = nelder_mead(rosen, np.array([-1.2, 1.0]))
         assert diag.iterations <= 2000
         assert abs(best[0] - 1.0) <= 1e-3 and abs(best[1] - 1.0) <= 1e-3
 

@@ -97,7 +97,7 @@ class TestFitCommand:
             ),
             skipped_points=0,
         )
-        monkeypatch.setattr(cli, "fit", lambda ds, config=None: stub)
+        monkeypatch.setattr(cli, "fit", lambda ds: stub)
         assert cli.main(["fit", str(cumulative_file)]) == 2
         assert json.loads(capsys.readouterr().out)["converged"] is False
 
@@ -221,15 +221,23 @@ class TestPredictCommand:
     @pytest.mark.parametrize(
         "payload",
         [
-            [1, 2],
-            {"p1": "0.1", "d": 0.9, "truncation": 100},
-            {"p1": 0.1, "d": 0.9, "truncation": None},
+            '[1, 2]',
+            '{"p1": "0.1", "d": 0.9, "truncation": 100}',
+            '{"p1": 0.1, "d": 0.9, "truncation": null}',
+            # A truncation must be a JSON integer: none of these is coerced.
+            '{"p1": 0.05, "d": 0.95, "truncation": Infinity}',
+            '{"p1": 0.05, "d": 0.95, "truncation": 1e400}',
+            '{"p1": 0.05, "d": 0.95, "truncation": 2.5}',
+            '{"p1": 0.05, "d": 0.95, "truncation": "5"}',
         ],
-        ids=["list", "string-p1", "null-truncation"],
+        ids=[
+            "list", "string-p1", "null-truncation", "infinite-truncation",
+            "overflowing-truncation", "fractional-truncation", "string-truncation",
+        ],
     )
     def test_malformed_params_file_exits_one(self, tmp_path, cumulative_file, capsys, payload):
         params_path = tmp_path / "params.json"
-        params_path.write_text(json.dumps(payload))
+        params_path.write_text(payload)
         code, out = self.predict(
             capsys, str(cumulative_file), "--params", str(params_path), "--objective", "1e-6"
         )
@@ -341,9 +349,9 @@ class TestEvaluateCommand:
         fitted = []
         original = evaluation.fit_model
 
-        def counting_fit_model(model_name, ds, config=None):
+        def counting_fit_model(model_name, ds):
             fitted.append(model_name)
-            return original(model_name, ds, config)
+            return original(model_name, ds)
 
         monkeypatch.setattr(evaluation, "fit_model", counting_fit_model)
         out = tmp_path / "o"

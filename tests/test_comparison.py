@@ -16,7 +16,7 @@ from geomrel.comparison import (
 )
 from geomrel.data import FailureDataset, parse_dataset
 from geomrel.errors import FitError, PredictionError
-from geomrel.estimation import OptimizerConfig, SimplexResult, fit, nelder_mead
+from geomrel.estimation import SimplexResult, fit, nelder_mead
 from geomrel.evaluation import default_cut_points
 from geomrel.model import GeometricModelParams, mean_failures
 from geomrel.simulation import SimulationConfig, simulate
@@ -439,7 +439,7 @@ def reference_closed_form_fit(name, ds):
             residuals = log_counts - np.log(mu)
             return float(residuals @ residuals)
 
-    best, diag = nelder_mead(objective, OptimizerConfig(), start)
+    best, diag = nelder_mead(objective, start)
     vec = np.exp(best)
     return (float(vec[0]), float(vec[1])), diag
 

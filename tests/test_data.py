@@ -64,7 +64,15 @@ class TestFailureDataset:
             FailureDataset(((1.0, 1.5),))
 
     @pytest.mark.parametrize(
-        "count", [2**53 + 1, np.int64(2**53 + 1), np.uint64(2**62 + 1), 2**63 - 513]
+        "count",
+        [
+            2**53 + 1,
+            np.int64(2**53 + 1),
+            np.uint64(2**62 + 1),
+            2**63 - 513,
+            2**63 - 1,
+            np.int64(2**63 - 1),
+        ],
     )
     def test_integer_counts_kept_exactly(self, count):
         ds = FailureDataset(((1.0, count),))
@@ -180,8 +188,8 @@ class TestParseDataset:
         [
             (b"time,cumulative_failures\n1,1\n2,999999999999999999999999999999\n",
              "cumulative_csv", 3),
-            # 2**63 - 512 rounds to 2**63 on its way through a float.
-            (b"time,cumulative_failures\n1,9223372036854775296\n", "cumulative_csv", 2),
+            # 2**63, one past the largest int64.
+            (b"time,cumulative_failures\n1,9223372036854775808\n", "cumulative_csv", 2),
             (b"time,cumulative_failures\n1,1\nnan,2\n", "cumulative_csv", 3),
             (b"time,cumulative_failures\n1,1\ninf,2\n", "cumulative_csv", 3),
             (b"tbf\n1e308\n1e308\n", "tbf_csv", 3),
@@ -190,7 +198,7 @@ class TestParseDataset:
             # 1e20 + 1 == 1e20: the second failure time would not advance.
             (b"tbf\n1e20\n1\n", "tbf_csv", 3),
         ],
-        ids=["count-1e30", "count-2**63-512", "time-nan", "time-inf", "tbf-sum-overflows",
+        ids=["count-1e30", "count-2**63", "time-nan", "time-inf", "tbf-sum-overflows",
              "tbf-inf", "tbf-nan", "tbf-below-resolution"],
     )
     def test_out_of_range_values_report_their_line(self, text, fmt, line):
@@ -199,9 +207,11 @@ class TestParseDataset:
         assert err.value.line == line
 
     def test_largest_count_an_int64_holds_is_accepted(self):
-        ds = parse_dataset(b"time,cumulative_failures\n1,9223372036854775295\n", "cumulative_csv")
-        assert ds.final_count == 2**63 - 513
-        assert int(ds.counts[-1]) == 2**63 - 513
+        for count in (2**63 - 513, 2**63 - 1):
+            text = f"time,cumulative_failures\n1,{count}\n".encode()
+            ds = parse_dataset(text, "cumulative_csv")
+            assert ds.final_count == count
+            assert int(ds.counts[-1]) == count
 
     def test_counts_above_2_53_load_exactly(self):
         ds = parse_dataset(b"time,cumulative_failures\n1,9007199254740993\n", "cumulative_csv")

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from geomrel.comparison import LittlewoodVerrall
 from geomrel.data import FailureDataset, parse_dataset
 from geomrel.estimation import (
     FitResult,
-    OptimizerConfig,
     SimplexResult,
     fit,
     least_squares_objective,
@@ -35,6 +35,14 @@ def straight_line_objective(p1, d, n, points):
             mu += 1.0 - (1.0 - pa) ** t
         total += (math.log(r) - math.log(mu)) ** 2
     return total
+
+
+def budget(max_iterations=estimation._MAX_ITERATIONS, initial_step=estimation._INITIAL_STEP):
+    """Patch the optimizer's iteration budget and first step for the
+    duration of a ``with`` block."""
+    return mock.patch.multiple(
+        estimation, _MAX_ITERATIONS=max_iterations, _INITIAL_STEP=initial_step
+    )
 
 
 def forward_dataset(params, times, label="forward"):
@@ -112,7 +120,6 @@ class TestNelderMead:
     def test_quadratic_bowl(self):
         best, diag = nelder_mead(
             lambda z: (z[0] - 2.0) ** 2 + (z[1] - 3.0) ** 2,
-            OptimizerConfig(),
             np.array([0.0, 0.0]),
         )
         assert best == pytest.approx([2.0, 3.0], abs=1e-4)
@@ -121,13 +128,13 @@ class TestNelderMead:
     def test_absolute_value_plateau(self):
         # Non-smooth kink: the symmetric vertex tie must not be mistaken
         # for convergence even though the value spread is exactly zero.
-        best, diag = nelder_mead(lambda z: abs(z[0]), OptimizerConfig(), np.array([5.0]))
+        best, diag = nelder_mead(lambda z: abs(z[0]), np.array([5.0]))
         assert abs(best[0]) <= 1e-4
         assert diag.value <= 1e-4
 
     def test_rosenbrock(self):
         rosen = lambda z: (1.0 - z[0]) ** 2 + 100.0 * (z[1] - z[0] ** 2) ** 2
-        best, diag = nelder_mead(rosen, OptimizerConfig(), np.array([-1.2, 1.0]))
+        best, diag = nelder_mead(rosen, np.array([-1.2, 1.0]))
         assert best == pytest.approx([1.0, 1.0], abs=1e-3)
         assert diag.iterations <= 2000
 
@@ -140,13 +147,13 @@ class TestNelderMead:
                 return math.nan
             return (z[0] - 4.6) ** 2
 
-        best, diag = nelder_mead(objective, OptimizerConfig(), np.array([5.0]))
+        best, diag = nelder_mead(objective, np.array([5.0]))
         assert diag.nonfinite_evaluations >= 1
         assert best[0] == pytest.approx(4.7, abs=1e-2)
 
     def test_nonfinite_start_rejected(self):
         with pytest.raises(ValueError, match="initial simplex"):
-            nelder_mead(lambda z: math.inf, OptimizerConfig(), np.array([0.0]))
+            nelder_mead(lambda z: math.inf, np.array([0.0]))
 
     def test_never_worse_than_best_initial_vertex(self):
         rng = np.random.default_rng(7)
@@ -157,38 +164,20 @@ class TestNelderMead:
             objective = lambda z, a=a, c=c: float(np.sum(a * (z - c) ** 2)) + float(
                 np.sum(np.abs(z))
             )
-            config = OptimizerConfig(max_iterations=rng.integers(1, 60))
             start = shift
             initial = [objective(start)]
             for i in range(3):
                 vertex = start.copy()
-                vertex[i] += config.initial_step
+                vertex[i] += estimation._INITIAL_STEP
                 initial.append(objective(vertex))
-            _, diag = nelder_mead(objective, config, start)
+            with budget(max_iterations=int(rng.integers(1, 60))):
+                _, diag = nelder_mead(objective, start)
             assert diag.value <= min(initial)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(reflection=0.0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(expansion=1.0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(contraction=1.0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(shrink=0.0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(tolerance=0.0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(initial_step=0.0)
-
     def test_converged_implies_tight_spread(self):
-        _, diag = nelder_mead(
-            lambda z: (z[0] - 1.0) ** 2, OptimizerConfig(), np.array([4.0])
-        )
+        _, diag = nelder_mead(lambda z: (z[0] - 1.0) ** 2, np.array([4.0]))
         assert diag.converged
-        assert diag.simplex_spread <= OptimizerConfig().tolerance
+        assert diag.simplex_spread <= estimation._TOLERANCE
 
 
 class TestFit:
@@ -227,8 +216,10 @@ class TestFit:
 
     def test_non_convergence_reported_not_raised(self):
         ds = forward_dataset(GeometricModelParams(0.05, 0.95), np.arange(10.0, 201.0, 10.0))
-        result = fit(ds, OptimizerConfig(max_iterations=1, tolerance=1e-15))
+        with budget(max_iterations=1):
+            result = fit(ds)
         assert result.converged is False
+        assert result.diagnostics.iterations == 1
 
     def test_json_serialization_schema(self):
         ds = forward_dataset(GeometricModelParams(0.05, 0.95), np.arange(10.0, 101.0, 10.0))
@@ -311,14 +302,14 @@ class TestEvaluationCount:
         runs = []
         original = estimation.nelder_mead
 
-        def counting_nelder_mead(objective, config, start):
+        def counting_nelder_mead(objective, start):
             tally = [0]
 
             def counted(x):
                 tally[0] += 1
                 return objective(x)
 
-            best, diag = original(counted, config, start)
+            best, diag = original(counted, start)
             runs.append((tally[0], diag))
             return best, diag
 
@@ -429,7 +420,7 @@ def reference_geometric_fit(ds):
         return float(residuals @ residuals)
 
     start = np.array([logit(p1_start), logit(d_start)])
-    best, diag = nelder_mead(objective, OptimizerConfig(), start)
+    best, diag = nelder_mead(objective, start)
     d = expit(float(best[1]))
     return GeometricModelParams(expit(float(best[0])), d, default_truncation(d)), diag
 
@@ -453,8 +444,8 @@ class TestGeometricReference:
         recorded = []
         original = estimation.nelder_mead
 
-        def recording_nelder_mead(objective, config, start):
-            best, diag = original(objective, config, start)
+        def recording_nelder_mead(objective, start):
+            best, diag = original(objective, start)
             recorded.append(diag)
             return best, diag
 
@@ -471,10 +462,14 @@ class TestGeometricReference:
             assert result.boundary == expected, ds.label
 
 
-def reference_nelder_mead(objective, config, start, branches=None):
+def reference_nelder_mead(objective, start, branches=None):
     """The optimizer as first written, with numpy-array vertices, no
     ``np.errstate`` of its own and ``np.argsort(kind="stable")`` ordering.
-    Adds the name of every branch it takes to ``branches`` if given."""
+    Adds the name of every branch it takes to ``branches`` if given.
+
+    The coefficients (1, 2, 1/2, 1/2) and the tolerance (1e-8) are written
+    out here; the budget and first step are read from the module, so that
+    :func:`budget` moves both optimizers alike."""
     hit = branches.add if branches is not None else (lambda name: None)
     x0 = np.asarray(start, dtype=float)
     k = x0.size
@@ -494,7 +489,7 @@ def reference_nelder_mead(objective, config, start, branches=None):
     simplex = [x0.copy()]
     for i in range(k):
         vertex = x0.copy()
-        vertex[i] += config.initial_step
+        vertex[i] += estimation._INITIAL_STEP
         simplex.append(vertex)
     values = [evaluate(v) for v in simplex]
     if not all(math.isfinite(v) for v in values):
@@ -502,7 +497,7 @@ def reference_nelder_mead(objective, config, start, branches=None):
 
     def tolerance_met():
         spread = values[-1] - values[0]
-        if spread > config.tolerance:
+        if spread > 1e-8:
             return False
         if spread == 0.0:
             collapsed = all(np.array_equal(v, simplex[0]) for v in simplex[1:])
@@ -514,7 +509,7 @@ def reference_nelder_mead(objective, config, start, branches=None):
     def shrink(name):
         hit(name)
         for i in range(1, k + 1):
-            simplex[i] = simplex[0] + config.shrink * (simplex[i] - simplex[0])
+            simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
             values[i] = evaluate(simplex[i])
 
     iterations = 0
@@ -526,17 +521,17 @@ def reference_nelder_mead(objective, config, start, branches=None):
         if tolerance_met():
             converged = True
             break
-        if iterations >= config.max_iterations:
+        if iterations >= estimation._MAX_ITERATIONS:
             break
         iterations += 1
         centroid = simplex[0].copy()
         for vertex in simplex[1:-1]:
             centroid += vertex
         centroid /= k
-        reflected = centroid + config.reflection * (centroid - simplex[-1])
+        reflected = centroid + 1.0 * (centroid - simplex[-1])
         f_reflected = evaluate(reflected)
         if f_reflected < values[0]:
-            expanded = centroid + config.expansion * (reflected - centroid)
+            expanded = centroid + 2.0 * (reflected - centroid)
             f_expanded = evaluate(expanded)
             if f_expanded < f_reflected:
                 hit("expand")
@@ -546,7 +541,7 @@ def reference_nelder_mead(objective, config, start, branches=None):
         elif f_reflected < values[-2]:
             simplex[-1], values[-1] = reflected, f_reflected
         elif f_reflected <= values[-1]:
-            contracted = centroid + config.contraction * (reflected - centroid)
+            contracted = centroid + 0.5 * (reflected - centroid)
             f_contracted = evaluate(contracted)
             if f_contracted <= f_reflected:
                 hit("contract-outside")
@@ -554,7 +549,7 @@ def reference_nelder_mead(objective, config, start, branches=None):
             else:
                 shrink("shrink-outside")
         else:
-            contracted = centroid + config.contraction * (simplex[-1] - centroid)
+            contracted = centroid + 0.5 * (simplex[-1] - centroid)
             f_contracted = evaluate(contracted)
             if f_contracted < values[-1]:
                 hit("contract-inside")
@@ -621,14 +616,16 @@ _BRANCHES = {
 }
 
 
-def _run_both(name, config, start, branches=None):
-    """Outcomes of the live and the reference optimizer: ``(best, result)``
-    or the message of the ``ValueError`` raised."""
-    objective = _OBJECTIVES[name]
+def _run_both(name, start, branches=None, scale=1.0):
+    """Outcomes of the live and the reference optimizer on ``scale`` times
+    an objective: ``(best, result)`` or the message of the ``ValueError``
+    raised.  Scaling the objective scales the value-spread tolerance."""
+    base = _OBJECTIVES[name]
+    objective = base if scale == 1.0 else (lambda z: scale * base(z))
     outcomes = []
     for run in (nelder_mead, lambda *a: reference_nelder_mead(*a, branches=branches)):
         try:
-            best, result = run(objective, config, np.array(start))
+            best, result = run(objective, np.array(start))
         except ValueError as exc:
             outcomes.append(str(exc))
         else:
@@ -658,16 +655,10 @@ _COORDINATE = st.floats(-4.0, 4.0, allow_nan=False)
 def _optimizer_cases(draw):
     k = draw(st.integers(1, 3))
     start = draw(st.lists(_COORDINATE, min_size=k, max_size=k))
-    config = OptimizerConfig(
-        reflection=draw(st.sampled_from([1.0, 0.5, 1.3, draw(st.floats(0.1, 3.0))])),
-        expansion=draw(st.sampled_from([2.0, 1.5, draw(st.floats(1.01, 4.0))])),
-        contraction=draw(st.sampled_from([0.5, draw(st.floats(0.05, 0.95))])),
-        shrink=draw(st.sampled_from([0.5, draw(st.floats(0.05, 0.95))])),
-        tolerance=draw(st.sampled_from([1e-8, 1e-12, 1e-3])),
-        max_iterations=draw(st.integers(1, 150)),
-        initial_step=draw(st.sampled_from([0.25, -0.7, 1.0, draw(st.floats(0.01, 2.0))])),
-    )
-    return draw(st.sampled_from(sorted(_OBJECTIVES))), config, start
+    max_iterations = draw(st.integers(1, 150))
+    initial_step = draw(st.sampled_from([0.25, -0.7, 1.0, draw(st.floats(0.01, 2.0))]))
+    scale = draw(st.sampled_from([1.0, 1e-4, 1e4, draw(st.floats(1e-3, 1e3))]))
+    return draw(st.sampled_from(sorted(_OBJECTIVES))), start, max_iterations, initial_step, scale
 
 
 @settings(max_examples=400, deadline=None)
@@ -675,7 +666,9 @@ def _optimizer_cases(draw):
 def test_nelder_mead_equals_array_reference(case):
     """The float bookkeeping gives the same best vertex and the same record,
     field by field, as the numpy-array version it replaced."""
-    _assert_same(_run_both(*case))
+    name, start, max_iterations, initial_step, scale = case
+    with budget(max_iterations, initial_step):
+        _assert_same(_run_both(name, start, scale=scale))
 
 
 def test_reference_cases_reach_every_branch():
@@ -683,21 +676,23 @@ def test_reference_cases_reach_every_branch():
     tie plateau and the non-finite tally included, each equal to the
     reference."""
     branches = set()
+    # (objective, start, budget and first step)
     cases = [
-        ("rosenbrock", OptimizerConfig(), [-1.2, 1.0]),
-        ("rosenbrock", OptimizerConfig(max_iterations=400), [-1.0, 0.5, 2.0]),
-        ("quadratic", OptimizerConfig(), [3.0]),
-        ("abs", OptimizerConfig(), [0.0, 0.0]),
-        ("abs", OptimizerConfig(max_iterations=300), [2.5, -1.0, 0.25]),
-        ("step", OptimizerConfig(max_iterations=100), [2.7, -3.1]),
-        ("step", OptimizerConfig(max_iterations=100, initial_step=1.0), [1.5, 1.5, 1.5]),
-        ("rosenbrock", OptimizerConfig(initial_step=-0.7), [-2.6, -2.6]),
-        ("step", OptimizerConfig(max_iterations=100, initial_step=1.0), [-0.2]),
-        ("holed", OptimizerConfig(initial_step=1.0), [0.2, 2.1]),
-        ("holed", OptimizerConfig(initial_step=-0.7), [-1.2]),
+        ("rosenbrock", [-1.2, 1.0], {}),
+        ("rosenbrock", [-1.0, 0.5, 2.0], {"max_iterations": 400}),
+        ("quadratic", [3.0], {}),
+        ("abs", [0.0, 0.0], {}),
+        ("abs", [2.5, -1.0, 0.25], {"max_iterations": 300}),
+        ("step", [2.7, -3.1], {"max_iterations": 100}),
+        ("step", [1.5, 1.5, 1.5], {"max_iterations": 100, "initial_step": 1.0}),
+        ("rosenbrock", [-2.6, -2.6], {"initial_step": -0.7}),
+        ("step", [-0.2], {"max_iterations": 100, "initial_step": 1.0}),
+        ("holed", [0.2, 2.1], {"initial_step": 1.0}),
+        ("holed", [-1.2], {"initial_step": -0.7}),
     ]
-    for name, config, start in cases:
-        _assert_same(_run_both(name, config, start, branches))
+    for name, start, setting in cases:
+        with budget(**setting):
+            _assert_same(_run_both(name, start, branches))
     assert branches == _BRANCHES
 
 
@@ -713,7 +708,8 @@ class TestNelderMeadErrorState:
             return float(np.log(np.abs(z)).sum() ** 2)
 
         before = np.geterr()
-        nelder_mead(objective, OptimizerConfig(max_iterations=50), np.array([1.0, 2.0]))
+        with budget(max_iterations=50):
+            nelder_mead(objective, np.array([1.0, 2.0]))
         assert np.geterr() == before
         assert all(
             state["over"] == state["invalid"] == state["divide"] == "ignore" for state in seen
@@ -730,7 +726,7 @@ class TestNelderMeadErrorState:
 
         before = np.geterr()
         with pytest.raises(RuntimeError, match="stop"):
-            nelder_mead(objective, OptimizerConfig(), np.array([1.0, 2.0]))
+            nelder_mead(objective, np.array([1.0, 2.0]))
         assert np.geterr() == before
 
     def test_probe_is_a_fresh_float_vector(self):
@@ -741,7 +737,8 @@ class TestNelderMeadErrorState:
             return float(z @ z)
 
         start = np.array([1.0, 2.0])
-        nelder_mead(objective, OptimizerConfig(max_iterations=20), start)
+        with budget(max_iterations=20):
+            nelder_mead(objective, start)
         assert all(z.dtype == float and z.shape == (2,) for z in probes)
         assert len({id(z) for z in probes}) == len(probes)
         assert all(z is not start for z in probes)

@@ -13,7 +13,6 @@ from geomrel.data import (
     rescale_dataset,
 )
 from geomrel.errors import FitError, PredictionError
-from geomrel.estimation import OptimizerConfig
 from geomrel.evaluation import (
     AggregateCurve,
     ValidityCurve,
@@ -66,9 +65,7 @@ class TestNumberOfFailuresEval:
             def predict_mean(self, t):
                 return 2.0 * self.q
 
-        monkeypatch.setattr(
-            evaluation, "fit_model", lambda name, sub, config=None: DoubleStub(ds.final_count)
-        )
+        monkeypatch.setattr(evaluation, "fit_model", lambda name, sub: DoubleStub(ds.final_count))
         curve = number_of_failures_eval("geometric", ds, default_cut_points(ds))
         assert curve.points
         assert all(err == pytest.approx(1.0) for _, err in curve.points)
@@ -165,9 +162,9 @@ def fit_calls(monkeypatch):
     """Sizes of the sub-histories the harness fits, in call order."""
     sizes = []
 
-    def counting_fit_model(model_name, sub, config=None):
+    def counting_fit_model(model_name, sub):
         sizes.append(len(sub))
-        return fit_model(model_name, sub, config)
+        return fit_model(model_name, sub)
 
     monkeypatch.setattr(evaluation, "fit_model", counting_fit_model)
     return sizes
@@ -252,14 +249,14 @@ class TestUnitInvariance:
     CUTS = (0.3, 0.5, 0.7, 1.0)
     PROFILE = TimeConversionProfile(2.0, 1)  # one incident is half a day
 
-    def _curves(self, model_name, config=None):
+    def _curves(self, model_name):
         ds = forward_dataset()
         days = rescale_dataset(ds, self.PROFILE, TimeUnit.CALENDAR_DAY)
         native = number_of_failures_eval(
-            model_name, ds, [f * ds.final_time for f in self.CUTS], config=config
+            model_name, ds, [f * ds.final_time for f in self.CUTS]
         )
         scaled = number_of_failures_eval(
-            model_name, days, [f * days.final_time for f in self.CUTS], config=config
+            model_name, days, [f * days.final_time for f in self.CUTS]
         )
         assert len(native.points) == len(scaled.points) == len(self.CUTS)
         return native, scaled

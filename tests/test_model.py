@@ -302,7 +302,7 @@ class TestSeriesTail:
     def test_small_populations_bit_identical(self, p1, d, n, t_max):
         params = GeometricModelParams(p1, d, n)
         t = np.array([0.0, 1.0, 17.25, t_max])
-        assert _series_head(params, t) is None
+        assert _series_head(params, t) == n
         rates = p1 * d ** np.arange(n, dtype=float)
         log_survival = np.log1p(-rates)
         mean = (-np.expm1(t[:, np.newaxis] * log_survival)).sum(axis=-1)
@@ -312,8 +312,19 @@ class TestSeriesTail:
 
 
 class TestSeriesHeadCache:
-    """The series route slices its head from the longest one built on the
-    params; results never depend on the calls made before."""
+    """Every sum, and ``rates``, slices its head from the longest one built
+    on the params; results never depend on the calls made before."""
+
+    def test_rates_are_the_cached_head(self):
+        params = GeometricModelParams(0.05, 0.999, 20_000)
+        mean_failures(params, 250.0)  # the series route builds a short head
+        rates, log_survival = params.rates, params.log_survival
+        fresh = 0.05 * 0.999 ** np.arange(20_000, dtype=float)
+        assert np.array_equal(rates, fresh)
+        assert np.array_equal(log_survival, np.log1p(-fresh))
+        assert not rates.flags.writeable and not log_survival.flags.writeable
+        head, _ = _direct_terms(params, 10)
+        assert np.shares_memory(head, rates)
 
     @given(
         d=st.floats(0.3, 0.99999),
@@ -351,7 +362,7 @@ class TestSeriesHeadCache:
             times = sorted(times, reverse=order == "falling")
         shared = GeometricModelParams(p1, d, 200_000)
         for t in times:
-            assert _series_head(shared, np.array(t)) is not None
+            assert _series_head(shared, np.array(t)) < shared.truncation
             fresh = GeometricModelParams(p1, d, 200_000)
             assert failure_intensity(shared, t) == failure_intensity(fresh, t)
             fresh = GeometricModelParams(p1, d, 200_000)
