@@ -1,11 +1,15 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geomrel.cli as cli
 import geomrel.evaluation as evaluation
@@ -244,6 +248,64 @@ class TestPredictCommand:
         assert code == 1
         assert out.err.startswith("geomrel: error:")
         assert "Traceback" not in out.err
+
+    @pytest.mark.parametrize("source", ["inline", "params"])
+    def test_truncation_beyond_the_float_range_exits_one(self, tmp_path, capsys, source):
+        huge = "1" + "0" * 400
+        if source == "inline":
+            given_params = ["--p1", "0.05", "--d", "0.95", "--truncation", huge]
+        else:
+            params_path = tmp_path / "params.json"
+            params_path.write_text(f'{{"p1": 0.05, "d": 0.95, "truncation": {huge}}}')
+            given_params = ["--params", str(params_path)]
+        code, out = self.predict(
+            capsys, str(REPO_DATA / "ntds_tbf.csv"), "--format", "tbf", *given_params,
+            "--objective", "0.01",
+        )
+        assert code == 1
+        assert out.err.startswith("geomrel: error:")
+        assert "float range" in out.err
+        assert "Traceback" not in out.err
+
+
+def bad_text(out_of_range):
+    """A value no option accepts: a number out of range, a huge integer,
+    nan, an infinity or text that is no number at all."""
+    return st.one_of(
+        out_of_range.map(repr),
+        st.integers(-(10**400), 10**400).map(str),
+        st.sampled_from(["nan", "inf", "-inf", "1e400", "-0", "0x10", "", "abc", "9" * 5000]),
+        st.text(max_size=6),
+    )
+
+
+OUT_OF_UNIT = st.floats(-1.0, 0.0) | st.floats(1.0, 2.0)
+# (values that make a run, values out of range) per option.  Decay ratios
+# stop short of 1: at d = 1 - 1e-9 the directly summed head alone would
+# hold billions of faults (memory limits are tested with
+# run_cli_in_one_gib).
+PREDICT_OPTIONS = {
+    "--p1": (st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), OUT_OF_UNIT),
+    "--d": (st.floats(0.0, 0.99999, exclude_min=True), OUT_OF_UNIT),
+    "--truncation": (st.none() | st.integers(1, 10**6), st.integers(-5, 0)),
+    "--objective": (st.floats(0.0, 1.0, exclude_min=True), st.floats(-1.0, 0.0)),
+}
+
+
+@given(broken=st.sampled_from([None, *PREDICT_OPTIONS]), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_predict_fuzz_ends_with_an_exit_code(broken, data):
+    """With any one option given a bad value, or none, predict ends in exit
+    code 0, 1 or 2, never a traceback."""
+    argv = ["predict", str(REPO_DATA / "ntds_tbf.csv"), "--format", "tbf"]
+    for option, (good, out_of_range) in PREDICT_OPTIONS.items():
+        value = data.draw(bad_text(out_of_range) if option == broken else good, label=option)
+        if value is not None:
+            argv += [option, value if isinstance(value, str) else repr(value)]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 class TestEvaluateCommand:

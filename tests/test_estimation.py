@@ -367,8 +367,9 @@ def reference_initial_p1(t_q, q):
     q=st.one_of(st.floats(1e-12, 1e-6), st.floats(0.5, 400.0)),
 )
 def test_initial_p1_equals_full_bisection(t_q, q):
-    """The start equals the 80-step bisection through ``mean_failures``, and
-    stops evaluating as soon as the bracket can no longer move."""
+    """The start equals the 80-step bisection through ``mean_failures``, tiny
+    roots included, where the 80 steps end before adjacent floats, and
+    takes a fraction of its evaluations."""
     calls = [0]
     original = estimation._occurrence_sum
 
@@ -383,7 +384,25 @@ def test_initial_p1_equals_full_bisection(t_q, q):
         estimation._occurrence_sum = original
     expected, evaluations = reference_initial_p1(t_q, q)
     assert start == expected
-    assert calls[0] == evaluations
+    assert calls[0] <= min(evaluations, 44)
+
+
+def test_initial_p1_mean_evaluations():
+    """Starts for histories like the release-planning ones (800 incidents,
+    tens of failures) take about 11 mean evaluations; the bisection took
+    about 60."""
+    rng = np.random.default_rng(11)
+    calls = [0]
+    original = estimation._occurrence_sum
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    with mock.patch.object(estimation, "_occurrence_sum", counted):
+        for _ in range(100):
+            estimation._initial_p1(rng.uniform(600.0, 1000.0), rng.uniform(10.0, 200.0))
+    assert calls[0] / 100 <= 16
 
 
 def reference_geometric_fit(ds):

@@ -1,15 +1,19 @@
 import math
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from geomrel import model
 from geomrel.model import (
     DIRECT_SUM_MAX_TERMS,
     GeometricModelParams,
     _as_time_array,
     _direct_terms,
+    _occurrence_sum,
     _series_head,
     additional_time,
     default_truncation,
@@ -71,6 +75,16 @@ class TestParams:
             GeometricModelParams(0.3, 0.9, 0)
         with pytest.raises(ValueError):
             GeometricModelParams(0.3, 0.9, -3)
+
+    def test_truncation_beyond_the_float_range_rejected(self):
+        # The sums convert N - k to a float; beyond the float range that
+        # raised OverflowError from inside a sum.  The largest accepted N
+        # sums without a warning.
+        for n in (10**400, int(sys.float_info.max) + 2**971):
+            with pytest.raises(ValueError, match="float range"):
+                GeometricModelParams(0.05, 0.95, n)
+        largest = GeometricModelParams(0.05, 0.95, int(sys.float_info.max))
+        assert 0.0 < failure_intensity(largest, 250.0) < mean_failures(largest, 250.0)
 
     def test_rates_strictly_decreasing(self):
         params = GeometricModelParams(0.4, 0.9, 50)
@@ -311,6 +325,24 @@ class TestSeriesTail:
         assert np.array_equal(failure_intensity(params, t[1:]), intensity)
 
 
+@given(
+    times=st.lists(st.floats(0.0, 1e6), max_size=6),
+    p1=st.floats(1e-300, 0.9),
+    d=st.floats(1e-3, 0.9999),
+    n=st.integers(0, 400),
+)
+@settings(max_examples=200, deadline=None)
+def test_occurrence_sum_equals_negated_terms(times, p1, d, n):
+    """Negating the row sums gives the floats of summing negated terms, the
+    sign of an all-zero sum included."""
+    log_survival = np.log1p(-(p1 * d ** np.arange(n, dtype=float)))
+    for t in (np.array(times), np.asarray(times[0] if times else 0.0)):
+        expected = (-np.expm1(t[..., np.newaxis] * log_survival)).sum(axis=-1)
+        got = _occurrence_sum(t, log_survival)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
 class TestSeriesHeadCache:
     """Every sum, and ``rates``, slices its head from the longest one built
     on the params; results never depend on the calls made before."""
@@ -449,6 +481,128 @@ class TestReleaseTimes:
         ):
             with pytest.raises(ValueError, match="finite"):
                 call()
+
+
+def reference_time_for_intensity_exact(params, target):
+    """The exact inverse as first written: double t from 2 while the
+    intensity lies above the target, then halve the bracket until its
+    midpoint equals an end.  Also returns how many intensities it
+    evaluates."""
+    evaluations = 1
+    if target == failure_intensity(params, 1.0):
+        return 1.0, evaluations
+
+    def above(t):
+        nonlocal evaluations
+        evaluations += 1
+        return failure_intensity(params, t) > target
+
+    lo, hi = 1.0, 2.0
+    while above(hi):
+        lo, hi = hi, hi * 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), evaluations
+
+
+def counted_inverse(params, target):
+    """``time_for_intensity_exact`` and how many intensities it evaluates,
+    counted through the module attribute the tracer also replaces."""
+    calls = [0]
+    original = model.failure_intensity
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    with mock.patch.object(model, "failure_intensity", counting):
+        t = time_for_intensity_exact(params, target)
+    return t, calls[0]
+
+
+def inverse_case(p1, d, n, log_t, share):
+    """Params and a target between the intensity at t = 10**log_t and
+    ``share`` of it, or None when the target is not below the initial
+    intensity."""
+    params = GeometricModelParams(p1, d, n)
+    target = share * failure_intensity(params, 10.0**log_t)
+    return (params, target) if 0.0 < target < failure_intensity(params, 1.0) else None
+
+
+class TestExactInverse:
+    """``time_for_intensity_exact`` returns the float the bisection returns,
+    on both summation routes, with a fraction of its evaluations."""
+
+    @pytest.mark.parametrize(
+        "truncations, max_d",
+        [
+            (st.integers(1, DIRECT_SUM_MAX_TERMS), 0.99999),
+            # Heads stay below about 25,000 terms: t <= 1e5 and d <= 0.9995.
+            (st.integers(DIRECT_SUM_MAX_TERMS + 1, 10**12), 0.9995),
+        ],
+        ids=["direct", "series"],
+    )
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_bisection(self, truncations, max_d, data):
+        case = inverse_case(
+            data.draw(st.floats(1e-6, 0.9), label="p1"),
+            data.draw(st.floats(0.3, max_d), label="d"),
+            data.draw(truncations, label="n"),
+            data.draw(st.floats(0.0, 5.0), label="log_t"),
+            data.draw(st.one_of(st.just(1.0), st.floats(0.5, 1.0)), label="share"),
+        )
+        assume(case is not None)
+        params, target = case
+        t, _ = counted_inverse(params, target)
+        assert t == reference_time_for_intensity_exact(params, target)[0]
+        # The answer is an end of a bracket of adjacent floats whose lower
+        # end lies above the target and whose upper end does not.
+        lo = t if failure_intensity(params, t) > target else math.nextafter(t, 0.0)
+        assert failure_intensity(params, lo) > target >= failure_intensity(
+            params, math.nextafter(lo, math.inf)
+        )
+
+    @pytest.mark.parametrize(
+        "kind, ceiling",
+        # Release planning: fitted-like params, objectives at 0.1-0.5 of
+        # the intensity after 800 incidents (the bisection takes about 66).
+        [("planning", 18.0), ("wide", 22.0)],
+    )
+    def test_mean_evaluations(self, kind, ceiling):
+        rng = np.random.default_rng(7)
+        counts, reference = [], []
+        while len(counts) < 150:
+            if kind == "planning":
+                case = inverse_case(
+                    rng.uniform(0.01, 0.05), rng.uniform(0.92, 0.96), None,
+                    math.log10(800.0), rng.choice([0.5, 0.25, 0.1]),
+                )
+            else:
+                case = inverse_case(
+                    10.0 ** rng.uniform(-6, 0), rng.uniform(0.3, 0.9995),
+                    int(rng.choice([rng.integers(1, 1001), rng.integers(1001, 10**12)])),
+                    rng.uniform(0.0, 5.0), rng.uniform(0.5, 1.0),
+                )
+            if case is not None:
+                counts.append(counted_inverse(*case)[1])
+                reference.append(reference_time_for_intensity_exact(*case)[1])
+        assert np.mean(counts) <= ceiling
+        assert np.mean(counts) < np.mean(reference) / 3.0
+
+    def test_target_too_small_for_any_finite_time_refused(self):
+        # The intensity at t = 2**1023 still lies above the target: the
+        # doubling would reach t = inf, which the intensity refuses.
+        params = GeometricModelParams(1e-310, 0.5, 1)
+        assert failure_intensity(params, 2.0**1023) > 5e-324
+        with pytest.raises(ValueError, match="finite"):
+            time_for_intensity_exact(params, 5e-324)
 
 
 class TestLogLikelihoodSmall:
