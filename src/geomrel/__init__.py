@@ -2,7 +2,8 @@
 failure rates.
 
 The package bundles the model equations, least-squares fitting with an
-in-house Nelder-Mead simplex, four classic comparison models behind the
+in-house Levenberg-Marquardt loop (and an in-house Nelder-Mead simplex for
+Littlewood-Verrall's likelihood), four classic comparison models behind the
 same fit/predict interface (three of them rows of one closed-form table),
 a number-of-failures predictive-validity harness, and a simulation oracle
 for verification.  The ``geomrel``
@@ -31,9 +32,10 @@ from .data import (
 from .errors import DataFormatError, FitError, PredictionError
 from .estimation import (
     FitResult,
-    SimplexResult,
+    OptimizerResult,
     fit,
     least_squares_objective,
+    levenberg_marquardt,
     nelder_mead,
 )
 from .evaluation import (
@@ -82,7 +84,7 @@ __all__ = [
     "LittlewoodVerrallParams",
     "PredictionError",
     "ReliabilityModel",
-    "SimplexResult",
+    "OptimizerResult",
     "SimulationConfig",
     "TimeConversionProfile",
     "TimeUnit",
@@ -101,6 +103,7 @@ __all__ = [
     "fit",
     "fit_model",
     "least_squares_objective",
+    "levenberg_marquardt",
     "log_likelihood_small",
     "mean_failures",
     "nelder_mead",

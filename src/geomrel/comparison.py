@@ -8,10 +8,12 @@ harness can treat all five uniformly; :func:`fit_model` fits any of them
 by name, and every fit reports its optimizer run and boundary alike.
 
 Musa basic, Musa-Okumoto, and NHPP are rows of one table of closed-form
-mean value functions, each with its parameter names and a start that
-interpolates the history's final point.  :class:`ClosedFormModel` fits any
-row by minimizing the log-scale least-squares objective of the geometric
-model (:mod:`geomrel.estimation`).
+mean value functions, each with its parameter names, its mean written as a
+level times a shape in one rate c, and a start for c.
+:class:`ClosedFormModel` fits any row by minimizing the log-scale
+least-squares objective of the geometric model (:mod:`geomrel.estimation`)
+by variable projection: the best level for each c is a mean, which leaves
+a 1-d Levenberg-Marquardt search in ln c.
 Musa basic and NHPP share the exponential mean ``a(1 - exp(-bt))`` (Goel &
 Okumoto 1979) and their start, and therefore fit identically; they keep
 separate names, parameter names and outputs, but ``geomrel evaluate``
@@ -19,18 +21,19 @@ fits each prefix once for both (:func:`_fit_key` names the fits that are
 equal).  Littlewood-Verrall is TBF-native and is fitted by maximizing its
 marginal likelihood over the inverse gamma shape ``u = 1/alpha`` and
 mean-interval scales, a parametrization in which the exponential limit
-``alpha -> inf`` is the finite point ``u = 0``; its predictions invert a
-closed-form expected time to failure n.  Every
-route uses the in-house Nelder-Mead optimizer, so cross-model comparisons
-reflect model shape rather than toolchain differences.  Absolute fitted
-values therefore need not match those of other estimation toolchains even
-on identical data.
+``alpha -> inf`` is the finite point ``u = 0``, with the in-house
+Nelder-Mead optimizer; its predictions invert a closed-form expected time
+to failure n.  Every route uses the package's own optimizers, so
+cross-model comparisons reflect model shape rather than toolchain
+differences.  Absolute fitted values therefore need not match those of
+other estimation toolchains even on identical data.
 
 Fitted models are immutable; independent fits may run concurrently.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 from abc import ABC, abstractmethod
@@ -59,6 +62,13 @@ EXPONENTIAL_LIMIT_INVERSE_SHAPE = 1e-6
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
+# A closed-form fit keeps its rate c at or above this over the history's
+# last time t_q.  Below it every closed-form mean is linear in t to about
+# this relative precision, so the objective stops falling by more than
+# rounding, and a smaller rate would only inflate the level (up to
+# overflow) on histories without growth.
+_LINEAR_LIMIT = 1e-12
+
 
 class ReliabilityModel(ABC):
     """Common contract of every fitted model.
@@ -74,10 +84,10 @@ class ReliabilityModel(ABC):
     """
 
     model_name: str
-    diagnostics: estimation.SimplexResult | None
+    diagnostics: estimation.OptimizerResult | None
     boundary: str | None = None
 
-    def __init__(self, params, diagnostics: estimation.SimplexResult | None = None):
+    def __init__(self, params, diagnostics: estimation.OptimizerResult | None = None):
         self.params = params
         self.diagnostics = diagnostics
 
@@ -142,11 +152,16 @@ class LittlewoodVerrallParams:
 
 class _ClosedForm(NamedTuple):
     """One closed-form model: its two parameter names, its mean value
-    function ``mean(p, t)`` and its start ``start(t_q, q) -> p``, which
-    interpolates the final point ``(t_q, q)`` of a history exactly."""
+    function ``mean(p, t)``, and the same mean written as
+    ``exp(level) * shape(c, t)`` for a rate c, which is how it is fitted:
+    ``log_shape(c, t)`` returns ``ln shape`` and its derivative in ln c,
+    ``params(c, level)`` the parameters of that mean, and ``start(t_q)``
+    the rate to start from for a history ending at ``t_q``."""
 
     param_names: tuple[str, str]
     mean: Callable
+    log_shape: Callable
+    params: Callable
     start: Callable
 
 
@@ -155,9 +170,16 @@ def _exponential_mean(p, t):
     return p[0] * -np.expm1(-p[1] * t)
 
 
-def _exponential_start(t_q: float, q: float) -> tuple[float, float]:
-    # Rate 1/t_q, and the total solving mean(t_q) = q.
-    return q / -math.expm1(-1.0), 1.0 / t_q
+def _exponential_log_shape(c, t):
+    """``ln(1 - exp(-c t))``, and its derivative in ln c,
+    ``c t / expm1(c t)``."""
+    ct = c * t
+    return np.log(-np.expm1(-ct)), ct / np.expm1(ct)
+
+
+def _exponential_params(c, level):
+    # a(1 - exp(-b t)) with a = exp(level) and b = c.
+    return math.exp(level), c
 
 
 def _logarithmic_mean(p, t):
@@ -166,24 +188,49 @@ def _logarithmic_mean(p, t):
     return np.log1p(p[0] * p[1] * t) / p[1]
 
 
-def _logarithmic_start(t_q: float, q: float) -> tuple[float, float]:
-    # theta = 1/q: ln(lambda0*theta*t_q + 1)/theta = q
-    #   =>  lambda0 = expm1(theta*q)/(theta*t_q).
-    theta = 1.0 / q
-    return math.expm1(theta * q) / (theta * t_q), theta
+def _logarithmic_log_shape(c, t):
+    """``ln ln(1 + c t)``, and its derivative in ln c,
+    ``c t / ((1 + c t) ln(1 + c t))``."""
+    ct = c * t
+    shape = np.log1p(ct)
+    return np.log(shape), ct / ((1.0 + ct) * shape)
 
+
+def _logarithmic_params(c, level):
+    # ln(1 + c t) / theta with theta = exp(-level) and lambda0 = c / theta.
+    return c * math.exp(level), math.exp(-level)
+
+
+def _exponential_start(t_q: float) -> float:
+    # The rate b of the exponential mean to start from, 1/t_q.
+    return 1.0 / t_q
+
+
+def _logarithmic_start(t_q: float) -> float:
+    # lambda0 * theta of the logarithmic mean through the final point
+    # (t_q, q) with theta = 1/q: expm1(1)/t_q, whatever q is.
+    return math.expm1(1.0) / t_q
+
+
+_EXPONENTIAL = (_exponential_mean, _exponential_log_shape, _exponential_params, _exponential_start)
 
 _CLOSED_FORMS = {
     # Equally likely faults, piecewise exponential interfailure times,
     # intensity proportional to the faults remaining.
-    "musa-basic": _ClosedForm(("beta0", "beta1"), _exponential_mean, _exponential_start),
+    "musa-basic": _ClosedForm(("beta0", "beta1"), *_EXPONENTIAL),
     # Logarithmic Poisson growth: intensity decays exponentially with the
     # failures experienced, so the mean grows without bound.
-    "musa-okumoto": _ClosedForm(("lambda0", "theta"), _logarithmic_mean, _logarithmic_start),
+    "musa-okumoto": _ClosedForm(
+        ("lambda0", "theta"),
+        _logarithmic_mean,
+        _logarithmic_log_shape,
+        _logarithmic_params,
+        _logarithmic_start,
+    ),
     # Poisson-counted detections whose expected number in a small interval
     # stays proportional to the faults still undetected: Musa basic's mean
     # form without its stochastic story.
-    "nhpp": _ClosedForm(("a", "b"), _exponential_mean, _exponential_start),
+    "nhpp": _ClosedForm(("a", "b"), *_EXPONENTIAL),
 }
 
 
@@ -197,7 +244,7 @@ class ClosedFormModel(ReliabilityModel):
     """
 
     def __init__(
-        self, model_name: str, params, diagnostics: estimation.SimplexResult | None = None
+        self, model_name: str, params, diagnostics: estimation.OptimizerResult | None = None
     ):
         if model_name not in _CLOSED_FORMS:
             raise ValueError(
@@ -211,27 +258,45 @@ class ClosedFormModel(ReliabilityModel):
 
     @classmethod
     def fit(cls, model_name: str, ds: FailureDataset) -> "ClosedFormModel":
-        """Least squares between log counts and the log mean, searched over
-        log-parameters so that ``exp(z)`` keeps them positive."""
+        """Least squares between log counts and the log mean, by variable
+        projection (Golub & Pereyra 1973).  For a fixed rate c the best
+        level is the mean of ``log_counts - ln shape(c, t)``, which leaves
+        a 1-d Levenberg-Marquardt search in -ln c on the centred residuals,
+        bounded at ``c t_q = _LINEAR_LIMIT``; their derivative is the
+        centred derivative of ``ln shape`` in ln c.  The reported objective
+        is recomputed at the returned parameters."""
         form = _CLOSED_FORMS[model_name]
         try:
             times, log_counts, _ = estimation._usable_arrays(ds, fewest=2)
         except ValueError as exc:
             raise FitError(f"{model_name}: {exc}") from exc
+        slope = None  # the latest probe's derivative of ln shape
 
-        def mean(z: np.ndarray, t: np.ndarray) -> np.ndarray:
-            return form.mean(np.exp(z), t)
+        def residuals(z: np.ndarray):
+            nonlocal slope
+            u = float(z[0])  # -ln c
+            if not abs(u) < _LOG_FLOAT_MAX:
+                return None
+            log_shape, slope = form.log_shape(math.exp(-u), times)
+            levels = log_counts - log_shape
+            return levels - levels.mean()
 
-        def objective(z: np.ndarray) -> float:
-            return estimation._log_count_objective(mean, z, times, log_counts)
+        def jacobian(z: np.ndarray, r: np.ndarray) -> list[np.ndarray]:
+            return [slope - slope.mean()]
 
-        # Only after the check above: the starts divide by the final count.
-        start = np.log(form.start(ds.final_time, float(ds.final_count)))
+        t_q = ds.final_time
+        start = [-math.log(form.start(t_q))]
+        upper = [-math.log(_LINEAR_LIMIT / t_q)]
         try:
-            best, diag = estimation.nelder_mead(objective, start)
+            best, diag = estimation.levenberg_marquardt(residuals, jacobian, start, upper)
         except ValueError as exc:
             raise FitError(f"{model_name}: {exc}") from exc
-        return cls(model_name, np.exp(best), diag)
+        c = math.exp(-float(best[0]))
+        level = float((log_counts - form.log_shape(c, times)[0]).mean())
+        params = form.params(c, level)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            value = estimation._log_count_objective(form.mean, params, times, log_counts)
+        return cls(model_name, params, dataclasses.replace(diag, value=value))
 
     def predict_mean(self, t):
         """Expected cumulative failures at ``t`` (a scalar or an array)."""
@@ -404,10 +469,11 @@ ALL_MODEL_NAMES = ("geometric", "musa-basic", "musa-okumoto", "littlewood-verral
 
 
 def _fit_key(model_name: str):
-    """A key two model names share exactly when their fits are equal: the
-    ``(mean, start)`` of a closed-form row, otherwise the name itself."""
+    """A key two model names share exactly when their fits are equal: a
+    closed-form row without its parameter names, otherwise the name
+    itself."""
     form = _CLOSED_FORMS.get(model_name)
-    return model_name if form is None else (form.mean, form.start)
+    return model_name if form is None else form[1:]
 
 
 def fit_model(model_name: str, ds: FailureDataset) -> ReliabilityModel:

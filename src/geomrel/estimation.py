@@ -4,13 +4,17 @@ cumulative counts, and the fit of the geometric-rates model.
 The objective is the squared distance between observed and modelled
 cumulative failure counts on a log scale,
 
-    S = sum_j (ln r_j - ln mu(t_j))**2,
+    S = sum_j (ln r_j - ln mu(t_j))**2.
 
-minimized with a self-contained Nelder-Mead simplex optimizer whose record,
-:class:`SimplexResult`, is every fitted model's ``diagnostics``.  The
-geometric model's parameters p1 and d live in (0, 1)^2; the search runs in
-an unconstrained space via the inverse-sigmoid map of each parameter so
-feasibility never has to be patched up afterwards.
+The four models fitted to it (the geometric-rates model here, and the
+closed forms of :mod:`geomrel.comparison`) minimize it with a
+self-contained Levenberg-Marquardt loop on the residuals and their
+Jacobian.  Littlewood-Verrall minimizes its likelihood with a
+self-contained Nelder-Mead simplex.  Both optimizers return one record,
+:class:`OptimizerResult`, which is every fitted model's ``diagnostics``.
+The geometric model's parameters p1 and d live in (0, 1)^2; the search
+runs in an unconstrained space via the inverse-sigmoid map of each
+parameter so feasibility never has to be patched up afterwards.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ import numpy as np
 
 from .data import FailureDataset
 from .model import (
+    DEFAULT_RATE_FLOOR,
     GeometricModelParams,
+    _intensity_sums,
     _log_ratio,
     _occurrence_sum,
     _sign_change,
@@ -33,28 +39,29 @@ from .model import (
 
 __all__ = [
     "FitResult",
-    "SimplexResult",
+    "OptimizerResult",
     "fit",
     "least_squares_objective",
+    "levenberg_marquardt",
     "nelder_mead",
 ]
 
-# Candidate decay ratios whose default truncation would exceed this many
-# fault terms are rejected as non-finite probes during fitting.  An
-# evaluation no longer costs more with more terms (the model's sums take
-# time independent of N); the cap keeps fitted populations at N <= 10,000.
-# A history without reliability growth pulls d towards 1 and ends the fit
-# on this cap, which the fitted model's ``boundary`` names.
+# The geometric fit bounds d so that its default truncation stays at or
+# below this many fault terms.  An evaluation no longer costs more with
+# more terms (the model's sums take time independent of N); the bound keeps
+# fitted populations at N <= 10,000.  A history without reliability growth
+# pulls d towards 1 and ends the fit on this bound, which the fitted
+# model's ``boundary`` names.
 MAX_FIT_TRUNCATION = 10_000
 
 _INITIAL_DECAY_GUESS = 0.94
 
 
-# Every fit uses the standard Nelder & Mead (1965) coefficients, the same
-# budget and the same first step.  Termination watches the function-value
-# spread across the simplex rather than vertex distances, because the fit
-# objective is flat in the decay ratio near the optimum, where distance
-# criteria stall.
+# Every Nelder-Mead run uses the standard Nelder & Mead (1965)
+# coefficients, the same budget and the same first step.  Termination
+# watches the function-value spread across the simplex rather than vertex
+# distances, because the objectives are flat near their optimum, where
+# distance criteria stall.
 _REFLECTION = 1.0
 _EXPANSION = 2.0
 _CONTRACTION = 0.5
@@ -63,29 +70,51 @@ _TOLERANCE = 1e-8
 _MAX_ITERATIONS = 2000
 _INITIAL_STEP = 0.25
 
+# The one Levenberg-Marquardt setting: its first damping, its relative
+# decrease and step size to stop at, and its budget of steps.
+_LM_DAMPING = 1e-3
+_LM_DECREASE = 1e-13
+_LM_STEP = 1e-12
+_LM_MAX_ITERATIONS = 200
+
 
 @dataclass(frozen=True)
-class SimplexResult:
-    """Diagnostics of one Nelder-Mead run.
+class OptimizerResult:
+    """Diagnostics of one optimizer run.
 
-    ``evaluations`` counts every objective call, the initial vertices
-    included; ``nonfinite_evaluations`` counts those that were not finite.
+    ``optimizer`` is ``"nelder-mead"`` or ``"levenberg-marquardt"``, and
+    ``x`` the best point in the optimizer's coordinates.  ``evaluations``
+    counts every objective (or residual) call, the start included;
+    ``nonfinite_evaluations`` counts those that were not finite, and
+    ``jacobian_evaluations`` the Jacobians (none for Nelder-Mead).
+    ``iterations`` counts simplex steps, or damped steps tried.
+
+    ``converged`` says that the run stopped on its own criterion rather
+    than on its iteration cap: for Nelder-Mead a value spread across the
+    simplex (``simplex_spread``) of at most 1e-8; for Levenberg-Marquardt
+    a relative decrease of at most 1e-13, or a step below 1e-12 relative,
+    which includes a point where every coordinate is held at its bound.
+    ``simplex_spread`` is ``None`` for Levenberg-Marquardt.  A fit reports
+    ``value`` as its objective recomputed at the parameters it returns.
     """
 
+    optimizer: str
     x: tuple[float, ...]
     value: float
     iterations: int
     converged: bool
-    simplex_spread: float
     nonfinite_evaluations: int
     evaluations: int
+    jacobian_evaluations: int
+    simplex_spread: float | None
 
 
 def _truncation_boundary(params: GeometricModelParams) -> str | None:
     """``"truncation-cap"`` when the truncation equals ``MAX_FIT_TRUNCATION``
-    (the fit stopped against its search bound: the objective still falls as
+    (the fit stopped against its bound on d: the objective still falls as
     d moves towards 1, as for a history without reliability growth), else
-    ``None``.  ``converged`` says only that the simplex collapsed."""
+    ``None``.  ``converged`` says only that the search met its stopping
+    criterion, with d held at the bound."""
     return "truncation-cap" if params.truncation == MAX_FIT_TRUNCATION else None
 
 
@@ -100,7 +129,7 @@ class FitResult:
     """
 
     params: GeometricModelParams
-    diagnostics: SimplexResult
+    diagnostics: OptimizerResult
     skipped_points: int
 
     @property
@@ -153,8 +182,8 @@ def _log_count_objective(mean, x, times, log_counts) -> float:
     mean gives a NaN or infinite residual, while a finite positive mean
     keeps every ``|ln mu|`` below about 745 and so the sum finite.  Callers
     run it with numpy's over/invalid/divide warnings off, as
-    :func:`nelder_mead` does for its whole search: simplex excursions can
-    overflow a mean, or the parameters it builds from x."""
+    both optimizers do for their whole search: excursions can overflow a
+    mean, or the parameters built from x."""
     residuals = log_counts - np.log(mean(x, times))
     value = float(residuals @ residuals)
     return value if math.isfinite(value) else math.inf
@@ -172,7 +201,7 @@ def least_squares_objective(params: GeometricModelParams, ds: FailureDataset) ->
         return _log_count_objective(mean_failures, params, times, log_counts)
 
 
-def nelder_mead(objective, start) -> tuple[np.ndarray, SimplexResult]:
+def nelder_mead(objective, start) -> tuple[np.ndarray, OptimizerResult]:
     """Minimize a k-dimensional function with the reflect/expand/contract/
     shrink simplex method, with the coefficients 1, 2, 1/2 and 1/2.
 
@@ -291,16 +320,185 @@ def nelder_mead(objective, start) -> tuple[np.ndarray, SimplexResult]:
                 else:
                     shrink_towards_best()
 
-    result = SimplexResult(
+    result = OptimizerResult(
+        optimizer="nelder-mead",
         x=tuple(simplex[0]),
         value=values[0],
         iterations=iterations,
         converged=converged,
-        simplex_spread=values[-1] - values[0],
         nonfinite_evaluations=nonfinite,
         evaluations=evaluations,
+        jacobian_evaluations=0,
+        simplex_spread=values[-1] - values[0],
     )
     return np.array(simplex[0]), result
+
+
+def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float]:
+    """The solution of a 1x1 or 2x2 positive definite system, by Cramer's
+    rule in Python floats; NaNs when rounding leaves the 2x2 determinant
+    at or below zero, which the caller's probe then rejects."""
+    if len(rhs) == 1:
+        return [rhs[0] / matrix[0][0]]
+    (a, b), (c, d) = matrix
+    det = a * d - b * c
+    if not det > 0.0:
+        return [math.nan, math.nan]
+    return [(rhs[0] * d - b * rhs[1]) / det, (a * rhs[1] - c * rhs[0]) / det]
+
+
+def _damped_step(normal, gradient, damping, free, at_bound) -> list[float]:
+    """The solution of ``(A + damping diag(A)) step = -g`` over the
+    coordinates in ``free``, with the others' steps 0.  A coordinate on its
+    bound whose step points outward is held, and the rest solved again."""
+    step = [0.0] * len(gradient)
+    while free:
+        solved = _solve(
+            [[normal[i][j] * (1.0 + damping if i == j else 1.0) for j in free] for i in free],
+            [-gradient[i] for i in free],
+        )
+        outward = [i for i, s in zip(free, solved) if at_bound[i] and s > 0.0]
+        if not outward:
+            for i, s in zip(free, solved):
+                step[i] = s
+            break
+        free = [i for i in free if i not in outward]
+    return step
+
+
+def levenberg_marquardt(
+    residuals, jacobian, start, upper=None
+) -> tuple[np.ndarray, OptimizerResult]:
+    """Minimize ``sum(residuals(x)**2)`` by damped Gauss-Newton steps
+    (Levenberg 1944; Marquardt 1963), within an optional upper bound on
+    each coordinate.
+
+    ``residuals(x)`` gets each probe as a fresh 1-d float array and returns
+    the residual vector, or ``None`` for a point outside the model's
+    domain; a probe whose sum of squares is not finite is rejected and
+    tallied.  ``jacobian(x, r)`` returns the residuals' partial
+    derivatives at x, one array per coordinate, given r = residuals(x).
+    It is only ever called for the point of the latest ``residuals`` call,
+    so it may reuse that call's work.
+
+    Each step solves ``(A + damping diag(A)) step = -g`` with
+    ``A = J^T J`` and ``g = J^T r`` (Marquardt's scaling) in Python floats,
+    so that runs are deterministic whatever linear algebra numpy is built
+    with; x has 1 or 2 coordinates, and one whose Jacobian column is zero
+    is held.  The damping starts at 1e-3.  A step is accepted only when it
+    lowers the objective; the damping then shrinks by Nielsen's gain-ratio
+    rule, ``max(1/3, 1 - (2 rho - 1)**3)``, and after a rejected step it
+    grows by 2, 4, 8, ...  The run stops once an accepted step lowers the
+    objective by at most 1e-13 of its value, or a step moves every
+    coordinate x by at most 1e-12 (1 + |x|) (``converged``), or after 200
+    steps.
+
+    ``upper`` gives each coordinate's upper bound (``math.inf`` for none);
+    ``start`` must lie within it.  A step that crosses a bound is shortened
+    along its direction to end on it.  A coordinate on its bound whose
+    gradient points outward is held while the others move, as is one whose
+    step would point outward once solved with the others.
+
+    Like :func:`nelder_mead`, the whole run is under one ``np.errstate``
+    that silences overflow, invalid and divide warnings.
+    """
+    x = [float(v) for v in np.asarray(start, dtype=float)]
+    if not 1 <= len(x) <= 2:
+        raise ValueError("start must have 1 or 2 coordinates")
+    k = len(x)
+    bounds = [math.inf] * k if upper is None else [float(u) for u in upper]
+
+    nonfinite = 0
+    evaluations = 0
+    jacobians = 0
+
+    def evaluate(point: list[float]):
+        nonlocal nonfinite, evaluations
+        evaluations += 1
+        r = residuals(np.array(point))
+        value = math.inf if r is None else float(r @ r)
+        if not math.isfinite(value):
+            nonfinite += 1
+            return None, math.inf
+        return r, value
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r, value = evaluate(x)
+        if r is None:
+            raise ValueError("objective is not finite at the start")
+
+        damping, growth = _LM_DAMPING, 2.0
+        iterations = 0
+        converged = False
+        fresh = True  # the Jacobian is due at x
+        while True:
+            if fresh:
+                columns = jacobian(np.array(x), r)
+                jacobians += 1
+                gradient = [float(c @ r) for c in columns]
+                normal = [[float(a @ b) for b in columns] for a in columns]
+                free = [
+                    i for i in range(k)
+                    if normal[i][i] > 0.0 and not (x[i] >= bounds[i] and gradient[i] < 0.0)
+                ]
+            if not free:
+                converged = True
+                break
+            if iterations >= _LM_MAX_ITERATIONS:
+                break
+            iterations += 1
+
+            at_bound = [v >= b for v, b in zip(x, bounds)]
+            step = _damped_step(normal, gradient, damping, free, at_bound)
+            # Shorten a step that crosses a bound so that it ends there.
+            crossing = {
+                i: (b - v) / s for i, (v, s, b) in enumerate(zip(x, step, bounds)) if v + s > b
+            }
+            share = min(crossing.values(), default=1.0)
+            trial = [
+                b if crossing.get(i) == share else v + share * s
+                for i, (v, s, b) in enumerate(zip(x, step, bounds))
+            ]
+            step = [t - v for t, v in zip(trial, x)]
+            if all(abs(s) <= _LM_STEP * (1.0 + abs(v)) for s, v in zip(step, x)):
+                converged = True
+                break
+
+            r_trial, value_trial = evaluate(trial)
+            if value_trial < value:
+                decrease = value - value_trial
+                # The reduction the linear model predicts: -(2 g.s + s'As).
+                predicted = -sum(
+                    s * (2.0 * g + sum(a * u for a, u in zip(row, step)))
+                    for s, g, row in zip(step, gradient, normal)
+                )
+                small = decrease <= _LM_DECREASE * value
+                x, r, value = trial, r_trial, value_trial
+                if small:
+                    converged = True
+                    break
+                if predicted > 0.0:
+                    gain = 2.0 * decrease / predicted - 1.0
+                    damping *= max(1.0 / 3.0, 1.0 - gain * gain * gain)
+                growth = 2.0
+                fresh = True
+            else:
+                damping *= growth
+                growth *= 2.0
+                fresh = False
+
+    result = OptimizerResult(
+        optimizer="levenberg-marquardt",
+        x=tuple(x),
+        value=value,
+        iterations=iterations,
+        converged=converged,
+        nonfinite_evaluations=nonfinite,
+        evaluations=evaluations,
+        jacobian_evaluations=jacobians,
+        simplex_spread=None,
+    )
+    return np.array(x), result
 
 
 def _logit(p: float) -> float:
@@ -317,22 +515,21 @@ def _expit(z: float) -> float:
 def _initial_p1(t_q: float, q: float) -> float:
     """Rate of the leading fault such that the modelled mean at the initial
     decay ratio hits the final observed count (the mean is increasing in
-    p1).
+    p1), within [1e-12, 1/2].  The upper end keeps the search off the
+    saturated corner p1 -> 1, where the residuals' derivative in logit p1
+    carries a factor 1 - p1 and vanishes: a count beyond the mean at
+    p1 = 1/2 starts there and leaves d to grow.
 
     The mean is ``mean_failures(GeometricModelParams(p1, 0.94), t_q)``,
     whose 224 terms are summed directly, evaluated with the same operations
-    over powers of 0.94 computed once.  The answer is the float of an
-    80-step bisection on (1e-12, 1 - 1e-12) that moves ``lo`` to the
-    midpoint when ``excess(mid) < 0`` and ``hi`` otherwise, and stops once
-    the midpoint equals an end.  ``model._sign_change`` finds it with
-    secant steps on ``ln q - ln mean`` against ln p1, in a third or less of
-    the bisection's evaluations.  Below about 4e-9 the 80 steps end before
-    adjacent floats; replaying their decisions against the located sign
-    change gives the same float at no extra evaluation."""
+    over powers of 0.94 computed once.  ``model._sign_change`` finds it
+    with secant steps on ``ln q - ln mean`` against ln p1: the lowest float
+    p1 found whose mean reaches q, where the mean at the float below stays
+    short of it."""
     d = _INITIAL_DECAY_GUESS
     powers = d ** np.arange(default_truncation(d), dtype=float)
     t = np.asarray(t_q, dtype=float)
-    lo, hi = 1e-12, 1.0 - 1e-12
+    lo, hi = 1e-12, 0.5
 
     def excess(p1: float) -> float:
         return float(_occurrence_sum(t, np.log1p(-(p1 * powers)))) - q
@@ -347,37 +544,63 @@ def _initial_p1(t_q: float, q: float) -> float:
     lo_excess = excess(lo)
     if lo_excess >= 0:
         return lo
-    return _sign_change(probe, lo, -_log_ratio(lo_excess, q), hi, -_log_ratio(hi_excess, q), 80)
+    return _sign_change(probe, lo, -_log_ratio(lo_excess, q), hi, -_log_ratio(hi_excess, q))
+
+
+def _decay_logit_bound() -> float:
+    """The largest float z with ``default_truncation(_expit(z))`` at most
+    ``MAX_FIT_TRUNCATION``: the fit's upper bound on logit d."""
+    z = _logit(math.exp(math.log(DEFAULT_RATE_FLOOR) / MAX_FIT_TRUNCATION))
+    while default_truncation(_expit(z)) > MAX_FIT_TRUNCATION:
+        z = math.nextafter(z, -math.inf)
+    while default_truncation(_expit(math.nextafter(z, math.inf))) <= MAX_FIT_TRUNCATION:
+        z = math.nextafter(z, math.inf)
+    return z
+
+
+_MAX_DECAY_LOGIT = _decay_logit_bound()
 
 
 def fit(ds: FailureDataset) -> FitResult:
     """Estimate (p1, d) for a failure history.
 
-    The search runs over logit-transformed parameters, so the returned
-    values are strictly inside (0, 1) no matter where the simplex wanders;
-    the truncation is re-derived from each candidate decay ratio during the
-    search and fixed from the final one.  The start point uses a decay
-    ratio of 0.94 with the leading rate chosen so the modelled mean matches
-    the final observed count.  Non-convergence is reported through
+    :func:`levenberg_marquardt` minimizes the log-count residuals over
+    logit-transformed parameters, so the returned values are strictly
+    inside (0, 1) wherever a step lands.  The truncation is re-derived
+    from each candidate decay ratio and fixed from the final one, and
+    logit d is bounded so that it stays at or below
+    ``MAX_FIT_TRUNCATION``.  The Jacobian is analytic on both summation
+    routes: with ``lambda`` the intensity, the residuals' derivatives are
+    ``-(1 - p1) t lambda(t) / mu(t)`` in logit p1 and
+    ``-(1 - d) t W(t) / mu(t)`` in logit d, for the weighted intensity sum
+    W of :func:`geomrel.model._intensity_sums`.  The start uses a decay
+    ratio of 0.94 with the leading rate chosen so the modelled mean
+    matches the final observed count.  Non-convergence is reported through
     ``converged``, never silently.
     """
     times, log_counts, skipped = _usable_arrays(ds, fewest=2)
     # exp(ln q) differs from q for some counts; starting from q moves fits.
     p1_start = _initial_p1(float(times[-1]), float(math.exp(log_counts[-1])))
+    probed = []  # the latest probe's (p1, d, params)
 
-    def objective(z: np.ndarray) -> float:
+    def residuals(z: np.ndarray):
         z0, z1 = z.tolist()
         p1 = _expit(z0)
         d = _expit(z1)
         if not (0.0 < p1 < 1.0 and 0.0 < d < 1.0):
-            return math.inf
-        n = default_truncation(d)
-        if n > MAX_FIT_TRUNCATION:
-            return math.inf
-        return _log_count_objective(mean_failures, GeometricModelParams(p1, d, n), times, log_counts)
+            return None
+        params = GeometricModelParams(p1, d, default_truncation(d))
+        probed[:] = p1, d, params
+        return log_counts - np.log(mean_failures(params, times))
 
-    start = np.array([_logit(p1_start), _logit(_INITIAL_DECAY_GUESS)])
-    best, diag = nelder_mead(objective, start)
+    def jacobian(z: np.ndarray, r: np.ndarray) -> list[np.ndarray]:
+        p1, d, params = probed
+        intensity, weighted = _intensity_sums(params, times)
+        scale = times / np.exp(log_counts - r)  # t / mu
+        return [-(1.0 - p1) * scale * intensity, -(1.0 - d) * scale * weighted]
+
+    start = [_logit(p1_start), _logit(_INITIAL_DECAY_GUESS)]
+    best, diag = levenberg_marquardt(residuals, jacobian, start, upper=[math.inf, _MAX_DECAY_LOGIT])
 
     p1 = _expit(float(best[0]))
     d = _expit(float(best[1]))

@@ -74,10 +74,8 @@ MAX_LIKELIHOOD_TRUNCATION = 20
 MAX_LIKELIHOOD_FAILURES = 5
 
 # The bracket search stops once its bracket is at most this many floats
-# wide; bisection midpoints within _REPLAY_MARGIN_ULPS floats of it are
-# probed when the bisection is replayed (see _sign_change).
+# wide, and _sign_change then probes the floats inside it one by one.
 _BRACKET_ULPS = 4
-_REPLAY_MARGIN_ULPS = 8
 # The last finite time doubling from 2 reaches.
 _MAX_DOUBLING = 2.0**1023
 _LN2 = math.log(2.0)
@@ -284,6 +282,36 @@ def failure_intensity(params: GeometricModelParams, t):
     return float(vals) if scalar else vals
 
 
+def _intensity_sums(params: GeometricModelParams, t: np.ndarray):
+    """The intensity ``sum_a p_a (1 - p_a)**(t - 1)`` and its weighted sum
+    ``sum_a a p_a (1 - p_a)**(t - 1)``, over faults a = 0..N-1, at each
+    time of the 1-d array ``t`` (all >= 1).
+
+    They give the derivatives of the mean: ``d mu / d p1 = t lambda / p1``
+    and ``d mu / d d = t W / d`` for the weighted sum W, as
+    ``d p_a / d d = a p_a / d``.  Both sums share one points x terms array
+    of ``(1 - p_a)**(t - 1)``.  On the series route the tail of W is
+    ``p_k sum_j C(t - 1, j) (-p_k)**j (k g_(j+1) + h_(j+1))`` with
+    ``h_j = sum_{m=0}^{M-1} m d**(m j)`` for the M = N - k tail faults,
+    ``(q g_j - M q**M) / (1 - q)`` in closed form with q = d**j.
+    """
+    k = _series_head(params, t)
+    rates, log_survival = _direct_terms(params, k)
+    survival = np.exp((t[:, np.newaxis] - 1.0) * log_survival)
+    intensity = survival @ rates
+    weighted = survival @ (np.arange(k, dtype=float) * rates)
+    if k < params.truncation:
+        p_k = params.p1 * params.d**k
+        g = _tail_power_sums(params, k)
+        x = math.log(params.d) * _SERIES_POWERS
+        m = min(params.truncation - k, 2.0**63)
+        g_weighted = k * g + (np.exp(x) * g - m * np.exp(m * x)) / -np.expm1(x)
+        terms = _binomial_terms(t - 1.0, p_k)
+        intensity = intensity + p_k * (g[0] + terms @ g[1:])
+        weighted = weighted + p_k * (g_weighted[0] + terms @ g_weighted[1:])
+    return intensity, weighted
+
+
 def _occurrence_hazard_sum(params: GeometricModelParams) -> float:
     """``sum(p_a - p_a**2)`` over the fault population, in closed form:
     ``p1 (1 - d**N) / (1 - d) - p1**2 (1 - d**(2N)) / (1 - d**2)``, with
@@ -410,75 +438,53 @@ def _bracket(probe, lo, lo_gap, hi, hi_gap):
     return ends[0], ends[2]
 
 
-def _sign_change(probe, lo, lo_gap, hi=math.inf, hi_gap=-math.inf, steps=200):
-    """The float where the decision of ``probe`` flips, exactly as
-    bisection finds it, with about a quarter of bisection's probes.
+def _sign_change(probe, lo, lo_gap, hi=math.inf, hi_gap=-math.inf):
+    """The lowest float above ``lo`` at which the decision of ``probe``
+    flips, found with a few probes.
 
-    ``probe(x)`` returns ``(below, gap)``: the comparison that puts x below
-    the sign change, and a smooth signed gap, positive below it and close
-    to linear in ln x.  ``lo`` lies below the sign change with gap
-    ``lo_gap``, and ``hi``, when finite, above it with ``hi_gap``.
+    ``probe(x)`` returns ``(below, gap)``: whether x lies below the sign
+    change, and a smooth signed gap, positive below it and close to linear
+    in ln x.  ``lo`` lies below the sign change with gap ``lo_gap``, and
+    ``hi``, when finite, above it with ``hi_gap``.
 
-    The answer is the one of this bisection: while ``hi`` is infinite,
-    double it from ``2 lo``, moving ``lo`` up; then at most ``steps``
-    times move the end on the midpoint's side to the midpoint, stopping
-    once the midpoint equals an end; return ``0.5 * (lo + hi)``.  Bounded
-    log-log extrapolation from ``lo`` first grows or enters the bracket,
+    Bounded log-log extrapolation from ``lo`` grows or enters the bracket,
     and secant steps on the gap (a bisection step when a round fails to
-    halve the bracket) close it to a few floats.  The bisection is
-    then replayed: a midpoint more than ``_REPLAY_MARGIN_ULPS`` outside
-    that bracket takes the decision of the bracket's end, and one inside
-    is probed.  Rounding makes a computed intensity non-monotone over one
-    or two floats next to the root, so which float bisection ends on there
-    depends on the points it probes; the replay probes the same ones.  The
-    answer equals bisection's whenever the decision is monotone beyond the
-    margin.
+    halve the bracket) close it to a few floats; bisection finishes where
+    rounding noise hides the gap's slope.  Then the floats above the
+    bracket's lower end are probed one by one, and the first one not below
+    is the answer, so its predecessor is below.  Rounding can make the
+    decision non-monotone over a few floats next to the root; there are
+    then several such flips, and this returns the lowest one in the final
+    bracket.
     """
-    seen = {}
-
-    def probe_once(x):
-        if x not in seen:
-            seen[x] = probe(x)
-        return seen[x]
-
-    a, b = _bracket(probe_once, lo, lo_gap, hi, hi_gap)
-    below_from = a - _REPLAY_MARGIN_ULPS * math.ulp(a)
-    above_from = b + _REPLAY_MARGIN_ULPS * math.ulp(b)
-
-    def below(x):
-        if x <= below_from:
-            return True
-        if x >= above_from:
-            return False
-        return probe_once(x)[0]
-
-    if hi == math.inf:
-        hi = 2.0 * lo
-        while below(hi):
-            lo, hi = hi, hi * 2.0
-    for _ in range(steps):
+    lo, hi = _bracket(probe, lo, lo_gap, hi, hi_gap)
+    while hi - lo > _BRACKET_ULPS * math.ulp(lo):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if below(mid):
+        if probe(mid)[0]:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    x = math.nextafter(lo, math.inf)
+    while x < hi and probe(x)[0]:
+        x = math.nextafter(x, math.inf)
+    return x
 
 
 def time_for_intensity_exact(params: GeometricModelParams, lambda_target: float) -> float:
     """Numerical inverse of :func:`failure_intensity`.
 
     Returns the t >= 1 with ``failure_intensity(params, t) == lambda_target``
-    to floating-point resolution.  The intensity is strictly decreasing, so
-    the root is unique.  The answer is the float that bisection returns:
-    doubling t from 2 while ``failure_intensity(params, t) > lambda_target``,
-    then halving that bracket until its midpoint equals an end.  It is
-    found by :func:`_sign_change` on ``ln intensity - ln lambda_target``
-    against ln t, which is close to linear, in about 16 evaluations of the
-    intensity where bisection takes about 66.  Every evaluation goes
-    through the module attribute ``failure_intensity``.
+    to floating-point resolution: the float t with
+    ``failure_intensity(params, prev) > lambda_target >=
+    failure_intensity(params, t)``, where ``prev`` is the float just below
+    t (t = 1 when the target is the initial intensity).  The intensity is
+    strictly decreasing, but its computed value can be non-monotone over a
+    few floats next to the root; there the answer is the lowest such t in
+    the search's final bracket (see :func:`_sign_change`).  The search runs
+    on ``ln intensity - ln lambda_target`` against ln t, which is close to
+    linear, in about 12 evaluations of the intensity for release-planning
+    targets, where bisection takes about 66.  Every evaluation goes through the module
+    attribute ``failure_intensity``.
     """
     lam1 = _initial_intensity(params, lambda_target)
     if lambda_target == lam1:

