@@ -279,10 +279,11 @@ class ClosedFormModel(ReliabilityModel):
                 return None
             log_shape, slope = form.log_shape(math.exp(-u), times)
             levels = log_counts - log_shape
-            return levels - levels.mean()
+            # sum / size is ndarray.mean() to the bit, without its overhead.
+            return levels - levels.sum() / levels.size
 
         def jacobian(z: np.ndarray, r: np.ndarray) -> list[np.ndarray]:
-            return [slope - slope.mean()]
+            return [slope - slope.sum() / slope.size]
 
         t_q = ds.final_time
         start = [-math.log(form.start(t_q))]
@@ -292,7 +293,8 @@ class ClosedFormModel(ReliabilityModel):
         except ValueError as exc:
             raise FitError(f"{model_name}: {exc}") from exc
         c = math.exp(-float(best[0]))
-        level = float((log_counts - form.log_shape(c, times)[0]).mean())
+        levels = log_counts - form.log_shape(c, times)[0]
+        level = float(levels.sum() / levels.size)
         params = form.params(c, level)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             value = estimation._log_count_objective(form.mean, params, times, log_counts)

@@ -115,6 +115,29 @@ class FailureDataset:
     def __len__(self) -> int:
         return len(self.points)
 
+    def prefix(self, n: int) -> "FailureDataset":
+        """The first ``n`` points as a history of their own, equal to
+        ``FailureDataset(self.points[:n], self.label, self.native_unit)``.
+
+        A prefix of a valid history is valid, so nothing is checked again:
+        the prefix slices this history's points tuple, and its ``times``
+        and ``counts`` are read-only views of this history's arrays.
+        Raises ``ValueError`` unless ``n`` is an integer from 1 to
+        ``len(self)``.
+        """
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"a prefix length must be an integer, got {n!r}")
+        if not 1 <= n <= len(self.points):
+            raise ValueError(f"a prefix length must lie in 1..{len(self.points)}, got {n}")
+        n = int(n)
+        sub = object.__new__(FailureDataset)
+        object.__setattr__(sub, "points", self.points[:n])
+        object.__setattr__(sub, "label", self.label)
+        object.__setattr__(sub, "native_unit", self.native_unit)
+        object.__setattr__(sub, "times", self.times[:n])
+        object.__setattr__(sub, "counts", self.counts[:n])
+        return sub
+
     @property
     def final_time(self) -> float:
         """Time of the last measurement (the end of the observation window)."""

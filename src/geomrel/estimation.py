@@ -334,38 +334,6 @@ def nelder_mead(objective, start) -> tuple[np.ndarray, OptimizerResult]:
     return np.array(simplex[0]), result
 
 
-def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float]:
-    """The solution of a 1x1 or 2x2 positive definite system, by Cramer's
-    rule in Python floats; NaNs when rounding leaves the 2x2 determinant
-    at or below zero, which the caller's probe then rejects."""
-    if len(rhs) == 1:
-        return [rhs[0] / matrix[0][0]]
-    (a, b), (c, d) = matrix
-    det = a * d - b * c
-    if not det > 0.0:
-        return [math.nan, math.nan]
-    return [(rhs[0] * d - b * rhs[1]) / det, (a * rhs[1] - c * rhs[0]) / det]
-
-
-def _damped_step(normal, gradient, damping, free, at_bound) -> list[float]:
-    """The solution of ``(A + damping diag(A)) step = -g`` over the
-    coordinates in ``free``, with the others' steps 0.  A coordinate on its
-    bound whose step points outward is held, and the rest solved again."""
-    step = [0.0] * len(gradient)
-    while free:
-        solved = _solve(
-            [[normal[i][j] * (1.0 + damping if i == j else 1.0) for j in free] for i in free],
-            [-gradient[i] for i in free],
-        )
-        outward = [i for i, s in zip(free, solved) if at_bound[i] and s > 0.0]
-        if not outward:
-            for i, s in zip(free, solved):
-                step[i] = s
-            break
-        free = [i for i in free if i not in outward]
-    return step
-
-
 def levenberg_marquardt(
     residuals, jacobian, start, upper=None
 ) -> tuple[np.ndarray, OptimizerResult]:
@@ -382,40 +350,59 @@ def levenberg_marquardt(
     so it may reuse that call's work.
 
     Each step solves ``(A + damping diag(A)) step = -g`` with
-    ``A = J^T J`` and ``g = J^T r`` (Marquardt's scaling) in Python floats,
-    so that runs are deterministic whatever linear algebra numpy is built
-    with; x has 1 or 2 coordinates, and one whose Jacobian column is zero
-    is held.  The damping starts at 1e-3.  A step is accepted only when it
-    lowers the objective; the damping then shrinks by Nielsen's gain-ratio
-    rule, ``max(1/3, 1 - (2 rho - 1)**3)``, and after a rejected step it
-    grows by 2, 4, 8, ...  The run stops once an accepted step lowers the
-    objective by at most 1e-13 of its value, or a step moves every
-    coordinate x by at most 1e-12 (1 + |x|) (``converged``), or after 200
-    steps.
+    ``A = J^T J`` and ``g = J^T r`` (Marquardt's scaling) by Cramer's rule
+    in Python floats, so that runs are deterministic whatever linear
+    algebra numpy is built with; x has 1 or 2 coordinates, and one whose
+    Jacobian column is zero is held.  The damping starts at 1e-3.  A step
+    is accepted only when it lowers the objective; the damping then
+    shrinks by Nielsen's gain-ratio rule, ``max(1/3, 1 - (2 rho - 1)**3)``,
+    and after a rejected step it grows by 2, 4, 8, ...  The run stops once
+    an accepted step lowers the objective by at most 1e-13 of its value,
+    or a step moves every coordinate x by at most 1e-12 (1 + |x|)
+    (``converged``), or after 200 steps.
 
-    ``upper`` gives each coordinate's upper bound (``math.inf`` for none);
-    ``start`` must lie within it.  A step that crosses a bound is shortened
-    along its direction to end on it.  A coordinate on its bound whose
-    gradient points outward is held while the others move, as is one whose
-    step would point outward once solved with the others.
+    ``upper`` gives each coordinate's upper bound (``math.inf`` for none),
+    one per coordinate and none NaN, and ``start`` must lie within it;
+    otherwise ``ValueError`` is raised.  A step that crosses a bound is
+    shortened along its direction to end on it.  A coordinate on its bound
+    whose gradient points outward is held while the others move, as is
+    one whose step would point outward once solved with the others.
 
     Like :func:`nelder_mead`, the whole run is under one ``np.errstate``
     that silences overflow, invalid and divide warnings.
     """
-    x = [float(v) for v in np.asarray(start, dtype=float)]
-    if not 1 <= len(x) <= 2:
+    point = [float(v) for v in np.asarray(start, dtype=float)]
+    if not 1 <= len(point) <= 2:
         raise ValueError("start must have 1 or 2 coordinates")
-    k = len(x)
-    bounds = [math.inf] * k if upper is None else [float(u) for u in upper]
+    two = len(point) == 2
+    if upper is None:
+        bounds = [math.inf] * len(point)
+    else:
+        bounds = [float(u) for u in upper]
+        if len(bounds) != len(point):
+            raise ValueError(
+                f"upper must give one bound per coordinate: {len(bounds)} for {len(point)}"
+            )
+        if any(math.isnan(b) for b in bounds):
+            raise ValueError("upper must not contain NaN")
+        if any(v > b for v, b in zip(point, bounds)):
+            raise ValueError("start must lie within upper")
+    # A 1-d search carries a second coordinate at 0 with no bound, no
+    # gradient and no curvature: it is never free, so it never moves, and
+    # the first coordinate's floats are those of a 1-d solve.
+    x0, x1 = point if two else (point[0], 0.0)
+    b0, b1 = bounds if two else (bounds[0], math.inf)
+    g1 = n01 = n10 = n11 = 0.0
+    free1 = False
 
     nonfinite = 0
     evaluations = 0
     jacobians = 0
 
-    def evaluate(point: list[float]):
+    def evaluate(probe: list[float]):
         nonlocal nonfinite, evaluations
         evaluations += 1
-        r = residuals(np.array(point))
+        r = residuals(np.array(probe))
         value = math.inf if r is None else float(r @ r)
         if not math.isfinite(value):
             nonfinite += 1
@@ -423,57 +410,96 @@ def levenberg_marquardt(
         return r, value
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        r, value = evaluate(x)
+        r, value = evaluate(point)
         if r is None:
             raise ValueError("objective is not finite at the start")
 
         damping, growth = _LM_DAMPING, 2.0
         iterations = 0
         converged = False
-        fresh = True  # the Jacobian is due at x
+        fresh = True  # the Jacobian is due at the point
         while True:
             if fresh:
-                columns = jacobian(np.array(x), r)
+                columns = jacobian(np.array(point), r)
                 jacobians += 1
-                gradient = [float(c @ r) for c in columns]
-                normal = [[float(a @ b) for b in columns] for a in columns]
-                free = [
-                    i for i in range(k)
-                    if normal[i][i] > 0.0 and not (x[i] >= bounds[i] and gradient[i] < 0.0)
-                ]
-            if not free:
+                c0 = columns[0]
+                g0 = float(c0 @ r)
+                n00 = float(c0 @ c0)
+                free0 = n00 > 0.0 and not (x0 >= b0 and g0 < 0.0)
+                if two:
+                    c1 = columns[1]
+                    g1 = float(c1 @ r)
+                    n01 = float(c0 @ c1)
+                    n10 = float(c1 @ c0)
+                    n11 = float(c1 @ c1)
+                    free1 = n11 > 0.0 and not (x1 >= b1 and g1 < 0.0)
+            if not (free0 or free1):
                 converged = True
                 break
             if iterations >= _LM_MAX_ITERATIONS:
                 break
             iterations += 1
 
-            at_bound = [v >= b for v, b in zip(x, bounds)]
-            step = _damped_step(normal, gradient, damping, free, at_bound)
-            # Shorten a step that crosses a bound so that it ends there.
-            crossing = {
-                i: (b - v) / s for i, (v, s, b) in enumerate(zip(x, step, bounds)) if v + s > b
-            }
-            share = min(crossing.values(), default=1.0)
-            trial = [
-                b if crossing.get(i) == share else v + share * s
-                for i, (v, s, b) in enumerate(zip(x, step, bounds))
-            ]
-            step = [t - v for t, v in zip(trial, x)]
-            if all(abs(s) <= _LM_STEP * (1.0 + abs(v)) for s, v in zip(step, x)):
+            # The damped step over the free coordinates, 0 for the others.
+            # A coordinate on its bound whose step points outward is held,
+            # and the other solved again alone.  When rounding leaves the
+            # determinant at or below zero, the step is NaN and its probe
+            # rejected.
+            scale = 1.0 + damping
+            s0 = s1 = 0.0
+            move0, move1 = free0, free1
+            if move0 and move1:
+                a = n00 * scale
+                d = n11 * scale
+                det = a * d - n01 * n10
+                if det > 0.0:
+                    t0 = (-g0 * d - n01 * -g1) / det
+                    t1 = (a * -g1 - n10 * -g0) / det
+                else:
+                    t0 = t1 = math.nan
+                move0 = not (x0 >= b0 and t0 > 0.0)
+                move1 = not (x1 >= b1 and t1 > 0.0)
+                if move0 and move1:
+                    s0, s1 = t0, t1
+            if move0 and not move1:
+                t0 = -g0 / (n00 * scale)
+                if not (x0 >= b0 and t0 > 0.0):
+                    s0 = t0
+            elif move1 and not move0:
+                t1 = -g1 / (n11 * scale)
+                if not (x1 >= b1 and t1 > 0.0):
+                    s1 = t1
+
+            # Shorten a step that crosses a bound so that it ends there, at
+            # the smaller share of the step when both cross.
+            share = 1.0
+            cross0 = x0 + s0 > b0
+            if cross0:
+                share = f0 = (b0 - x0) / s0
+            cross1 = x1 + s1 > b1
+            if cross1:
+                f1 = (b1 - x1) / s1
+                if not cross0 or f1 < share:
+                    share = f1
+            trial0 = b0 if cross0 and f0 == share else x0 + share * s0
+            trial1 = b1 if cross1 and f1 == share else x1 + share * s1
+            u0 = trial0 - x0
+            u1 = trial1 - x1
+            if abs(u0) <= _LM_STEP * (1.0 + abs(x0)) and abs(u1) <= _LM_STEP * (1.0 + abs(x1)):
                 converged = True
                 break
 
+            trial = [trial0, trial1] if two else [trial0]
             r_trial, value_trial = evaluate(trial)
             if value_trial < value:
                 decrease = value - value_trial
-                # The reduction the linear model predicts: -(2 g.s + s'As).
-                predicted = -sum(
-                    s * (2.0 * g + sum(a * u for a, u in zip(row, step)))
-                    for s, g, row in zip(step, gradient, normal)
+                # The reduction the linear model predicts: -(2 g.u + u'Au).
+                predicted = -(
+                    u0 * (2.0 * g0 + (n00 * u0 + n01 * u1))
+                    + u1 * (2.0 * g1 + (n10 * u0 + n11 * u1))
                 )
                 small = decrease <= _LM_DECREASE * value
-                x, r, value = trial, r_trial, value_trial
+                point, x0, x1, r, value = trial, trial0, trial1, r_trial, value_trial
                 if small:
                     converged = True
                     break
@@ -489,7 +515,7 @@ def levenberg_marquardt(
 
     result = OptimizerResult(
         optimizer="levenberg-marquardt",
-        x=tuple(x),
+        x=tuple(point),
         value=value,
         iterations=iterations,
         converged=converged,
@@ -498,7 +524,7 @@ def levenberg_marquardt(
         jacobian_evaluations=jacobians,
         simplex_spread=None,
     )
-    return np.array(x), result
+    return np.array(point), result
 
 
 def _logit(p: float) -> float:

@@ -130,7 +130,8 @@ def _require_failures(ds: FailureDataset) -> None:
 def number_of_failures_eval(model_name: str, ds: FailureDataset, cut_points=None) -> ValidityCurve:
     """Refit ``model_name`` on truncations of ``ds`` and score each
     prediction of the final failure count; each distinct truncation is
-    fitted once however many cuts leave it.
+    fitted once however many cuts leave it, on a history sliced from
+    ``ds`` by :meth:`FailureDataset.prefix`.
 
     ``cut_points`` defaults to :func:`default_cut_points`.  Cuts that leave
     fewer than two measurements, or at which the fit or prediction fails,
@@ -161,9 +162,8 @@ def number_of_failures_eval(model_name: str, ds: FailureDataset, cut_points=None
             skipped.append((t_e, "fewer than 2 measurements at this cut"))
             continue
         if n not in outcomes:
-            sub = FailureDataset(ds.points[:n], ds.label, ds.native_unit)
             try:
-                outcomes[n] = fit_model(model_name, sub).predict_mean(t_q)
+                outcomes[n] = fit_model(model_name, ds.prefix(n)).predict_mean(t_q)
             except (FitError, PredictionError, ValueError, OverflowError) as exc:
                 outcomes[n] = str(exc)
         outcome = outcomes[n]

@@ -1,4 +1,5 @@
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ PROFILE = TimeConversionProfile(
     test_case_incident_equivalent=1.0,
     avg_test_case_duration=0.5,
 )
+
+REPO_DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 class TestFailureDataset:
@@ -106,6 +109,47 @@ class TestFailureDataset:
         ds = FailureDataset(((10.0, 0),))
         assert ds.failure_times().size == 0
         assert ds.time_between_failures().size == 0
+
+
+def _ntds_history():
+    with open(REPO_DATA / "ntds_tbf.csv", "rb") as handle:
+        return parse_dataset(handle, "tbf_csv", label="ntds")
+
+
+def _grid_history():
+    # Cumulative counts on a grid: zero counts first, repeats, and counts
+    # beyond the float's exact integers.
+    counts = [0, 0, 3, 3, 8, 9, 9, 14, 2**62, 2**63 - 1]
+    points = tuple((2.5 * (i + 1), c) for i, c in enumerate(counts))
+    return FailureDataset(points, "grid", TimeUnit.CALENDAR_DAY)
+
+
+class TestPrefix:
+    @pytest.mark.parametrize("history", [_ntds_history, _grid_history], ids=["ntds", "grid"])
+    def test_equals_the_rebuilt_history(self, history):
+        ds = history()
+        for n in range(1, len(ds) + 1):
+            sub = ds.prefix(n)
+            rebuilt = FailureDataset(ds.points[:n], ds.label, ds.native_unit)
+            assert sub == rebuilt
+            assert hash(sub) == hash(rebuilt)
+            assert sub.points == rebuilt.points
+            assert sub.native_unit is rebuilt.native_unit
+            for name in ("times", "counts"):
+                arr, expected = getattr(sub, name), getattr(rebuilt, name)
+                assert arr.dtype == expected.dtype
+                assert arr.tolist() == expected.tolist()
+                with pytest.raises(ValueError):
+                    arr.setflags(write=True)
+
+    @pytest.mark.parametrize("n", [0, -1, 11, 2.0, np.float64(3.0), "3", None, True])
+    def test_invalid_length_rejected(self, n):
+        with pytest.raises(ValueError, match="prefix length"):
+            _grid_history().prefix(n)
+
+    def test_numpy_integer_length_accepted(self):
+        ds = _grid_history()
+        assert ds.prefix(np.int64(4)) == ds.prefix(4)
 
 
 class TestParseDataset:

@@ -830,6 +830,298 @@ def _rosenbrock_jacobian(x, r):
     return [np.array([-1.0, -20.0 * x[0]]), np.array([0.0, 10.0])]
 
 
+def _bounded_residuals(x):
+    # The unconstrained minimum (3, 1) lies beyond x0 <= 2.
+    return np.array([x[0] - 3.0, x[1] - 1.0, 0.1 * x[0] * x[1]])
+
+
+def _bounded_jacobian(x, r):
+    return [np.array([1.0, 0.0, 0.1 * x[1]]), np.array([0.0, 1.0, 0.1 * x[0]])]
+
+
+_COUPLING = 0.1
+
+
+def _coupled_residuals(x):
+    # The minimum (1, -1) lies beyond x0 <= 0, across strongly coupled
+    # coordinates.
+    return np.array([x[0] + x[1], _COUPLING * (x[0] - x[1] - 2.0)])
+
+
+def _coupled_jacobian(x, r):
+    return [np.array([1.0, _COUPLING]), np.array([1.0, -_COUPLING])]
+
+
+def _holed_residuals(x):
+    # The minimum at 3 lies beyond a region outside the domain from 2.
+    return None if x[0] > 2.0 else np.array([x[0] - 3.0])
+
+
+def _holed_jacobian(x, r):
+    return [np.array([1.0])]
+
+
+def _bowl_residuals(x):
+    # A bowl around (3, 3), mildly coupled.
+    return np.array([x[0] - 3.0, x[1] - 3.0, 0.5 * (x[0] - x[1])])
+
+
+def _bowl_jacobian(x, r):
+    return [np.array([1.0, 0.0, 0.5]), np.array([0.0, 1.0, -0.5])]
+
+
+def _arctan_residuals(x):
+    # 1-d and nonlinear, with a flat tail either way.
+    return np.array([math.atan(x[0]) - 0.5, 0.1 * x[0] * x[0]])
+
+
+def _arctan_jacobian(x, r):
+    return [np.array([1.0 / (1.0 + x[0] * x[0]), 0.2 * x[0]])]
+
+
+# name -> (residuals, jacobian, number of coordinates)
+_LM_PROBLEMS = {
+    "rosenbrock": (_rosenbrock_residuals, _rosenbrock_jacobian, 2),
+    "bounded": (_bounded_residuals, _bounded_jacobian, 2),
+    "coupled": (_coupled_residuals, _coupled_jacobian, 2),
+    "holed": (_holed_residuals, _holed_jacobian, 1),
+    "bowl": (_bowl_residuals, _bowl_jacobian, 2),
+    "arctan": (_arctan_residuals, _arctan_jacobian, 1),
+}
+
+_LM_BRANCHES = {
+    "hold-gradient", "hold-resolve", "cross", "cross-both", "reject", "nonfinite",
+    "small-step", "small-decrease", "all-held", "cap",
+}
+
+
+def _reference_solve(matrix, rhs):
+    if len(rhs) == 1:
+        return [rhs[0] / matrix[0][0]]
+    (a, b), (c, d) = matrix
+    det = a * d - b * c
+    if not det > 0.0:
+        return [math.nan, math.nan]
+    return [(rhs[0] * d - b * rhs[1]) / det, (a * rhs[1] - c * rhs[0]) / det]
+
+
+def _reference_damped_step(normal, gradient, damping, free, at_bound, hit):
+    step = [0.0] * len(gradient)
+    while free:
+        solved = _reference_solve(
+            [[normal[i][j] * (1.0 + damping if i == j else 1.0) for j in free] for i in free],
+            [-gradient[i] for i in free],
+        )
+        outward = [i for i, s in zip(free, solved) if at_bound[i] and s > 0.0]
+        if not outward:
+            for i, s in zip(free, solved):
+                step[i] = s
+            break
+        hit("hold-resolve")
+        free = [i for i in free if i not in outward]
+    return step
+
+
+def reference_levenberg_marquardt(residuals, jacobian, start, upper=None, branches=None):
+    """The loop as first written, with list-of-lists matrices, a dict of
+    crossing shares and generator sums, and without the checks on
+    ``upper``.  Adds the name of every branch it takes to ``branches`` if
+    given.  Its constants are read from the module, so that patching them
+    moves both loops alike."""
+    hit = branches.add if branches is not None else (lambda name: None)
+    x = [float(v) for v in np.asarray(start, dtype=float)]
+    if not 1 <= len(x) <= 2:
+        raise ValueError("start must have 1 or 2 coordinates")
+    k = len(x)
+    bounds = [math.inf] * k if upper is None else [float(u) for u in upper]
+
+    nonfinite = 0
+    evaluations = 0
+    jacobians = 0
+
+    def evaluate(point):
+        nonlocal nonfinite, evaluations
+        evaluations += 1
+        r = residuals(np.array(point))
+        value = math.inf if r is None else float(r @ r)
+        if not math.isfinite(value):
+            hit("nonfinite")
+            nonfinite += 1
+            return None, math.inf
+        return r, value
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r, value = evaluate(x)
+        if r is None:
+            raise ValueError("objective is not finite at the start")
+
+        damping, growth = estimation._LM_DAMPING, 2.0
+        iterations = 0
+        converged = False
+        fresh = True
+        while True:
+            if fresh:
+                columns = jacobian(np.array(x), r)
+                jacobians += 1
+                gradient = [float(c @ r) for c in columns]
+                normal = [[float(a @ b) for b in columns] for a in columns]
+                free = [
+                    i for i in range(k)
+                    if normal[i][i] > 0.0 and not (x[i] >= bounds[i] and gradient[i] < 0.0)
+                ]
+                if any(x[i] >= bounds[i] and gradient[i] < 0.0 for i in range(k)):
+                    hit("hold-gradient")
+            if not free:
+                hit("all-held")
+                converged = True
+                break
+            if iterations >= estimation._LM_MAX_ITERATIONS:
+                hit("cap")
+                break
+            iterations += 1
+
+            at_bound = [v >= b for v, b in zip(x, bounds)]
+            step = _reference_damped_step(normal, gradient, damping, free, at_bound, hit)
+            crossing = {
+                i: (b - v) / s for i, (v, s, b) in enumerate(zip(x, step, bounds)) if v + s > b
+            }
+            if crossing:
+                hit("cross-both" if len(crossing) == 2 else "cross")
+            share = min(crossing.values(), default=1.0)
+            trial = [
+                b if crossing.get(i) == share else v + share * s
+                for i, (v, s, b) in enumerate(zip(x, step, bounds))
+            ]
+            step = [t - v for t, v in zip(trial, x)]
+            if all(abs(s) <= estimation._LM_STEP * (1.0 + abs(v)) for s, v in zip(step, x)):
+                hit("small-step")
+                converged = True
+                break
+
+            r_trial, value_trial = evaluate(trial)
+            if value_trial < value:
+                decrease = value - value_trial
+                predicted = -sum(
+                    s * (2.0 * g + sum(a * u for a, u in zip(row, step)))
+                    for s, g, row in zip(step, gradient, normal)
+                )
+                small = decrease <= estimation._LM_DECREASE * value
+                x, r, value = trial, r_trial, value_trial
+                if small:
+                    hit("small-decrease")
+                    converged = True
+                    break
+                if predicted > 0.0:
+                    gain = 2.0 * decrease / predicted - 1.0
+                    damping *= max(1.0 / 3.0, 1.0 - gain * gain * gain)
+                growth = 2.0
+                fresh = True
+            else:
+                hit("reject")
+                damping *= growth
+                growth *= 2.0
+                fresh = False
+
+    result = OptimizerResult(
+        optimizer="levenberg-marquardt",
+        x=tuple(x),
+        value=value,
+        iterations=iterations,
+        converged=converged,
+        nonfinite_evaluations=nonfinite,
+        evaluations=evaluations,
+        jacobian_evaluations=jacobians,
+        simplex_spread=None,
+    )
+    return np.array(x), result
+
+
+def _run_both_lm(residuals, jacobian, start, upper=None, branches=None):
+    """Outcomes of the live loop and of the reference on one problem, as
+    :func:`_run_both` gives them for Nelder-Mead."""
+    outcomes = []
+    runs = (
+        levenberg_marquardt,
+        lambda *a: reference_levenberg_marquardt(*a, branches=branches),
+    )
+    for run in runs:
+        try:
+            best, result = run(residuals, jacobian, start, upper)
+        except ValueError as exc:
+            outcomes.append(str(exc))
+        else:
+            assert isinstance(best, np.ndarray) and best.dtype == float and best.ndim == 1
+            outcomes.append((best.tolist(), result))
+    return outcomes
+
+
+# The fixed cases of TestLevenbergMarquardt: (problem, start, upper, cap).
+_LM_CASES = {
+    "rosenbrock": ("rosenbrock", [-1.2, 1.0], None, None),
+    "held-bound": ("bounded", [0.0, 0.0], [2.0, math.inf], None),
+    "coupled-resolve": ("coupled", [0.0, 3.0], [0.0, math.inf], None),
+    "nonfinite-probes": ("holed", [0.0], None, None),
+    "iteration-cap": ("rosenbrock", [-1.2, 1.0], None, 1),
+    "both-cross": ("bowl", [0.0, 0.0], [1.0, 1.0], None),
+    "one-crosses-first": ("bowl", [0.0, 0.0], [1.0, 2.0], None),
+    "arctan": ("arctan", [3.0], None, None),
+}
+
+
+def _lm_cap(cap):
+    return mock.patch.object(
+        estimation, "_LM_MAX_ITERATIONS", estimation._LM_MAX_ITERATIONS if cap is None else cap
+    )
+
+
+@pytest.mark.parametrize("case", sorted(_LM_CASES))
+def test_levenberg_marquardt_equals_frozen_reference(case):
+    """Each fixed case gives the same point and the same record, field by
+    field, as the loop it replaced."""
+    problem, start, upper, cap = _LM_CASES[case]
+    residuals, jacobian, _ = _LM_PROBLEMS[problem]
+    with _lm_cap(cap):
+        _assert_same(_run_both_lm(residuals, jacobian, start, upper))
+
+
+def test_levenberg_marquardt_cases_reach_every_branch():
+    branches = set()
+    for problem, start, upper, cap in _LM_CASES.values():
+        residuals, jacobian, _ = _LM_PROBLEMS[problem]
+        with _lm_cap(cap):
+            _run_both_lm(residuals, jacobian, start, upper, branches)
+    assert branches == _LM_BRANCHES
+
+
+@st.composite
+def _lm_problems(draw):
+    name = draw(st.sampled_from(sorted(_LM_PROBLEMS)))
+    residuals, jacobian, k = _LM_PROBLEMS[name]
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e3, draw(st.floats(1e-2, 1e2))]))
+    start = draw(st.lists(_COORDINATE, min_size=k, max_size=k))
+    # Each coordinate unbounded, on its bound, or below it.
+    margins = st.one_of(st.just(math.inf), st.just(0.0), st.floats(0.0, 4.0))
+    upper = [v + m for v, m in zip(start, draw(st.lists(margins, min_size=k, max_size=k)))]
+    cap = draw(st.sampled_from([None, draw(st.integers(1, 30))]))
+
+    def scaled_residuals(x):
+        r = residuals(x)
+        return None if r is None else scale * r
+
+    def scaled_jacobian(x, r):
+        return [scale * c for c in jacobian(x, r / scale)]
+
+    return scaled_residuals, scaled_jacobian, start, upper, cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lm_problems())
+def test_levenberg_marquardt_equals_frozen_reference_on_random_problems(problem):
+    residuals, jacobian, start, upper, cap = problem
+    with _lm_cap(cap):
+        _assert_same(_run_both_lm(residuals, jacobian, start, upper))
+
+
 class TestLevenbergMarquardt:
     def test_rosenbrock_least_squares(self):
         best, diag = levenberg_marquardt(
@@ -859,13 +1151,9 @@ class TestLevenbergMarquardt:
     def test_upper_bound_holds_a_coordinate(self):
         # The unconstrained minimum (3, 1) lies beyond x0 <= 2: the search
         # ends on that bound, with the free coordinate at its optimum.
-        def residuals(x):
-            return np.array([x[0] - 3.0, x[1] - 1.0, 0.1 * x[0] * x[1]])
-
-        def jacobian(x, r):
-            return [np.array([1.0, 0.0, 0.1 * x[1]]), np.array([0.0, 1.0, 0.1 * x[0]])]
-
-        best, diag = levenberg_marquardt(residuals, jacobian, [0.0, 0.0], upper=[2.0, math.inf])
+        best, diag = levenberg_marquardt(
+            _bounded_residuals, _bounded_jacobian, [0.0, 0.0], upper=[2.0, math.inf]
+        )
         assert best[0] == 2.0
         assert best[1] == pytest.approx(1.0 / 1.04, rel=1e-6)
         assert diag.converged
@@ -874,15 +1162,10 @@ class TestLevenbergMarquardt:
         # From (0, 3), on the bound x0 <= 0, the gradient in x0 points
         # inward, but the joint step heads for the minimum (1, -1) beyond
         # the bound.  x0 is held, and x1 reaches the optimum on the bound.
-        eps = 0.1
-
-        def residuals(x):
-            return np.array([x[0] + x[1], eps * (x[0] - x[1] - 2.0)])
-
-        def jacobian(x, r):
-            return [np.array([1.0, eps]), np.array([1.0, -eps])]
-
-        best, diag = levenberg_marquardt(residuals, jacobian, [0.0, 3.0], upper=[0.0, math.inf])
+        eps = _COUPLING
+        best, diag = levenberg_marquardt(
+            _coupled_residuals, _coupled_jacobian, [0.0, 3.0], upper=[0.0, math.inf]
+        )
         assert best[0] == 0.0
         assert best[1] == pytest.approx(-2.0 * eps**2 / (1.0 + eps**2), rel=1e-6)
         assert diag.converged
@@ -890,10 +1173,7 @@ class TestLevenbergMarquardt:
     def test_nonfinite_probes_counted_not_fatal(self):
         # The minimum at 3 lies beyond a region outside the domain from 2:
         # the walk tallies the rejected probes and settles below 2.
-        def residuals(x):
-            return None if x[0] > 2.0 else np.array([x[0] - 3.0])
-
-        best, diag = levenberg_marquardt(residuals, lambda x, r: [np.array([1.0])], [0.0])
+        best, diag = levenberg_marquardt(_holed_residuals, _holed_jacobian, [0.0])
         assert diag.nonfinite_evaluations >= 1
         assert 1.9 < best[0] <= 2.0
         assert diag.converged
@@ -912,6 +1192,21 @@ class TestLevenbergMarquardt:
         with pytest.raises(ValueError, match="1 or 2 coordinates"):
             levenberg_marquardt(_rosenbrock_residuals, _rosenbrock_jacobian, [0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "problem, start, upper, message",
+        [
+            ("rosenbrock", [0.0, 0.0], [1.0], "one bound per coordinate"),
+            ("holed", [0.0], [1.0, 2.0], "one bound per coordinate"),
+            ("rosenbrock", [0.0, 0.0], [math.nan, 1.0], "NaN"),
+            ("bounded", [0.0, 3.0], [1.0, 2.0], "start must lie within upper"),
+        ],
+        ids=["too-few", "too-many", "nan", "start-above"],
+    )
+    def test_invalid_upper_rejected(self, problem, start, upper, message):
+        residuals, jacobian, _ = _LM_PROBLEMS[problem]
+        with pytest.raises(ValueError, match=message):
+            levenberg_marquardt(residuals, jacobian, start, upper)
+
     def test_numpy_state_restored_and_silenced(self):
         seen = []
 
@@ -923,6 +1218,32 @@ class TestLevenbergMarquardt:
         levenberg_marquardt(residuals, _rosenbrock_jacobian, [-1.2, 1.0])
         assert np.geterr() == before
         assert all(s["over"] == s["invalid"] == s["divide"] == "ignore" for s in seen)
+
+
+class TestFrozenReferenceFits:
+    """Every least-squares fit of the gate histories hands the loop its
+    residuals and Jacobian; the reference, run on the same functions,
+    start and bounds, gives the same point and record."""
+
+    @pytest.mark.parametrize("model_name", ["geometric", "musa-basic", "musa-okumoto"])
+    def test_fits_equal_reference(self, monkeypatch, gate_histories, model_name):
+        from geomrel.comparison import fit_model
+
+        calls = []
+        original = estimation.levenberg_marquardt
+
+        def capture(residuals, jacobian, start, upper=None):
+            best, result = original(residuals, jacobian, start, upper)
+            calls.append(((residuals, jacobian, start, upper), (best.tolist(), result)))
+            return best, result
+
+        monkeypatch.setattr(estimation, "levenberg_marquardt", capture)
+        for ds in gate_histories:
+            fit_model(model_name, ds)
+        assert len(calls) == len(gate_histories)
+        for args, live in calls:
+            best, result = reference_levenberg_marquardt(*args)
+            _assert_same([live, (best.tolist(), result)])
 
 
 class TestDecayBound:
