@@ -60,7 +60,7 @@ class FailureDataset:
     points, which they check themselves.
 
     ``times`` (float) and ``counts`` (int64) hold the points as read-only
-    arrays.
+    arrays over immutable ``bytes``, which no caller can make writable.
     """
 
     points: tuple[tuple[float, int], ...]
@@ -107,10 +107,8 @@ class FailureDataset:
             raise ValueError("cumulative failure counts must be non-negative")
         if np.any(np.diff(counts) < 0):
             raise ValueError("cumulative failure counts must not decrease")
-        times.setflags(write=False)
-        counts.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "times", np.frombuffer(times.tobytes(), dtype=float))
+        object.__setattr__(self, "counts", np.frombuffer(counts.tobytes(), dtype=np.int64))
 
     def __len__(self) -> int:
         return len(self.points)

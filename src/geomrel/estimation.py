@@ -30,9 +30,7 @@ from .model import (
     DEFAULT_RATE_FLOOR,
     GeometricModelParams,
     _intensity_sums,
-    _log_ratio,
     _occurrence_sum,
-    _sign_change,
     default_truncation,
     mean_failures,
 )
@@ -55,6 +53,10 @@ __all__ = [
 MAX_FIT_TRUNCATION = 10_000
 
 _INITIAL_DECAY_GUESS = 0.94
+# 0.94**a over the 224 faults of the default truncation at 0.94, and the
+# start's cap on Newton steps.
+_START_POWERS = _INITIAL_DECAY_GUESS ** np.arange(default_truncation(0.94), dtype=float)
+_START_STEPS = 16
 
 
 # Every Nelder-Mead run uses the standard Nelder & Mead (1965)
@@ -540,37 +542,40 @@ def _expit(z: float) -> float:
 
 def _initial_p1(t_q: float, q: float) -> float:
     """Rate of the leading fault such that the modelled mean at the initial
-    decay ratio hits the final observed count (the mean is increasing in
+    decay ratio meets the final observed count (the mean is increasing in
     p1), within [1e-12, 1/2].  The upper end keeps the search off the
     saturated corner p1 -> 1, where the residuals' derivative in logit p1
     carries a factor 1 - p1 and vanishes: a count beyond the mean at
     p1 = 1/2 starts there and leaves d to grow.
 
     The mean is ``mean_failures(GeometricModelParams(p1, 0.94), t_q)``,
-    whose 224 terms are summed directly, evaluated with the same operations
-    over powers of 0.94 computed once.  ``model._sign_change`` finds it
-    with secant steps on ``ln q - ln mean`` against ln p1: the lowest float
-    p1 found whose mean reaches q, where the mean at the float below stays
-    short of it."""
-    d = _INITIAL_DECAY_GUESS
-    powers = d ** np.arange(default_truncation(d), dtype=float)
+    evaluated with the same operations over its 224 powers of 0.94,
+    computed once.  Newton steps on ``ln mean`` against ln p1, with slope
+    ``t lambda / mean`` (``d mean / d p1 = t lambda / p1``, as in the
+    fit's Jacobian), start from the linear limit ``mean = p1 t
+    sum(0.94**a)`` and stop once a step moves ln p1 by at most 1e-10 (the
+    mean then meets q to a few parts in 1e15) or after ``_START_STEPS``."""
     t = np.asarray(t_q, dtype=float)
     lo, hi = 1e-12, 0.5
 
-    def excess(p1: float) -> float:
-        return float(_occurrence_sum(t, np.log1p(-(p1 * powers)))) - q
+    def mean(p1: float) -> float:
+        return float(_occurrence_sum(t, np.log1p(-(p1 * _START_POWERS))))
 
-    def probe(p1: float):
-        over = excess(p1)
-        return over < 0, -_log_ratio(over, q)
-
-    hi_excess = excess(hi)
-    if hi_excess <= 0:
+    if mean(hi) <= q:
         return hi
-    lo_excess = excess(lo)
-    if lo_excess >= 0:
+    if mean(lo) >= q:
         return lo
-    return _sign_change(probe, lo, -_log_ratio(lo_excess, q), hi, -_log_ratio(hi_excess, q))
+    p1 = min(max(q / (t_q * float(_START_POWERS.sum())), lo), hi)
+    for _ in range(_START_STEPS):
+        rates = p1 * _START_POWERS
+        log_survival = np.log1p(-rates)
+        mu = float(_occurrence_sum(t, log_survival))
+        reach = t_q * float(rates @ np.exp((t_q - 1.0) * log_survival))  # d mean / d ln p1
+        step = (math.log(q) - math.log(mu)) * mu / reach
+        last, p1 = p1, min(max(p1 * math.exp(step), lo), hi)
+        if abs(math.log(p1 / last)) <= 1e-10:
+            break
+    return p1
 
 
 def _decay_logit_bound() -> float:

@@ -318,9 +318,11 @@ def _occurrence_hazard_sum(params: GeometricModelParams) -> float:
     ``1 - d**x`` taken as ``-expm1(x ln d)``."""
     p1, d = params.p1, params.d
     x = params.truncation * math.log(d)
-    return p1 * -math.expm1(x) / (1.0 - d) - p1 * p1 * -math.expm1(2.0 * x) / (
-        (1.0 - d) * (1.0 + d)
-    )
+    hazard = p1 * -math.expm1(x) / (1.0 - d)
+    hazard -= p1 * p1 * -math.expm1(2.0 * x) / ((1.0 - d) * (1.0 + d))
+    if not hazard > 0.0:  # a subnormal p1
+        raise ValueError(f"the release-time denominator sum(p_a - p_a**2) is {hazard} at p1 = {p1}")
+    return hazard
 
 
 def _initial_intensity(params: GeometricModelParams, lambda_target: float) -> float:
@@ -386,39 +388,33 @@ def _narrowed(probe, x, lo, lo_gap, hi, hi_gap):
     return (x, gap, hi, hi_gap) if below else (lo, lo_gap, x, gap)
 
 
-def _bracket(probe, lo, lo_gap, hi, hi_gap):
-    """A bracket ``(lo, hi)`` around the sign change of ``probe`` (see
-    :func:`_sign_change`), a few floats wide unless rounding noise hides
-    the gap's slope."""
-    # Extrapolate from lo along the gap's slope in ln x, taken as -1 (as
-    # for an intensity, or a mean at small rates) until two probes measure
-    # it.  A closed bracket takes one such step, when it lands inside; an
-    # open one grows until a probe lands above the sign change, each step
-    # multiplying x by 2 to 16.
-    if hi < math.inf:
-        x = lo * math.exp(lo_gap) if lo_gap < math.log(hi / lo) else hi
-        if lo < x < hi:
-            lo, lo_gap, hi, hi_gap = _narrowed(probe, x, lo, lo_gap, hi, hi_gap)
+def _bracket(probe, lo, lo_gap):
+    """A bracket ``(lo, hi)`` around the sign change of ``probe`` above
+    ``lo`` (see :func:`_sign_change`), a few floats wide unless rounding
+    noise hides the gap's slope."""
+    # Grow the bracket from lo until a probe lands above the sign change,
+    # each step extrapolating along the gap's slope in ln x (taken as -1,
+    # as for an intensity, until two probes measure it) and multiplying x
+    # by 2 to 16.
     slope = -1.0
-    while hi == math.inf:
+    while True:
         reach = lo_gap / -slope if slope < 0.0 else math.inf
         if lo < _MAX_DOUBLING:
             x = min(lo * math.exp(min(max(reach, _LN2), _LN16)), _MAX_DOUBLING)
         else:
             x = 2.0 * lo  # infinite: the probe refuses it as the doubling did
         below, gap = probe(x)
-        if below:
-            slope = (gap - lo_gap) / math.log(x / lo)
-            lo, lo_gap = x, gap
-        else:
-            hi, hi_gap = x, gap
+        if not below:
+            break
+        slope = (gap - lo_gap) / math.log(x / lo)
+        lo, lo_gap = x, gap
     # Rounds of two probes: the chord's root, then just across the root
     # re-estimated from the new ends, past it by its distance from the
     # first probe and at least by the noise's reach, so that both ends
     # close in.  A round that fails to halve the bracket is followed by a
     # bisection step, or ends the search once the bracket is within a few
     # noise reaches, where the secant has nothing left to place.
-    ends = (lo, lo_gap, hi, hi_gap)
+    ends = (lo, lo_gap, x, gap)
     while ends[2] - ends[0] > _BRACKET_ULPS * math.ulp(ends[0]):
         width = math.log(ends[2] / ends[0])
         first, noise = _chord_root(*ends)
@@ -438,17 +434,17 @@ def _bracket(probe, lo, lo_gap, hi, hi_gap):
     return ends[0], ends[2]
 
 
-def _sign_change(probe, lo, lo_gap, hi=math.inf, hi_gap=-math.inf):
+def _sign_change(probe, lo, lo_gap):
     """The lowest float above ``lo`` at which the decision of ``probe``
-    flips, found with a few probes.
+    flips, found with a few probes.  :func:`time_for_intensity_exact` is
+    its one caller.
 
     ``probe(x)`` returns ``(below, gap)``: whether x lies below the sign
     change, and a smooth signed gap, positive below it and close to linear
-    in ln x.  ``lo`` lies below the sign change with gap ``lo_gap``, and
-    ``hi``, when finite, above it with ``hi_gap``.
+    in ln x.  ``lo`` lies below the sign change with gap ``lo_gap``.
 
-    Bounded log-log extrapolation from ``lo`` grows or enters the bracket,
-    and secant steps on the gap (a bisection step when a round fails to
+    Bounded log-log extrapolation from ``lo`` grows the bracket, and
+    secant steps on the gap (a bisection step when a round fails to
     halve the bracket) close it to a few floats; bisection finishes where
     rounding noise hides the gap's slope.  Then the floats above the
     bracket's lower end are probed one by one, and the first one not below
@@ -457,7 +453,7 @@ def _sign_change(probe, lo, lo_gap, hi=math.inf, hi_gap=-math.inf):
     then several such flips, and this returns the lowest one in the final
     bracket.
     """
-    lo, hi = _bracket(probe, lo, lo_gap, hi, hi_gap)
+    lo, hi = _bracket(probe, lo, lo_gap)
     while hi - lo > _BRACKET_ULPS * math.ulp(lo):
         mid = 0.5 * (lo + hi)
         if probe(mid)[0]:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import geomrel.cli as cli
 import geomrel.evaluation as evaluation
 from geomrel.data import FailureDataset, parse_dataset, to_cumulative_csv
-from geomrel.estimation import FitResult, OptimizerResult
+from geomrel.estimation import FitResult, OptimizerResult, least_squares_objective
 from geomrel.model import GeometricModelParams
 
 REPO_DATA = Path(__file__).resolve().parent.parent / "data"
@@ -308,6 +308,35 @@ def test_predict_fuzz_ends_with_an_exit_code(broken, data):
         code = cli.main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+@st.composite
+def cumulative_histories(draw):
+    """A valid cumulative CSV of 1 to 40 rows: strictly increasing times
+    from 1e-6 to 1e12 and non-decreasing counts from 0 to 2**63 - 1."""
+    times = sorted(draw(st.lists(st.floats(1e-6, 1e12), min_size=1, max_size=40, unique=True)))
+    counts = sorted(draw(st.lists(
+        st.integers(0, 2**63 - 1), min_size=len(times), max_size=len(times))))
+    rows = "".join(f"{t!r},{c}\n" for t, c in zip(times, counts))
+    return "time,cumulative_failures\n" + rows
+
+
+@given(text=cumulative_histories())
+@settings(max_examples=200, deadline=None)
+def test_fit_fuzz_ends_with_an_exit_code(tmp_path_factory, text):
+    """Any valid history ends fit in exit code 0, 1 or 2, never an
+    exception; a printed fit's objective is the objective at its printed
+    parameters."""
+    path = tmp_path_factory.getbasetemp() / "fit_fuzz.csv"
+    path.write_text(text)
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()):
+        code = cli.main(["fit", str(path)])
+    assert code in (0, 1, 2)
+    if code in (0, 2):
+        payload = json.loads(out.getvalue())
+        params = GeometricModelParams(payload["p1"], payload["d"], payload["truncation"])
+        ds = parse_dataset(text.encode(), "cumulative_csv")
+        assert payload["objective"] == least_squares_objective(params, ds)
 
 
 class TestEvaluateCommand:

@@ -124,6 +124,16 @@ def _grid_history():
     return FailureDataset(points, "grid", TimeUnit.CALENDAR_DAY)
 
 
+def assert_unwritable(arr):
+    """Neither the array nor any array it views can be made writable, and
+    the memory under them is an immutable ``bytes``."""
+    while isinstance(arr, np.ndarray):
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
+        arr = arr.base
+    assert isinstance(arr, bytes)
+
+
 class TestPrefix:
     @pytest.mark.parametrize("history", [_ntds_history, _grid_history], ids=["ntds", "grid"])
     def test_equals_the_rebuilt_history(self, history):
@@ -139,8 +149,8 @@ class TestPrefix:
                 arr, expected = getattr(sub, name), getattr(rebuilt, name)
                 assert arr.dtype == expected.dtype
                 assert arr.tolist() == expected.tolist()
-                with pytest.raises(ValueError):
-                    arr.setflags(write=True)
+                assert_unwritable(arr)
+                assert_unwritable(expected)
 
     @pytest.mark.parametrize("n", [0, -1, 11, 2.0, np.float64(3.0), "3", None, True])
     def test_invalid_length_rejected(self, n):

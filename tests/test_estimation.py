@@ -359,24 +359,19 @@ class TestEvaluationCount:
 
 def reference_initial_p1(t_q, q):
     """The start as first written: 80 bisection steps on p1, each through
-    ``mean_failures`` on new params at d = 0.94.  Also returns how many
-    mean evaluations it takes to reach the first midpoint that equals an
-    end of the bracket, from where the bisection no longer moves."""
+    ``mean_failures`` on new params at d = 0.94."""
     lo, hi = 1e-12, 1.0 - 1e-12
     if start_excess(hi, t_q, q) <= 0:
-        return hi, 1
+        return hi
     if start_excess(lo, t_q, q) >= 0:
-        return lo, 2
-    evaluations = None
-    for step in range(80):
+        return lo
+    for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if evaluations is None and (mid == lo or mid == hi):
-            evaluations = 2 + step
         if start_excess(mid, t_q, q) < 0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi), 82 if evaluations is None else evaluations
+    return 0.5 * (lo + hi)
 
 
 def start_excess(p1, t_q, q):
@@ -392,11 +387,11 @@ def start_excess(p1, t_q, q):
     # 224 faults at d = 0.94 its upper end.
     q=st.one_of(st.floats(1e-12, 1e-6), st.floats(0.5, 400.0)),
 )
-def test_initial_p1_meets_its_contract(t_q, q):
-    """The start is the float p1 at which the mean reaches the final count,
-    where the mean at the float below stays short of it, or an end of
-    [1e-12, 1/2] when no p1 inside does; tiny roots included.  It
-    takes a fraction of the bisection's evaluations."""
+def test_initial_p1_meets_the_count(t_q, q):
+    """The start is an end of [1e-12, 1/2] exactly when no p1 inside meets
+    the final count; otherwise the mean at the start meets it to 1e-12
+    relative, tiny roots included.  The two end checks and the Newton
+    steps take at most the step cap + 2 mean evaluations."""
     calls = [0]
     original = estimation._occurrence_sum
 
@@ -406,21 +401,23 @@ def test_initial_p1_meets_its_contract(t_q, q):
 
     with mock.patch.object(estimation, "_occurrence_sum", counted):
         start = estimation._initial_p1(t_q, q)
-    _, evaluations = reference_initial_p1(t_q, q)
     lo, hi = 1e-12, 0.5
-    if start == hi:
-        assert start_excess(hi, t_q, q) <= 0
-    elif start == lo:
-        assert start_excess(lo, t_q, q) >= 0
+    if start_excess(hi, t_q, q) <= 0:
+        assert start == hi
+    elif start_excess(lo, t_q, q) >= 0:
+        assert start == lo
     else:
-        assert start_excess(math.nextafter(start, 0.0), t_q, q) < 0 <= start_excess(start, t_q, q)
-    assert calls[0] <= min(evaluations, 44)
+        assert lo <= start <= hi
+        assert abs(start_excess(start, t_q, q)) <= 1e-12 * q
+    assert calls[0] <= estimation._START_STEPS + 2
 
 
 def test_initial_p1_mean_evaluations():
     """Starts for histories like the release-planning ones (800 incidents,
-    tens of failures) take about 11 mean evaluations; the bisection took
-    about 60."""
+    tens of failures) take 4.19 mean evaluations on average: one for a
+    count beyond the mean at p1 = 1/2, else the two end checks and about
+    five Newton steps.  The bound leaves a margin of about a fifth; the
+    bisection took about 60."""
     rng = np.random.default_rng(11)
     calls = [0]
     original = estimation._occurrence_sum
@@ -432,7 +429,7 @@ def test_initial_p1_mean_evaluations():
     with mock.patch.object(estimation, "_occurrence_sum", counted):
         for _ in range(100):
             estimation._initial_p1(rng.uniform(600.0, 1000.0), rng.uniform(10.0, 200.0))
-    assert calls[0] / 100 <= 16
+    assert calls[0] / 100 <= 5.0
 
 
 def reference_geometric_fit(ds):
@@ -453,7 +450,7 @@ def reference_geometric_fit(ds):
         return math.log(p / (1.0 - p))
 
     d_start = 0.94
-    p1_start, _ = reference_initial_p1(float(times[-1]), float(math.exp(log_counts[-1])))
+    p1_start = reference_initial_p1(float(times[-1]), float(math.exp(log_counts[-1])))
 
     def objective(z):
         p1, d = expit(float(z[0])), expit(float(z[1]))

@@ -482,6 +482,18 @@ class TestReleaseTimes:
             with pytest.raises(ValueError, match="finite"):
                 call()
 
+    def test_vanishing_denominator_rejected(self):
+        """A subnormal p1 rounds sum(p_a - p_a**2) to zero: the closed-form
+        release times refuse it instead of dividing by zero."""
+        params = GeometricModelParams(5e-324, 0.75, 2)
+        lam = failure_intensity(params, 1.0)
+        for call in (
+            lambda: time_for_intensity(params, lam),
+            lambda: additional_time(params, lam, 5e-324),
+        ):
+            with pytest.raises(ValueError, match="denominator"):
+                call()
+
 
 def reference_time_for_intensity_exact(params, target):
     """The exact inverse as first written: double t from 2 while the
