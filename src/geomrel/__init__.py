@@ -14,7 +14,6 @@ CSV failure histories.
 from .comparison import (
     ALL_MODEL_NAMES,
     ClosedFormModel,
-    GeometricRates,
     LittlewoodVerrall,
     LittlewoodVerrallParams,
     ReliabilityModel,
@@ -79,7 +78,6 @@ __all__ = [
     "FitError",
     "FitResult",
     "GeometricModelParams",
-    "GeometricRates",
     "LittlewoodVerrall",
     "LittlewoodVerrallParams",
     "PredictionError",

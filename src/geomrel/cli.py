@@ -2,7 +2,8 @@
 
 Machine-readable results go to standard output as JSON; plot-ready curves
 go to CSV files under an explicitly given output directory.  Exit codes
-are 0 for success, 1 for input or usage errors, and 2 for numerical
+are 0 for success, 1 for input or usage errors (or a standard output
+closed before everything was written), and 2 for numerical
 conditions (a fit that did not converge, or an intensity objective above
 the current intensity).  Nothing is read from the environment and no file
 is written outside the requested output directory, so a run is fully
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -231,11 +233,9 @@ def cmd_evaluate(args) -> int:
             ]
         for label, curve in zip(labels, curves):
             path = out_dir / f"curve_{label}_{model_name}.csv"
-            path.write_text(curve_to_csv(curve, include_labels=True))
+            path.write_text(curve_to_csv(curve))
         aggregate = aggregate_median(curves, args.bins)
-        (out_dir / f"aggregate_{model_name}.csv").write_text(
-            aggregate_to_csv(aggregate, include_labels=True)
-        )
+        (out_dir / f"aggregate_{model_name}.csv").write_text(aggregate_to_csv(aggregate))
         if args.threshold is not None:
             report = outlier_report(curves, args.threshold)
             if report:
@@ -363,7 +363,17 @@ def main(argv=None) -> int:
         # usage problems are input errors here.
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # Standard output was closed early (a reader such as head exited).
+        # Point it at devnull so that the interpreter's final flush of
+        # what is still buffered stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_INPUT
     except (DataFormatError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         return _fail(str(exc), EXIT_INPUT)
     except (ValueError, KeyError, json.JSONDecodeError, FitError) as exc:

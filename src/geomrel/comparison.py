@@ -5,7 +5,10 @@ Four classic models (Musa basic, Musa-Okumoto, Littlewood-Verrall in its
 quadratic form, and an NHPP with exponentially bounded mean) are exposed
 with the same contract as the geometric-rates model so that a validity
 harness can treat all five uniformly; :func:`fit_model` fits any of them
-by name, and every fit reports its optimizer run and boundary alike.
+by name, and every fit reports its optimizer run and boundary alike.  The
+fitted geometric-rates model is the record of its fit,
+:class:`geomrel.estimation.FitResult`, registered as a
+:class:`ReliabilityModel`.
 
 Musa basic, Musa-Okumoto, and NHPP are rows of one table of closed-form
 mean value functions, each with its parameter names, its mean written as a
@@ -42,14 +45,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import estimation, model
+from . import estimation
 from .data import FailureDataset
 from .errors import FitError, PredictionError
+from .estimation import FitResult
 
 __all__ = [
     "ALL_MODEL_NAMES",
     "ClosedFormModel",
-    "GeometricRates",
     "LittlewoodVerrall",
     "LittlewoodVerrallParams",
     "ReliabilityModel",
@@ -98,6 +101,10 @@ class ReliabilityModel(ABC):
     @abstractmethod
     def params_dict(self) -> dict:
         """Fitted parameters as a plain mapping (for serialization)."""
+
+
+# The geometric fit's record is the fitted geometric model.
+ReliabilityModel.register(FitResult)
 
 
 @dataclass(frozen=True)
@@ -437,35 +444,6 @@ class LittlewoodVerrall(ReliabilityModel):
         }
 
 
-class GeometricRates(ReliabilityModel):
-    """The geometric-rates model exposed through the comparison interface."""
-
-    model_name = "geometric"
-
-    @property
-    def boundary(self) -> str | None:
-        """As :attr:`geomrel.estimation.FitResult.boundary`."""
-        return estimation._truncation_boundary(self.params)
-
-    @classmethod
-    def fit(cls, ds):
-        try:
-            result = estimation.fit(ds)
-        except ValueError as exc:
-            raise FitError(f"{cls.model_name}: {exc}") from exc
-        return cls(result.params, result.diagnostics)
-
-    def predict_mean(self, t) -> float:
-        return model.mean_failures(self.params, t)
-
-    def params_dict(self) -> dict:
-        return {
-            "p1": self.params.p1,
-            "d": self.params.d,
-            "truncation": self.params.truncation,
-        }
-
-
 # The order of ALL_MODEL_NAMES is the order of evaluate's outputs.
 ALL_MODEL_NAMES = ("geometric", "musa-basic", "musa-okumoto", "littlewood-verrall", "nhpp")
 
@@ -479,12 +457,16 @@ def _fit_key(model_name: str):
 
 
 def fit_model(model_name: str, ds: FailureDataset) -> ReliabilityModel:
-    """Fit any supported model by name: the geometric-rates model,
-    Littlewood-Verrall, or one of the closed-form models."""
+    """Fit any supported model by name: the geometric-rates model (its
+    :func:`geomrel.estimation.fit` record), Littlewood-Verrall, or one of
+    the closed-form models."""
     if model_name in _CLOSED_FORMS:
         return ClosedFormModel.fit(model_name, ds)
-    if model_name == GeometricRates.model_name:
-        return GeometricRates.fit(ds)
+    if model_name == FitResult.model_name:
+        try:
+            return estimation.fit(ds)
+        except ValueError as exc:
+            raise FitError(f"{model_name}: {exc}") from exc
     if model_name == LittlewoodVerrall.model_name:
         return LittlewoodVerrall.fit(ds)
     raise ValueError(

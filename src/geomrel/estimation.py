@@ -111,24 +111,21 @@ class OptimizerResult:
     simplex_spread: float | None
 
 
-def _truncation_boundary(params: GeometricModelParams) -> str | None:
-    """``"truncation-cap"`` when the truncation equals ``MAX_FIT_TRUNCATION``
-    (the fit stopped against its bound on d: the objective still falls as
-    d moves towards 1, as for a history without reliability growth), else
-    ``None``.  ``converged`` says only that the search met its stopping
-    criterion, with d held at the bound."""
-    return "truncation-cap" if params.truncation == MAX_FIT_TRUNCATION else None
-
-
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted parameters plus the optimizer run that found them.
+    """The fitted geometric-rates model: its parameters plus the optimizer
+    run that found them.
 
     ``objective_value`` is the least-squares objective at ``params`` and
     matches a recomputation via :func:`least_squares_objective` exactly.
     ``skipped_points`` counts measurements with zero cumulative failures,
-    which carry no information on a log scale.
+    which carry no information on a log scale.  It is the geometric
+    model's :class:`geomrel.comparison.ReliabilityModel`: ``model_name``
+    is a class attribute, not a field, so it takes no part in ``==`` or
+    :meth:`to_dict`.
     """
+
+    model_name = "geometric"
 
     params: GeometricModelParams
     diagnostics: OptimizerResult
@@ -144,14 +141,24 @@ class FitResult:
 
     @property
     def boundary(self) -> str | None:
-        """See :func:`_truncation_boundary`."""
-        return _truncation_boundary(self.params)
+        """``"truncation-cap"`` when the truncation equals
+        ``MAX_FIT_TRUNCATION`` (the fit stopped against its bound on d: the
+        objective still falls as d moves towards 1, as for a history
+        without reliability growth), else ``None``.  ``converged`` says
+        only that the search met its stopping criterion, with d held at
+        the bound."""
+        return "truncation-cap" if self.params.truncation == MAX_FIT_TRUNCATION else None
+
+    def predict_mean(self, t):
+        """Expected cumulative failures at ``t`` (:func:`mean_failures`)."""
+        return mean_failures(self.params, t)
+
+    def params_dict(self) -> dict:
+        return {"p1": self.params.p1, "d": self.params.d, "truncation": self.params.truncation}
 
     def to_dict(self) -> dict:
         return {
-            "p1": self.params.p1,
-            "d": self.params.d,
-            "truncation": self.params.truncation,
+            **self.params_dict(),
             "objective": self.objective_value,
             "iterations": self.diagnostics.iterations,
             "converged": self.converged,
@@ -431,8 +438,9 @@ def levenberg_marquardt(
                 if two:
                     c1 = columns[1]
                     g1 = float(c1 @ r)
-                    n01 = float(c0 @ c1)
-                    n10 = float(c1 @ c0)
+                    # numpy's dot multiplies pairwise and sums in index
+                    # order, so c1 @ c0 is this same float.
+                    n01 = n10 = float(c0 @ c1)
                     n11 = float(c1 @ c1)
                     free1 = n11 > 0.0 and not (x1 >= b1 and g1 < 0.0)
             if not (free0 or free1):

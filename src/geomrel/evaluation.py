@@ -246,31 +246,19 @@ def outlier_report(curves, threshold: float) -> list[tuple[str, float]]:
     return report
 
 
-def curve_to_csv(curve: ValidityCurve, include_labels: bool = False) -> str:
-    """Plot-ready CSV: ``normalized_time,relative_error[,model,dataset]``."""
-    if include_labels:
-        lines = ["normalized_time,relative_error,model,dataset"]
-        lines.extend(
-            f"{nt!r},{err!r},{curve.model_name},{curve.dataset_label}"
-            for nt, err in curve.points
-        )
-    else:
-        lines = ["normalized_time,relative_error"]
-        lines.extend(f"{nt!r},{err!r}" for nt, err in curve.points)
+def curve_to_csv(curve: ValidityCurve) -> str:
+    """Plot-ready CSV: ``normalized_time,relative_error,model,dataset``."""
+    lines = ["normalized_time,relative_error,model,dataset"]
+    lines.extend(
+        f"{nt!r},{err!r},{curve.model_name},{curve.dataset_label}" for nt, err in curve.points
+    )
     return "\n".join(lines) + "\n"
 
 
-def aggregate_to_csv(agg: AggregateCurve, include_labels: bool = False) -> str:
-    """Plot-ready CSV of cell centers: ``normalized_time,relative_error[,model]``."""
-    if include_labels:
-        lines = ["normalized_time,relative_error,model"]
-        lines.extend(
-            f"{cell.center!r},{cell.median_relative_error!r},{agg.model_name}"
-            for cell in agg.cells
-        )
-    else:
-        lines = ["normalized_time,relative_error"]
-        lines.extend(
-            f"{cell.center!r},{cell.median_relative_error!r}" for cell in agg.cells
-        )
+def aggregate_to_csv(agg: AggregateCurve) -> str:
+    """Plot-ready CSV of cell centers: ``normalized_time,relative_error,model``."""
+    lines = ["normalized_time,relative_error,model"]
+    lines.extend(
+        f"{cell.center!r},{cell.median_relative_error!r},{agg.model_name}" for cell in agg.cells
+    )
     return "\n".join(lines) + "\n"

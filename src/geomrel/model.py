@@ -73,8 +73,8 @@ _SERIES_POWERS = np.arange(1, SERIES_ORDER + 2, dtype=float)
 MAX_LIKELIHOOD_TRUNCATION = 20
 MAX_LIKELIHOOD_FAILURES = 5
 
-# The bracket search stops once its bracket is at most this many floats
-# wide, and _sign_change then probes the floats inside it one by one.
+# time_for_intensity_exact bisects its bracket down to at most this many
+# floats, then probes the floats inside it one by one.
 _BRACKET_ULPS = 4
 # The last finite time doubling from 2 reaches.
 _MAX_DOUBLING = 2.0**1023
@@ -352,120 +352,6 @@ def time_for_intensity(params: GeometricModelParams, lambda_target: float) -> fl
     return math.log(lambda_target) / _occurrence_hazard_sum(params) + 1.0
 
 
-def _log_ratio(diff, target):
-    """``ln((target + diff) / target)`` for positive ``target``, to full
-    precision when ``diff`` is small; -inf when ``target + diff <= 0``."""
-    share = diff / target
-    if share > -0.5:
-        return math.log1p(share)
-    value = target + diff
-    return math.log(value) - math.log(target) if value > 0.0 else -math.inf
-
-
-def _midpoint(lo, hi):
-    """The geometric midpoint of ``lo < hi``, or their mean when rounding
-    puts it on an end."""
-    x = math.sqrt(lo) * math.sqrt(hi)
-    return x if lo < x < hi else 0.5 * (lo + hi)
-
-
-def _chord_root(lo, lo_gap, hi, hi_gap):
-    """Where the chord of the gap between the ends, against ln x, crosses
-    zero (kept two floats inside the bracket), and how far in ln x the
-    gap's rounding noise reaches along it; the midpoint and 0 when the
-    chord does not fall."""
-    drop = lo_gap - hi_gap
-    if not 0.0 < drop < math.inf:
-        return _midpoint(lo, hi), 0.0
-    width = math.log(hi / lo)
-    x = lo * math.exp(lo_gap / drop * width)
-    return min(max(x, lo + 2.0 * math.ulp(lo)), hi - 2.0 * math.ulp(hi)), _GAP_NOISE / drop * width
-
-
-def _narrowed(probe, x, lo, lo_gap, hi, hi_gap):
-    """The bracket after probing x, which replaces the end on its side."""
-    below, gap = probe(x)
-    return (x, gap, hi, hi_gap) if below else (lo, lo_gap, x, gap)
-
-
-def _bracket(probe, lo, lo_gap):
-    """A bracket ``(lo, hi)`` around the sign change of ``probe`` above
-    ``lo`` (see :func:`_sign_change`), a few floats wide unless rounding
-    noise hides the gap's slope."""
-    # Grow the bracket from lo until a probe lands above the sign change,
-    # each step extrapolating along the gap's slope in ln x (taken as -1,
-    # as for an intensity, until two probes measure it) and multiplying x
-    # by 2 to 16.
-    slope = -1.0
-    while True:
-        reach = lo_gap / -slope if slope < 0.0 else math.inf
-        if lo < _MAX_DOUBLING:
-            x = min(lo * math.exp(min(max(reach, _LN2), _LN16)), _MAX_DOUBLING)
-        else:
-            x = 2.0 * lo  # infinite: the probe refuses it as the doubling did
-        below, gap = probe(x)
-        if not below:
-            break
-        slope = (gap - lo_gap) / math.log(x / lo)
-        lo, lo_gap = x, gap
-    # Rounds of two probes: the chord's root, then just across the root
-    # re-estimated from the new ends, past it by its distance from the
-    # first probe and at least by the noise's reach, so that both ends
-    # close in.  A round that fails to halve the bracket is followed by a
-    # bisection step, or ends the search once the bracket is within a few
-    # noise reaches, where the secant has nothing left to place.
-    ends = (lo, lo_gap, x, gap)
-    while ends[2] - ends[0] > _BRACKET_ULPS * math.ulp(ends[0]):
-        width = math.log(ends[2] / ends[0])
-        first, noise = _chord_root(*ends)
-        ends = _narrowed(probe, first, *ends)
-        lo, hi = ends[0], ends[2]
-        if hi - lo <= _BRACKET_ULPS * math.ulp(lo):
-            break
-        root, _ = _chord_root(*ends)
-        step = max(abs(root - first), first * noise)
-        across = root + step if first == lo else root - step
-        ends = _narrowed(probe, across if lo < across < hi else _midpoint(lo, hi), *ends)
-        lo, hi = ends[0], ends[2]
-        if hi - lo > _BRACKET_ULPS * math.ulp(lo) and math.log(hi / lo) > 0.5 * width:
-            if math.log(hi / lo) <= 8.0 * noise:
-                break
-            ends = _narrowed(probe, _midpoint(lo, hi), *ends)
-    return ends[0], ends[2]
-
-
-def _sign_change(probe, lo, lo_gap):
-    """The lowest float above ``lo`` at which the decision of ``probe``
-    flips, found with a few probes.  :func:`time_for_intensity_exact` is
-    its one caller.
-
-    ``probe(x)`` returns ``(below, gap)``: whether x lies below the sign
-    change, and a smooth signed gap, positive below it and close to linear
-    in ln x.  ``lo`` lies below the sign change with gap ``lo_gap``.
-
-    Bounded log-log extrapolation from ``lo`` grows the bracket, and
-    secant steps on the gap (a bisection step when a round fails to
-    halve the bracket) close it to a few floats; bisection finishes where
-    rounding noise hides the gap's slope.  Then the floats above the
-    bracket's lower end are probed one by one, and the first one not below
-    is the answer, so its predecessor is below.  Rounding can make the
-    decision non-monotone over a few floats next to the root; there are
-    then several such flips, and this returns the lowest one in the final
-    bracket.
-    """
-    lo, hi = _bracket(probe, lo, lo_gap)
-    while hi - lo > _BRACKET_ULPS * math.ulp(lo):
-        mid = 0.5 * (lo + hi)
-        if probe(mid)[0]:
-            lo = mid
-        else:
-            hi = mid
-    x = math.nextafter(lo, math.inf)
-    while x < hi and probe(x)[0]:
-        x = math.nextafter(x, math.inf)
-    return x
-
-
 def time_for_intensity_exact(params: GeometricModelParams, lambda_target: float) -> float:
     """Numerical inverse of :func:`failure_intensity`.
 
@@ -473,24 +359,107 @@ def time_for_intensity_exact(params: GeometricModelParams, lambda_target: float)
     to floating-point resolution: the float t with
     ``failure_intensity(params, prev) > lambda_target >=
     failure_intensity(params, t)``, where ``prev`` is the float just below
-    t (t = 1 when the target is the initial intensity).  The intensity is
-    strictly decreasing, but its computed value can be non-monotone over a
-    few floats next to the root; there the answer is the lowest such t in
-    the search's final bracket (see :func:`_sign_change`).  The search runs
-    on ``ln intensity - ln lambda_target`` against ln t, which is close to
-    linear, in about 12 evaluations of the intensity for release-planning
-    targets, where bisection takes about 66.  Every evaluation goes through the module
-    attribute ``failure_intensity``.
+    t (t = 1 when the target is the initial intensity).  Every evaluation
+    goes through the module attribute ``failure_intensity``.
+
+    The search runs on the gap ``ln intensity - ln lambda_target``, which
+    is positive below the root and close to linear in ln t.  It grows a
+    bracket from t = 1 by log-log extrapolation along the gap's slope
+    (taken as -1 until two probes measure it), each step multiplying t by
+    2 to 16.  Then rounds of two probes close it: the root of the chord of
+    the gap, then a point just across the root re-estimated from the new
+    ends, past it by its distance from the first probe and at least by the
+    reach of the gap's rounding noise, so that both ends close in.  A
+    round that fails to halve the bracket is followed by a bisection
+    step, or ends the rounds once the bracket is within a few noise
+    reaches, where the secant has nothing left to place.  Bisection then
+    closes the bracket to ``_BRACKET_ULPS`` floats, and the floats above
+    its lower end are probed one by one; the first one not above the
+    target is the answer.  That takes about 12 evaluations for
+    release-planning targets, where bisection takes about 66.
+
+    The intensity is strictly decreasing, but its computed value can be
+    non-monotone over a few floats next to the root; there the answer is
+    the lowest such t in the final bracket.
     """
     lam1 = _initial_intensity(params, lambda_target)
     if lambda_target == lam1:
         return 1.0
+    lo, lo_gap, hi, hi_gap = 1.0, math.log(lam1 / lambda_target), math.inf, -math.inf
 
-    def probe(t):
+    def narrow(t):
+        """Probe t and move the end of the bracket on its side there; True
+        when t lies below the root."""
+        nonlocal lo, lo_gap, hi, hi_gap
         lam = failure_intensity(params, t)
-        return lam > lambda_target, _log_ratio(lam - lambda_target, lambda_target)
+        # The gap as ln(1 + diff / target), to full precision when small.
+        diff = lam - lambda_target
+        share = diff / lambda_target
+        if share > -0.5:
+            gap = math.log1p(share)
+        else:
+            value = lambda_target + diff
+            gap = math.log(value) - math.log(lambda_target) if value > 0.0 else -math.inf
+        if lam > lambda_target:
+            lo, lo_gap = t, gap
+            return True
+        hi, hi_gap = t, gap
+        return False
 
-    return _sign_change(probe, 1.0, math.log(lam1 / lambda_target))
+    def midpoint():
+        # The geometric midpoint, or the mean when rounding puts it on an end.
+        x = math.sqrt(lo) * math.sqrt(hi)
+        return x if lo < x < hi else 0.5 * (lo + hi)
+
+    def chord():
+        """Where the chord of the gap against ln t crosses zero, kept two
+        floats inside the bracket, and how far in ln t the gap's rounding
+        noise reaches along it; the midpoint and 0 when the chord does not
+        fall."""
+        drop = lo_gap - hi_gap
+        if not 0.0 < drop < math.inf:
+            return midpoint(), 0.0
+        width = math.log(hi / lo)
+        x = lo * math.exp(lo_gap / drop * width)
+        x = min(max(x, lo + 2.0 * math.ulp(lo)), hi - 2.0 * math.ulp(hi))
+        return x, _GAP_NOISE / drop * width
+
+    # Grow the bracket until a probe lands above the root.
+    slope = -1.0
+    while True:
+        reach = lo_gap / -slope if slope < 0.0 else math.inf
+        if lo < _MAX_DOUBLING:
+            t = min(lo * math.exp(min(max(reach, _LN2), _LN16)), _MAX_DOUBLING)
+        else:
+            t = 2.0 * lo  # infinite: the intensity refuses it
+        last, last_gap = lo, lo_gap
+        if not narrow(t):
+            break
+        slope = (lo_gap - last_gap) / math.log(lo / last)
+
+    # Secant rounds.
+    while hi - lo > _BRACKET_ULPS * math.ulp(lo):
+        width = math.log(hi / lo)
+        first, noise = chord()
+        narrow(first)
+        if hi - lo <= _BRACKET_ULPS * math.ulp(lo):
+            break
+        root, _ = chord()
+        step = max(abs(root - first), first * noise)
+        across = root + step if first == lo else root - step
+        narrow(across if lo < across < hi else midpoint())
+        if hi - lo > _BRACKET_ULPS * math.ulp(lo) and math.log(hi / lo) > 0.5 * width:
+            if math.log(hi / lo) <= 8.0 * noise:
+                break
+            narrow(midpoint())
+
+    # Bisection down to a few floats, then the floats one by one.
+    while hi - lo > _BRACKET_ULPS * math.ulp(lo):
+        narrow(0.5 * (lo + hi))
+    t = math.nextafter(lo, math.inf)
+    while t < hi and narrow(t):
+        t = math.nextafter(t, math.inf)
+    return t
 
 
 def additional_time(

@@ -466,10 +466,10 @@ class TestEvaluateCommand:
                 name, ds, evaluation.default_cut_points(ds, 6)
             )
             assert (out / f"curve_ntds_tbf_{name}.csv").read_text() == evaluation.curve_to_csv(
-                direct, include_labels=True
+                direct
             )
             assert (out / f"aggregate_{name}.csv").read_text() == evaluation.aggregate_to_csv(
-                evaluation.aggregate_median([direct]), include_labels=True
+                evaluation.aggregate_median([direct])
             )
 
     def test_threshold_prints_report(self, cumulative_file, tmp_path, capsys):
@@ -543,6 +543,45 @@ class TestSimulateCommand:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload["d"] == pytest.approx(0.95, abs=0.02)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["fit", "ntds_tbf.csv", "--format", "tbf"],
+        ["predict", "ntds_tbf.csv", "--format", "tbf", "--p1", "0.05", "--d", "0.95",
+         "--objective", "0.01"],
+    ],
+    ids=["fit", "predict"],
+)
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_one_without_traceback(args, unbuffered):
+    # The read end of the child's stdout is closed before it starts, so
+    # its first write meets a broken pipe: in print when unbuffered, else
+    # when the buffer is flushed.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "geomrel.cli", *args],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            cwd=Path(src).parent / "data",
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 
 class TestVersionAndHelp:

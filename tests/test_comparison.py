@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 from geomrel.comparison import (
     ALL_MODEL_NAMES,
     ClosedFormModel,
-    GeometricRates,
     LittlewoodVerrall,
     LittlewoodVerrallParams,
+    ReliabilityModel,
     fit_model,
 )
 from geomrel.data import FailureDataset, parse_dataset
 from geomrel.errors import FitError, PredictionError
 from geomrel import estimation
-from geomrel.estimation import OptimizerResult, fit, nelder_mead
+from geomrel.estimation import FitResult, OptimizerResult, fit, nelder_mead
 from geomrel.evaluation import default_cut_points
 from geomrel.model import GeometricModelParams, mean_failures
 
@@ -397,7 +397,7 @@ class TestFitComparison:
             (float(t), int(round(mean_failures(true, float(t))))) for t in times
         )
         fitted = fit_model("geometric", FailureDataset(points, "geo"))
-        assert isinstance(fitted, GeometricRates)
+        assert isinstance(fitted, FitResult)
         assert fitted.params.d == pytest.approx(0.95, abs=0.01)
         assert fitted.predict_mean(0.0) == 0.0
         with pytest.raises(ValueError, match="choose from"):
@@ -520,6 +520,32 @@ class TestFitDiagnostics:
         flat = FailureDataset(tuple((25.0 * c, c) for c in range(1, 33)), "flat")
         assert fit_model("geometric", flat).boundary == "truncation-cap"
         assert fit_model("musa-basic", flat).boundary is None
+
+
+class TestGeometricFitIsTheModel:
+    def test_fit_model_returns_the_fit_record(self):
+        with open(REPO_DATA / "ntds_tbf.csv", "rb") as handle:
+            ntds = parse_dataset(handle, "tbf_csv", label="ntds")
+        for n in range(2, len(ntds.points) + 1, 3):
+            prefix = ntds.prefix(n)
+            fitted = fit_model("geometric", prefix)
+            assert fitted == fit(prefix)
+            assert isinstance(fitted, ReliabilityModel)
+            assert fitted.model_name == "geometric"
+            params = fitted.params
+            assert fitted.params_dict() == {
+                "p1": params.p1, "d": params.d, "truncation": params.truncation
+            }
+            assert fitted.predict_mean(prefix.final_time) == mean_failures(
+                params, prefix.final_time
+            )
+        assert "model_name" not in fitted.to_dict()
+
+    def test_one_point_history_refused(self):
+        with pytest.raises(
+            FitError, match="^geometric: need at least 2 usable points to fit, got 1$"
+        ):
+            fit_model("geometric", FailureDataset(((10.0, 3),), "one"))
 
 
 class TestPredictInterface:

@@ -378,18 +378,18 @@ class TestExports:
     def test_curve_csv(self):
         text = curve_to_csv(self.CURVE)
         lines = text.strip().split("\n")
-        assert lines[0] == "normalized_time,relative_error"
-        assert lines[1] == "0.5,0.25"
+        assert lines[0] == "normalized_time,relative_error,model,dataset"
+        assert lines[1] == "0.5,0.25,geometric,proj"
 
     def test_curve_csv_with_labels(self):
-        text = curve_to_csv(self.CURVE, include_labels=True)
+        text = curve_to_csv(self.CURVE)
         lines = text.strip().split("\n")
         assert lines[0] == "normalized_time,relative_error,model,dataset"
         assert lines[2] == "1.0,-0.125,geometric,proj"
 
     def test_aggregate_csv_and_json(self):
         agg = aggregate_median([self.CURVE], grid_cells=2)
-        text = aggregate_to_csv(agg, include_labels=True)
+        text = aggregate_to_csv(agg)
         lines = text.strip().split("\n")
         assert lines[0] == "normalized_time,relative_error,model"
         assert lines[1].startswith("0.25,")

@@ -615,6 +615,162 @@ class TestExactInverse:
             time_for_intensity_exact(params, 5e-324)
 
 
+# The release-time search as five helpers and a (below, gap) probe, as it
+# stood before it was folded into time_for_intensity_exact, with its
+# constants.  The fold must give the same float after the same probes.
+REF_BRACKET_ULPS = 4
+REF_MAX_DOUBLING = 2.0**1023
+REF_LN2 = math.log(2.0)
+REF_LN16 = math.log(16.0)
+REF_GAP_NOISE = 4.0 * sys.float_info.epsilon
+
+
+def ref_log_ratio(diff, target):
+    share = diff / target
+    if share > -0.5:
+        return math.log1p(share)
+    value = target + diff
+    return math.log(value) - math.log(target) if value > 0.0 else -math.inf
+
+
+def ref_midpoint(lo, hi):
+    x = math.sqrt(lo) * math.sqrt(hi)
+    return x if lo < x < hi else 0.5 * (lo + hi)
+
+
+def ref_chord_root(lo, lo_gap, hi, hi_gap):
+    drop = lo_gap - hi_gap
+    if not 0.0 < drop < math.inf:
+        return ref_midpoint(lo, hi), 0.0
+    width = math.log(hi / lo)
+    x = lo * math.exp(lo_gap / drop * width)
+    return (
+        min(max(x, lo + 2.0 * math.ulp(lo)), hi - 2.0 * math.ulp(hi)),
+        REF_GAP_NOISE / drop * width,
+    )
+
+
+def ref_narrowed(probe, x, lo, lo_gap, hi, hi_gap):
+    below, gap = probe(x)
+    return (x, gap, hi, hi_gap) if below else (lo, lo_gap, x, gap)
+
+
+def ref_bracket(probe, lo, lo_gap):
+    slope = -1.0
+    while True:
+        reach = lo_gap / -slope if slope < 0.0 else math.inf
+        if lo < REF_MAX_DOUBLING:
+            x = min(lo * math.exp(min(max(reach, REF_LN2), REF_LN16)), REF_MAX_DOUBLING)
+        else:
+            x = 2.0 * lo
+        below, gap = probe(x)
+        if not below:
+            break
+        slope = (gap - lo_gap) / math.log(x / lo)
+        lo, lo_gap = x, gap
+    ends = (lo, lo_gap, x, gap)
+    while ends[2] - ends[0] > REF_BRACKET_ULPS * math.ulp(ends[0]):
+        width = math.log(ends[2] / ends[0])
+        first, noise = ref_chord_root(*ends)
+        ends = ref_narrowed(probe, first, *ends)
+        lo, hi = ends[0], ends[2]
+        if hi - lo <= REF_BRACKET_ULPS * math.ulp(lo):
+            break
+        root, _ = ref_chord_root(*ends)
+        step = max(abs(root - first), first * noise)
+        across = root + step if first == lo else root - step
+        ends = ref_narrowed(probe, across if lo < across < hi else ref_midpoint(lo, hi), *ends)
+        lo, hi = ends[0], ends[2]
+        if hi - lo > REF_BRACKET_ULPS * math.ulp(lo) and math.log(hi / lo) > 0.5 * width:
+            if math.log(hi / lo) <= 8.0 * noise:
+                break
+            ends = ref_narrowed(probe, ref_midpoint(lo, hi), *ends)
+    return ends[0], ends[2]
+
+
+def ref_sign_change(probe, lo, lo_gap):
+    lo, hi = ref_bracket(probe, lo, lo_gap)
+    while hi - lo > REF_BRACKET_ULPS * math.ulp(lo):
+        mid = 0.5 * (lo + hi)
+        if probe(mid)[0]:
+            lo = mid
+        else:
+            hi = mid
+    x = math.nextafter(lo, math.inf)
+    while x < hi and probe(x)[0]:
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+def ref_time_for_intensity_exact(params, target):
+    lam1 = model._initial_intensity(params, target)
+    if target == lam1:
+        return 1.0
+
+    def probe(t):
+        lam = model.failure_intensity(params, t)
+        return lam > target, ref_log_ratio(lam - target, target)
+
+    return ref_sign_change(probe, 1.0, math.log(lam1 / target))
+
+
+def probed(search, params, target):
+    """What ``search`` returns (or the message of the ValueError it
+    raises), and every time at which it evaluates the intensity through
+    ``model.failure_intensity``."""
+    times = []
+    original = model.failure_intensity
+
+    def recording(p, t):
+        times.append(t)
+        return original(p, t)
+
+    with mock.patch.object(model, "failure_intensity", recording):
+        try:
+            return search(params, target), times
+        except ValueError as exc:
+            return str(exc), times
+
+
+class TestExactInverseMatchesItsReference:
+    @pytest.mark.parametrize(
+        "truncations, max_d",
+        [
+            (st.integers(1, DIRECT_SUM_MAX_TERMS), 0.99999),
+            (st.integers(DIRECT_SUM_MAX_TERMS + 1, 10**12), 0.9995),
+        ],
+        ids=["direct", "series"],
+    )
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_same_float_after_the_same_probes(self, truncations, max_d, data):
+        case = inverse_case(
+            data.draw(st.floats(1e-6, 0.9), label="p1"),
+            data.draw(st.floats(0.3, max_d), label="d"),
+            data.draw(truncations, label="n"),
+            data.draw(st.floats(0.0, 5.0), label="log_t"),
+            data.draw(st.one_of(st.just(1.0), st.floats(0.5, 1.0)), label="share"),
+        )
+        assume(case is not None)
+        live = probed(time_for_intensity_exact, *case)
+        assert live == probed(ref_time_for_intensity_exact, *case)
+
+    def test_flat_intensity(self):
+        # The gap rounds to 0 next to the root, so the bracket closes by
+        # slow steps: 41 evaluations.
+        params = GeometricModelParams(2.5964450905555218e-05, 0.5616567247889013, 458417780524)
+        target = 5.923156367984212e-05
+        t, times = probed(time_for_intensity_exact, params, target)
+        assert (t, times) == probed(ref_time_for_intensity_exact, params, target)
+        assert len(times) == 41
+
+    def test_same_refusal_of_an_unreachable_target(self):
+        params = GeometricModelParams(1e-310, 0.5, 1)
+        message, times = probed(time_for_intensity_exact, params, 5e-324)
+        assert (message, times) == probed(ref_time_for_intensity_exact, params, 5e-324)
+        assert "finite" in message and times[-1] == math.inf
+
+
 class TestLogLikelihoodSmall:
     def test_zero_failures_closed_form(self):
         params = GeometricModelParams(0.3, 0.7, 4)
