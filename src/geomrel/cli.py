@@ -201,11 +201,16 @@ def cmd_evaluate(args) -> int:
         return _fail("--cuts must be at least 1", EXIT_INPUT)
     if args.bins < 1:
         return _fail("--bins must be at least 1", EXIT_INPUT)
+    if args.bins > sys.float_info.max:
+        return _fail("--bins must not exceed the float range", EXIT_INPUT)
     if args.threshold is not None and not args.threshold > 0:
         return _fail("--threshold must be positive", EXIT_INPUT)
     datasets = [_read_dataset(path, args.format) for path in args.inputs]
     for ds in datasets:
         _require_failures(ds)
+    # Built before the output directory, so that cut points that cannot be
+    # built leave no output directory behind.
+    cut_points = [default_cut_points(ds, args.cuts) for ds in datasets]
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -228,8 +233,8 @@ def cmd_evaluate(args) -> int:
             curves = [_renamed(curve, model_name) for curve in evaluated[key]]
         else:
             curves = evaluated[key] = [
-                number_of_failures_eval(model_name, ds, default_cut_points(ds, args.cuts))
-                for ds in datasets
+                number_of_failures_eval(model_name, ds, cuts)
+                for ds, cuts in zip(datasets, cut_points)
             ]
         for label, curve in zip(labels, curves):
             path = out_dir / f"curve_{label}_{model_name}.csv"

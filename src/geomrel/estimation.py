@@ -29,7 +29,9 @@ from .data import FailureDataset
 from .model import (
     DEFAULT_RATE_FLOOR,
     GeometricModelParams,
+    _checked_times,
     _intensity_sums,
+    _mean_terms,
     _occurrence_sum,
     default_truncation,
     mean_failures,
@@ -563,11 +565,10 @@ def _initial_p1(t_q: float, q: float) -> float:
     fit's Jacobian), start from the linear limit ``mean = p1 t
     sum(0.94**a)`` and stop once a step moves ln p1 by at most 1e-10 (the
     mean then meets q to a few parts in 1e15) or after ``_START_STEPS``."""
-    t = np.asarray(t_q, dtype=float)
     lo, hi = 1e-12, 0.5
 
     def mean(p1: float) -> float:
-        return float(_occurrence_sum(t, np.log1p(-(p1 * _START_POWERS))))
+        return float(_occurrence_sum(t_q, np.log1p(-(p1 * _START_POWERS)))[0])
 
     if mean(hi) <= q:
         return hi
@@ -577,7 +578,7 @@ def _initial_p1(t_q: float, q: float) -> float:
     for _ in range(_START_STEPS):
         rates = p1 * _START_POWERS
         log_survival = np.log1p(-rates)
-        mu = float(_occurrence_sum(t, log_survival))
+        mu = float(_occurrence_sum(t_q, log_survival)[0])
         reach = t_q * float(rates @ np.exp((t_q - 1.0) * log_survival))  # d mean / d ln p1
         step = (math.log(q) - math.log(mu)) * mu / reach
         last, p1 = p1, min(max(p1 * math.exp(step), lo), hi)
@@ -612,15 +613,18 @@ def fit(ds: FailureDataset) -> FitResult:
     routes: with ``lambda`` the intensity, the residuals' derivatives are
     ``-(1 - p1) t lambda(t) / mu(t)`` in logit p1 and
     ``-(1 - d) t W(t) / mu(t)`` in logit d, for the weighted intensity sum
-    W of :func:`geomrel.model._intensity_sums`.  The start uses a decay
-    ratio of 0.94 with the leading rate chosen so the modelled mean
-    matches the final observed count.  Non-convergence is reported through
-    ``converged``, never silently.
+    W of :func:`geomrel.model._intensity_sums`, formed from the array of
+    terms that the residuals' mean at the same point built.  The times are
+    checked once for all probes.  The start uses a decay ratio of 0.94
+    with the leading rate chosen so the modelled mean matches the final
+    observed count.  Non-convergence is reported through ``converged``,
+    never silently.
     """
     times, log_counts, skipped = _usable_arrays(ds, fewest=2)
+    column, t_max = _checked_times(times, 0.0, "fit")
     # exp(ln q) differs from q for some counts; starting from q moves fits.
     p1_start = _initial_p1(float(times[-1]), float(math.exp(log_counts[-1])))
-    probed = []  # the latest probe's (p1, d, params)
+    probed = []  # the latest probe's (p1, d, params, mean, head terms)
 
     def residuals(z: np.ndarray):
         z0, z1 = z.tolist()
@@ -629,13 +633,14 @@ def fit(ds: FailureDataset) -> FitResult:
         if not (0.0 < p1 < 1.0 and 0.0 < d < 1.0):
             return None
         params = GeometricModelParams(p1, d, default_truncation(d))
-        probed[:] = p1, d, params
-        return log_counts - np.log(mean_failures(params, times))
+        mu, terms = _mean_terms(params, column, t_max)
+        probed[:] = p1, d, params, mu, terms
+        return log_counts - np.log(mu)
 
     def jacobian(z: np.ndarray, r: np.ndarray) -> list[np.ndarray]:
-        p1, d, params = probed
-        intensity, weighted = _intensity_sums(params, times)
-        scale = times / np.exp(log_counts - r)  # t / mu
+        p1, d, params, mu, terms = probed
+        intensity, weighted = _intensity_sums(params, column, terms)
+        scale = times / mu
         return [-(1.0 - p1) * scale * intensity, -(1.0 - d) * scale * weighted]
 
     start = [_logit(p1_start), _logit(_INITIAL_DECAY_GUESS)]

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -203,6 +204,8 @@ def aggregate_median(curves, grid_cells: int = DEFAULT_GRID_CELLS) -> AggregateC
         raise ValueError("need at least one curve to aggregate")
     if grid_cells < 1:
         raise ValueError("grid_cells must be at least 1")
+    if grid_cells > sys.float_info.max:  # normalized times are scaled by it
+        raise ValueError("grid_cells must not exceed the float range")
     names = {c.model_name for c in curves}
     if len(names) != 1:
         raise ValueError(f"cannot aggregate mixed model names: {sorted(names)}")

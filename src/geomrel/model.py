@@ -66,6 +66,7 @@ DIRECT_SUM_MAX_TERMS = 1000
 # is below 1e-25.
 SERIES_ORDER = 24
 _SERIES_STEPS = np.arange(1, SERIES_ORDER + 1, dtype=float)
+_SERIES_OFFSETS = _SERIES_STEPS - 1.0
 _SERIES_POWERS = np.arange(1, SERIES_ORDER + 2, dtype=float)
 
 # Enumeration caps for the exact likelihood; the subset count C(N, x) blows
@@ -168,17 +169,34 @@ def fault_cdf(p: float, t: float) -> float:
     return -math.expm1(t * math.log1p(-p))
 
 
-def _as_time_array(t, minimum: float, what: str) -> tuple[np.ndarray, bool]:
+def _checked_times(t, minimum: float, what: str):
+    """``t`` once every time in it is checked to be finite and at least
+    ``minimum``, and its largest time (0 when it has none).
+
+    A scalar (0-d) time is checked with float comparisons and returned as
+    a float; an array gains a last axis of length 1.  Either form
+    broadcasts against a head of fault terms, and a sum over that head has
+    the shape of ``t``: a scalar read costs no array reductions."""
     arr = np.asarray(t, dtype=float)
+    if arr.ndim == 0:
+        value = float(arr)
+        # A NaN fails the first comparison, and +inf the second.
+        if not (value >= minimum and value < math.inf):
+            raise ValueError(f"{what} requires finite t >= {minimum}, got {t!r}")
+        return value, value
+    if not arr.size:
+        return arr[..., np.newaxis], 0.0
+    t_max = float(arr.max())
     # A NaN fails the first comparison, and -inf or +inf one of the two.
-    if arr.size and not (arr.min() >= minimum and arr.max() < math.inf):
+    if not (arr.min() >= minimum and t_max < math.inf):
         raise ValueError(f"{what} requires finite t >= {minimum}, got {t!r}")
-    return arr, arr.ndim == 0
+    return arr[..., np.newaxis], t_max
 
 
-def _series_head(params: GeometricModelParams, arr: np.ndarray) -> int:
+def _series_head(params: GeometricModelParams, t_max: float) -> int:
     """Number k of leading fault terms summed directly before the series
-    tail; k = N when all N terms are summed directly and there is no tail.
+    tail, for requested times up to ``t_max``; k = N when all N terms are
+    summed directly and there is no tail.
 
     k is the first index with ``max(t_max, SERIES_ORDER) * p_k <= 1``; the
     floor of SERIES_ORDER keeps ``p_k`` small enough for the series to
@@ -187,7 +205,7 @@ def _series_head(params: GeometricModelParams, arr: np.ndarray) -> int:
     n = params.truncation
     if n <= DIRECT_SUM_MAX_TERMS:
         return n
-    scale = params.p1 * max(float(arr.max(initial=0.0)), SERIES_ORDER)
+    scale = params.p1 * max(t_max, SERIES_ORDER)
     k = 0 if scale <= 1.0 else math.ceil(-math.log(scale) / math.log(params.d))
     return n if n - k <= DIRECT_SUM_MAX_TERMS else k
 
@@ -207,14 +225,16 @@ def _direct_terms(params: GeometricModelParams, k: int):
     return head[0][:k], head[1][:k]
 
 
-def _occurrence_sum(t: np.ndarray, log_survival: np.ndarray):
-    """``sum_a 1 - (1 - p_a)**t`` for each time in ``t``, as
-    ``-expm1(t ln(1 - p_a))`` summed over the last axis.
+def _occurrence_sum(t, log_survival: np.ndarray):
+    """``sum_a 1 - (1 - p_a)**t`` for each time of ``t`` (a float, or an
+    array with a last axis of length 1), as ``-expm1(t ln(1 - p_a))``
+    summed over the last axis, and the array of ``expm1`` terms.
 
     The sums are negated, not the terms, which saves a pass over the
     points x terms array and gives the same floats: rounding is symmetric
     in sign.  ``0.0 -`` keeps an all-zero sum (t = 0) at +0.0."""
-    return 0.0 - np.expm1(t[..., np.newaxis] * log_survival).sum(axis=-1)
+    terms = np.expm1(t * log_survival)
+    return 0.0 - terms.sum(axis=-1), terms
 
 
 def _tail_power_sums(params: GeometricModelParams, k: int) -> np.ndarray:
@@ -228,10 +248,25 @@ def _tail_power_sums(params: GeometricModelParams, k: int) -> np.ndarray:
     return np.expm1(min(params.truncation - k, 2.0**63) * x) / np.expm1(x)
 
 
-def _binomial_terms(s: np.ndarray, p: float) -> np.ndarray:
+def _binomial_terms(s, p: float) -> np.ndarray:
     """``C(s, j) (-p)**j`` for j = 1..SERIES_ORDER, as a running product
-    over j, for each element of ``s`` (on a new last axis)."""
-    return np.cumprod((_SERIES_STEPS - 1.0 - s[..., np.newaxis]) * (p / _SERIES_STEPS), axis=-1)
+    over j, on a last axis of its own for a float ``s`` or in place of the
+    length-1 last axis of an array ``s``."""
+    return np.multiply.accumulate((_SERIES_OFFSETS - s) * (p / _SERIES_STEPS), axis=-1)
+
+
+def _mean_terms(params: GeometricModelParams, t, t_max: float):
+    """The mean at ``t``, a time checked by :func:`_checked_times` with
+    largest value ``t_max``, and the head's ``expm1(t ln(1 - p_a))``
+    array: the one transcendental pass of a mean, which the geometric fit
+    reuses for its Jacobian (:func:`_intensity_sums`)."""
+    k = _series_head(params, t_max)
+    _, log_survival = _direct_terms(params, k)
+    vals, terms = _occurrence_sum(t, log_survival)
+    if k < params.truncation:
+        p_k = params.p1 * params.d**k
+        vals = vals - _binomial_terms(t, p_k) @ _tail_power_sums(params, k)[:-1]
+    return vals, terms
 
 
 def mean_failures(params: GeometricModelParams, t):
@@ -249,14 +284,9 @@ def mean_failures(params: GeometricModelParams, t):
     with the term-by-term sum to about 1e-15 relative (tests bound it by
     1e-12).
     """
-    arr, scalar = _as_time_array(t, 0.0, "mean_failures")
-    k = _series_head(params, arr)
-    _, log_survival = _direct_terms(params, k)
-    vals = _occurrence_sum(arr, log_survival)
-    if k < params.truncation:
-        p_k = params.p1 * params.d**k
-        vals = vals - _binomial_terms(arr, p_k) @ _tail_power_sums(params, k)[:-1]
-    return float(vals) if scalar else vals
+    t, t_max = _checked_times(t, 0.0, "mean_failures")
+    vals, _ = _mean_terms(params, t, t_max)
+    return float(vals) if isinstance(t, float) else vals
 
 
 def failure_intensity(params: GeometricModelParams, t):
@@ -271,44 +301,63 @@ def failure_intensity(params: GeometricModelParams, t):
     ``p_k sum_j C(t - 1, j) (-p_k)**j g_(j+1)`` for j = 0..24, in
     O(points * (k + 24)) time and to about 1e-15 relative.
     """
-    arr, scalar = _as_time_array(t, 1.0, "failure_intensity")
-    k = _series_head(params, arr)
+    t, t_max = _checked_times(t, 1.0, "failure_intensity")
+    k = _series_head(params, t_max)
     rates, log_survival = _direct_terms(params, k)
-    vals = (rates * np.exp((arr[..., np.newaxis] - 1.0) * log_survival)).sum(axis=-1)
+    vals = (rates * np.exp((t - 1.0) * log_survival)).sum(axis=-1)
     if k < params.truncation:
         p_k = params.p1 * params.d**k
         g = _tail_power_sums(params, k)
-        vals = vals + p_k * (g[0] + _binomial_terms(arr - 1.0, p_k) @ g[1:])
-    return float(vals) if scalar else vals
+        vals = vals + p_k * (g[0] + _binomial_terms(t - 1.0, p_k) @ g[1:])
+    return float(vals) if isinstance(t, float) else vals
 
 
-def _intensity_sums(params: GeometricModelParams, t: np.ndarray):
+def _intensity_sums(params: GeometricModelParams, t: np.ndarray, terms: np.ndarray):
     """The intensity ``sum_a p_a (1 - p_a)**(t - 1)`` and its weighted sum
     ``sum_a a p_a (1 - p_a)**(t - 1)``, over faults a = 0..N-1, at each
-    time of the 1-d array ``t`` (all >= 1).
+    time of ``t`` (an array with a last axis of length 1), given the head
+    array ``terms`` that :func:`_mean_terms` returned for the same params
+    and times.
 
     They give the derivatives of the mean: ``d mu / d p1 = t lambda / p1``
     and ``d mu / d d = t W / d`` for the weighted sum W, as
-    ``d p_a / d d = a p_a / d``.  Both sums share one points x terms array
-    of ``(1 - p_a)**(t - 1)``.  On the series route the tail of W is
+    ``d p_a / d d = a p_a / d``.  Over the head, ``(1 - p_a)**(t - 1)`` is
+    ``(1 + expm1(t ln(1 - p_a))) / (1 - p_a)``, so both sums weight the
+    mean's own terms, plus 1, with ``p_a / (1 - p_a)`` and need no second
+    exp pass.  Each ``1 + expm1`` is within about 1.5e-16 of
+    ``(1 - p_a)**t``, so a head sum is within about 1.5e-16 times the sum
+    of its weights.  A row whose intensity is below 1e-4 of its weights'
+    sum (the survivals are all tiny, as at times far beyond 1 / p_a, or a
+    p_a near 1 has a huge weight) takes its survivals from an exp pass
+    instead, so every sum keeps about 2e-12 relative accuracy against the
+    exp pass.  On the series route the tail of W is
     ``p_k sum_j C(t - 1, j) (-p_k)**j (k g_(j+1) + h_(j+1))`` with
     ``h_j = sum_{m=0}^{M-1} m d**(m j)`` for the M = N - k tail faults,
     ``(q g_j - M q**M) / (1 - q)`` in closed form with q = d**j.
     """
-    k = _series_head(params, t)
+    k = terms.shape[-1]
     rates, log_survival = _direct_terms(params, k)
-    survival = np.exp((t[:, np.newaxis] - 1.0) * log_survival)
-    intensity = survival @ rates
-    weighted = survival @ (np.arange(k, dtype=float) * rates)
+    indices = np.arange(k, dtype=float)
+    weights = rates / (1.0 - rates)
+    survival = 1.0 + terms
+    intensity = survival @ weights
+    weighted = survival @ (indices * weights)
+    # The survivals grow with a, so the weighted sum's share of its weights
+    # is at least the intensity's: one check covers both.
+    loose = intensity < 1e-4 * weights.sum()
+    if loose.any():
+        survival = np.exp((t[loose] - 1.0) * log_survival)
+        intensity[loose] = survival @ rates
+        weighted[loose] = survival @ (indices * rates)
     if k < params.truncation:
         p_k = params.p1 * params.d**k
         g = _tail_power_sums(params, k)
         x = math.log(params.d) * _SERIES_POWERS
         m = min(params.truncation - k, 2.0**63)
         g_weighted = k * g + (np.exp(x) * g - m * np.exp(m * x)) / -np.expm1(x)
-        terms = _binomial_terms(t - 1.0, p_k)
-        intensity = intensity + p_k * (g[0] + terms @ g[1:])
-        weighted = weighted + p_k * (g_weighted[0] + terms @ g_weighted[1:])
+        binomial = _binomial_terms(t - 1.0, p_k)
+        intensity = intensity + p_k * (g[0] + binomial @ g[1:])
+        weighted = weighted + p_k * (g_weighted[0] + binomial @ g_weighted[1:])
     return intensity, weighted
 
 

@@ -24,6 +24,11 @@ __all__ = [
 ]
 
 
+# Draws beyond this many incidents are held here, and horizons stay below
+# it, so a held draw never counts as a failure.
+_DRAW_CAP = 2**62
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """What to simulate: model parameters, observation horizon (incidents),
@@ -37,6 +42,8 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1 incident")
+        if self.horizon >= _DRAW_CAP:
+            raise ValueError(f"horizon must be below 2**62 incidents, got {self.horizon}")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if self.seed < 0:
@@ -44,10 +51,16 @@ class SimulationConfig:
 
 
 def _draw_failure_times(params: GeometricModelParams, rng: np.random.Generator) -> np.ndarray:
-    """One geometric draw per fault (values may exceed any horizon)."""
+    """One geometric draw per fault (values may exceed any horizon).  A
+    draw beyond ``_DRAW_CAP`` incidents is held there, past every horizon,
+    so that it stays an int64.  So is the draw of a fault whose rate a
+    subnormal p1 rounds to 0, which never fails: its quotient is infinite,
+    or NaN where u = 0."""
     u = rng.random(params.truncation)
-    times = np.ceil(np.log1p(-u) / params.log_survival)
-    return np.maximum(times, 1.0).astype(np.int64)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        times = np.ceil(np.log1p(-u) / params.log_survival)
+    times = np.nan_to_num(times, nan=_DRAW_CAP)
+    return np.clip(times, 1.0, float(_DRAW_CAP)).astype(np.int64)
 
 
 def simulate(config: SimulationConfig) -> list[FailureDataset]:

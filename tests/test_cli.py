@@ -339,6 +339,97 @@ def test_fit_fuzz_ends_with_an_exit_code(tmp_path_factory, text):
         assert payload["objective"] == least_squares_objective(params, ds)
 
 
+def refused_count(text: str) -> bool:
+    """Whether ``int`` refuses ``text`` or reads a count below 1: bad text
+    for an integer option must not ask for a large run."""
+    try:
+        return int(text) < 1
+    except ValueError:
+        return True
+
+
+def bad_count_text(out_of_range):
+    return st.one_of(
+        out_of_range.map(str),
+        st.sampled_from(["nan", "1e3", "-0", "0x10", "", "abc", "9" * 5000]),
+        st.text(max_size=6).filter(refused_count),
+    )
+
+
+MODEL_NAMES = ["geometric", "musa-basic", "musa-okumoto", "littlewood-verrall", "nhpp"]
+NOT_A_COUNT = st.integers(-(10**400), 0)
+BEYOND_FLOATS = st.integers(10**309, 10**400)
+# (values that make a small run, bad text) per evaluate option, on the
+# NTDS history given as tbf.
+EVALUATE_OPTIONS = {
+    "--cuts": (st.none() | st.integers(1, 50), bad_count_text(NOT_A_COUNT)),
+    "--bins": (st.none() | st.integers(1, 50), bad_count_text(NOT_A_COUNT | BEYOND_FLOATS)),
+    "--threshold": (
+        st.none() | st.floats(0.0, exclude_min=True),
+        bad_text(st.floats(max_value=0.0) | st.just(math.nan)),
+    ),
+    "--models": (
+        st.none() | st.just("all") | st.lists(st.sampled_from(MODEL_NAMES), min_size=1, max_size=3)
+        .map(", ".join),
+        st.sampled_from(["", ",", "duane", "geometric,duane", "ALL"]) | st.text(max_size=6),
+    ),
+    "--format": (st.none() | st.just("tbf"), st.just("cumulative") | st.text(max_size=6)),
+}
+
+
+@given(broken=st.sampled_from([None, *EVALUATE_OPTIONS]), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_evaluate_fuzz_ends_with_an_exit_code(tmp_path_factory, broken, data):
+    """With any one option given a bad value, or none, evaluate ends in exit
+    code 0, 1 or 2, never a traceback; each ``--model`` may name any model
+    or none."""
+    out = tmp_path_factory.mktemp("evaluate_fuzz")
+    argv = ["evaluate", str(REPO_DATA / "ntds_tbf.csv"), "--out", str(out)]
+    if broken != "--format":
+        argv += ["--format", "tbf"]
+    for option, (good, bad) in EVALUATE_OPTIONS.items():
+        value = data.draw(bad if option == broken else good, label=option)
+        if value is not None:
+            argv += [option, value if isinstance(value, str) else repr(value)]
+    for name in data.draw(st.lists(st.sampled_from([*MODEL_NAMES, "duane"]), max_size=2)):
+        argv += ["--model", name]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+# (values that make a small run, bad text) per simulate option.  The
+# default truncation at d = 0.99998 is about 690,000 faults.
+SIMULATE_OPTIONS = {
+    "--p1": (st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), bad_text(OUT_OF_UNIT)),
+    "--d": (st.floats(0.0, 0.99998, exclude_min=True), bad_text(OUT_OF_UNIT)),
+    "--truncation": (st.none() | st.integers(1, 10**6), bad_count_text(NOT_A_COUNT | BEYOND_FLOATS)),
+    "--horizon": (st.integers(1, 10**4), bad_count_text(NOT_A_COUNT | st.integers(2**62, 10**400))),
+    "--seed": (st.integers(0, 10**400), bad_count_text(st.integers(-(10**400), -1))),
+    "--replications": (st.none() | st.integers(1, 3), bad_count_text(NOT_A_COUNT)),
+}
+
+
+@given(broken=st.sampled_from([None, *SIMULATE_OPTIONS]), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_simulate_fuzz_ends_with_an_exit_code(tmp_path_factory, broken, data):
+    """With any one option given a bad value, or none, simulate ends in exit
+    code 0, 1 or 2, never a traceback, and writes its directory only when
+    it succeeds."""
+    out = tmp_path_factory.mktemp("simulate_fuzz") / "sim"
+    argv = ["simulate", "--out", str(out)]
+    for option, (good, bad) in SIMULATE_OPTIONS.items():
+        value = data.draw(bad if option == broken else good, label=option)
+        if value is not None:
+            argv += [option, value if isinstance(value, str) else repr(value)]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert out.exists() == (code == 0)
+
+
 class TestEvaluateCommand:
     def test_unknown_model_listed(self, cumulative_file, tmp_path, capsys):
         code = cli.main(
@@ -471,6 +562,18 @@ class TestEvaluateCommand:
             assert (out / f"aggregate_{name}.csv").read_text() == evaluation.aggregate_to_csv(
                 evaluation.aggregate_median([direct])
             )
+
+    def test_cut_points_beyond_memory_leave_no_output(self, tmp_path):
+        # 2 * 10^8 cut points take 1.6 GB as one array of floats.
+        out = tmp_path / "eval"
+        proc = run_cli_in_one_gib(
+            "evaluate", str(REPO_DATA / "ntds_tbf.csv"), "--format", "tbf",
+            "--cuts", "200000000", "--out", str(out),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("geomrel: error: out of memory"), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_threshold_prints_report(self, cumulative_file, tmp_path, capsys):
         code = cli.main(

@@ -11,7 +11,7 @@ from geomrel import model
 from geomrel.model import (
     DIRECT_SUM_MAX_TERMS,
     GeometricModelParams,
-    _as_time_array,
+    _checked_times,
     _direct_terms,
     _occurrence_sum,
     _series_head,
@@ -157,15 +157,23 @@ _TIME = st.one_of(_SPECIAL_TIMES, st.floats(allow_nan=True, allow_infinity=True)
 def test_time_check_accepts_what_the_any_all_check_accepts(times, minimum):
     """Scalars (0-d), empty, 1-d and 2-d input: accepted exactly when no
     time is below ``minimum`` and every time is finite, and then returned
-    unchanged with its scalar flag."""
+    unchanged, a scalar as a float and an array with a last axis of
+    length 1, with the largest time (0 when there is none)."""
     accepted = reference_accepts_times(times, minimum)
     if accepted:
-        arr, scalar = _as_time_array(times, minimum, "f")
-        assert np.array_equal(arr, np.asarray(times, dtype=float))
-        assert scalar == (arr.ndim == 0)
+        checked, t_max = _checked_times(times, minimum, "f")
+        arr = np.asarray(times, dtype=float)
+        if arr.ndim == 0:
+            assert type(checked) is float
+            assert checked == t_max == arr
+            assert math.copysign(1.0, checked) == math.copysign(1.0, arr)
+        else:
+            assert checked.shape == (*arr.shape, 1)
+            assert np.array_equal(checked[..., 0], arr)
+            assert t_max == arr.max(initial=0.0)
     else:
         with pytest.raises(ValueError, match=f"f requires finite t >= {minimum}"):
-            _as_time_array(times, minimum, "f")
+            _checked_times(times, minimum, "f")
 
 
 class TestMeanFailures:
@@ -282,7 +290,7 @@ class TestSeriesTail:
     def test_series_route_taken(self, p1, d, n, t_max, k):
         params = GeometricModelParams(p1, d, n)
         t = np.linspace(0.0, t_max, 7)
-        assert _series_head(params, t) == k
+        assert _series_head(params, t_max) == k
         scale = max(t_max, 24.0)
         assert scale * p1 * d**k <= 1.0
         assert k == 0 or scale * p1 * d ** (k - 1) > 1.0
@@ -296,7 +304,7 @@ class TestSeriesTail:
         # 10^9 terms would take 8 GB one float per fault; faults past the
         # 5,000th add less than 1e-200 to either sum at t = 250.
         huge = GeometricModelParams(0.05, 0.9, 10**9)
-        assert _series_head(huge, np.array(250.0)) == 24
+        assert _series_head(huge, 250.0) == 24
         small = GeometricModelParams(0.05, 0.9, 5_000)
         assert mean_failures(huge, 250.0) == pytest.approx(mean_failures(small, 250.0), rel=1e-12)
         assert failure_intensity(huge, 250.0) == pytest.approx(
@@ -316,7 +324,7 @@ class TestSeriesTail:
     def test_small_populations_bit_identical(self, p1, d, n, t_max):
         params = GeometricModelParams(p1, d, n)
         t = np.array([0.0, 1.0, 17.25, t_max])
-        assert _series_head(params, t) == n
+        assert _series_head(params, t_max) == n
         rates = p1 * d ** np.arange(n, dtype=float)
         log_survival = np.log1p(-rates)
         mean = (-np.expm1(t[:, np.newaxis] * log_survival)).sum(axis=-1)
@@ -334,13 +342,14 @@ class TestSeriesTail:
 @settings(max_examples=200, deadline=None)
 def test_occurrence_sum_equals_negated_terms(times, p1, d, n):
     """Negating the row sums gives the floats of summing negated terms, the
-    sign of an all-zero sum included."""
+    sign of an all-zero sum included; the terms come back as computed."""
     log_survival = np.log1p(-(p1 * d ** np.arange(n, dtype=float)))
-    for t in (np.array(times), np.asarray(times[0] if times else 0.0)):
-        expected = (-np.expm1(t[..., np.newaxis] * log_survival)).sum(axis=-1)
-        got = _occurrence_sum(t, log_survival)
+    for t in (np.array(times)[:, np.newaxis], times[0] if times else 0.0):
+        expected = (-np.expm1(t * log_survival)).sum(axis=-1)
+        got, terms = _occurrence_sum(t, log_survival)
         assert np.array_equal(got, expected)
         assert np.array_equal(np.signbit(got), np.signbit(expected))
+        assert np.array_equal(terms, np.expm1(t * log_survival))
 
 
 class TestSeriesHeadCache:
@@ -394,13 +403,106 @@ class TestSeriesHeadCache:
             times = sorted(times, reverse=order == "falling")
         shared = GeometricModelParams(p1, d, 200_000)
         for t in times:
-            assert _series_head(shared, np.array(t)) < shared.truncation
+            assert _series_head(shared, t) < shared.truncation
             fresh = GeometricModelParams(p1, d, 200_000)
             assert failure_intensity(shared, t) == failure_intensity(fresh, t)
             fresh = GeometricModelParams(p1, d, 200_000)
             assert mean_failures(shared, t) == mean_failures(fresh, t)
         fresh = GeometricModelParams(p1, d, 200_000)
         assert np.array_equal(mean_failures(shared, times), mean_failures(fresh, times))
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+# Populations summed term by term, and populations whose head, at times up
+# to 1e5 and d <= 0.9999, stays far below N: the series route.
+ROUTE_TRUNCATION = {"direct": DIRECT_SUM_MAX_TERMS, "series": 10**7}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTE_TRUNCATION))
+@given(p1=st.floats(1e-6, 0.9), d=st.floats(0.3, 0.9999), t=st.floats(1.0, 1e5))
+@settings(max_examples=150, deadline=None)
+def test_scalar_read_is_element_zero_of_the_array_read(route, p1, d, t):
+    """A scalar time skips the array checks, and its read is a float
+    equal, bit for bit, to element 0 of the read at ``[t]``."""
+    params = GeometricModelParams(p1, d, ROUTE_TRUNCATION[route])
+    assert (_series_head(params, t) < params.truncation) == (route == "series")
+    for read in (mean_failures, failure_intensity):
+        value = read(params, t)
+        assert type(value) is float
+        assert same_bits(value, read(params, np.array([t]))[0])
+
+
+def exp_pass_intensity_sums(params, t):
+    """``_intensity_sums`` as it was before it reused the mean's terms: its
+    own exp pass over the head for ``(1 - p_a)**(t - 1)``, at each time of
+    the 1-d array ``t``."""
+    k = _series_head(params, float(t.max(initial=0.0)))
+    rates, log_survival = _direct_terms(params, k)
+    survival = np.exp((t[:, np.newaxis] - 1.0) * log_survival)
+    intensity = survival @ rates
+    weighted = survival @ (np.arange(k, dtype=float) * rates)
+    if k < params.truncation:
+        p_k = params.p1 * params.d**k
+        g = model._tail_power_sums(params, k)
+        x = math.log(params.d) * model._SERIES_POWERS
+        m = min(params.truncation - k, 2.0**63)
+        g_weighted = k * g + (np.exp(x) * g - m * np.exp(m * x)) / -np.expm1(x)
+        terms = model._binomial_terms((t - 1.0)[:, np.newaxis], p_k)
+        intensity = intensity + p_k * (g[0] + terms @ g[1:])
+        weighted = weighted + p_k * (g_weighted[0] + terms @ g_weighted[1:])
+    return intensity, weighted
+
+
+# Decay ratios whose default truncation the fit sums term by term, and
+# ratios up to the fit's cap whose default truncation, at times up to 1e4,
+# leaves a series tail.
+FIT_DECAY = {"direct": st.floats(0.3, 0.986), "series": st.floats(0.998, 0.99862)}
+
+
+def assert_sums_match_the_exp_pass(params, t):
+    """Each intensity and weighted sum formed from the mean's ``expm1``
+    terms is within 1e-11 relative of the exp pass's (the bound of the
+    docstring is about 2e-12)."""
+    column, t_max = _checked_times(t, 0.0, "t")
+    _, terms = model._mean_terms(params, column, t_max)
+    sums = model._intensity_sums(params, column, terms)
+    for new, old in zip(sums, exp_pass_intensity_sums(params, t)):
+        assert np.all(np.abs(new - old) <= 1e-11 * np.abs(old))
+    return terms
+
+
+@pytest.mark.parametrize("route", sorted(FIT_DECAY))
+@given(
+    p1=st.one_of(st.floats(1e-6, 0.99), st.floats(1e-12, 0.01).map(lambda q: 1.0 - q)),
+    data=st.data(),
+    times=st.lists(st.one_of(st.floats(0.0, 2.0), st.floats(0.0, 1e4)), min_size=1, max_size=8),
+)
+@settings(max_examples=150, deadline=None)
+def test_intensity_sums_match_the_exp_pass(route, p1, data, times):
+    """On the populations the fit sums (the default truncation), the
+    logit coordinates' p1 up to 1 - 1e-12 included, every sum agrees with
+    the exp pass: where ``1 + expm1`` has lost its relative accuracy the
+    row takes the exp pass itself."""
+    params = GeometricModelParams(p1, data.draw(FIT_DECAY[route], label="d"))
+    terms = assert_sums_match_the_exp_pass(params, np.array(sorted(times)))
+    assert (terms.shape[-1] < params.truncation) == (route == "series")
+
+
+@given(
+    p1=st.floats(1e-3, 0.99),
+    d=FIT_DECAY["direct"],
+    times=st.lists(st.floats(1e7, 1e12), min_size=1, max_size=8),
+)
+@settings(max_examples=100, deadline=None)
+def test_intensity_sums_far_beyond_the_rates(p1, d, times):
+    """At times far beyond 1 / p_a for every fault, where each
+    ``(1 - p_a)**t`` is tiny or 0 and ``1 + expm1`` keeps none of it, the
+    sums still agree with the exp pass: a fit probed there keeps its
+    slope."""
+    assert_sums_match_the_exp_pass(GeometricModelParams(p1, d), np.array(sorted(times)))
 
 
 class TestReleaseTimes:

@@ -23,6 +23,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimulationConfig(params, horizon=10, seed=-1)
 
+    def test_horizon_stays_below_the_draw_cap(self):
+        params = GeometricModelParams(0.1, 0.9)
+        SimulationConfig(params, horizon=2**62 - 1, seed=1)
+        with pytest.raises(ValueError, match="below 2\\*\\*62"):
+            SimulationConfig(params, horizon=2**62, seed=1)
+
 
 class TestSimulate:
     def test_deterministic_given_seed(self):
@@ -53,6 +59,18 @@ class TestSimulate:
         (ds,) = simulate(SimulationConfig(params, horizon=100, seed=5))
         assert ds.final_count == 0
         assert ds.points == ((100.0, 0),)
+
+    @pytest.mark.parametrize("p1", [5e-324, 1e-300, 1e-19])
+    def test_draws_past_int64_are_held_at_the_cap(self, p1):
+        # At p1 = 5e-324 every rate after the first rounds to 0, and the
+        # draws overflow or divide 0 by 0; at 1e-19 most lie past 2**63.
+        params = GeometricModelParams(p1, 0.5, 20)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            times = _draw_failure_times(params, np.random.default_rng(0))
+        assert times.dtype == np.int64
+        assert np.all((times >= 1) & (times <= 2**62))
+        (ds,) = simulate(SimulationConfig(params, horizon=2**62 - 1, seed=5))
+        assert ds.final_count == 0
 
     def test_draw_failure_times_one_per_fault(self):
         params = GeometricModelParams(0.2, 0.9, 25)
