@@ -2,8 +2,8 @@
 failure rates.
 
 The package bundles the model equations, least-squares fitting with an
-in-house Levenberg-Marquardt loop (and an in-house Nelder-Mead simplex for
-Littlewood-Verrall's likelihood), four classic comparison models behind the
+in-house Levenberg-Marquardt loop (which also fits Littlewood-Verrall's
+likelihood by damped Newton steps), four classic comparison models behind the
 same fit/predict interface (three of them rows of one closed-form table),
 a number-of-failures predictive-validity harness, and a simulation oracle
 for verification.  The ``geomrel``

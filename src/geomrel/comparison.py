@@ -24,9 +24,10 @@ fits each prefix once for both (:func:`_fit_key` names the fits that are
 equal).  Littlewood-Verrall is TBF-native and is fitted by maximizing its
 marginal likelihood over the inverse gamma shape ``u = 1/alpha`` and
 mean-interval scales, a parametrization in which the exponential limit
-``alpha -> inf`` is the finite point ``u = 0``, with the in-house
-Nelder-Mead optimizer; its predictions invert a closed-form expected time
-to failure n.  Every route uses the package's own optimizers, so
+``alpha -> inf`` is the finite point ``u = 0``, by damped Newton steps of
+the same in-house loop on the likelihood's analytic gradient and Hessian;
+its predictions invert a closed-form expected time to failure n.  Every
+route uses the package's own optimizer, so
 cross-model comparisons reflect model shape rather than toolchain
 differences.  Absolute fitted values therefore need not match those of
 other estimation toolchains even on identical data.
@@ -71,6 +72,63 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # rounding, and a smaller rate would only inflate the level (up to
 # overflow) on histories without growth.
 _LINEAR_LIMIT = 1e-12
+
+
+# Below this x, the derivatives of L(x) = log1p(x)/x come from their series
+# in w = (x/(2 + x))**2 <= 1/4, summed over its first 30 powers (a remainder
+# below 1e-16 of the sum); from it on, their closed forms lose at most a few
+# ulps to cancellation, which grows as x falls (to 1e-10 at x = 1e-3).
+_SERIES_SWITCH = 2.0
+_SERIES_POWERS = np.arange(30.0)
+# Coefficients of w**j in T(w) = atanh(sqrt w)/sqrt w = sum w**j/(2j + 1)
+# and in its first two derivatives, one row each.
+_SERIES_COEFFICIENTS = np.stack(
+    [
+        1.0 / (2.0 * _SERIES_POWERS + 1.0),
+        (_SERIES_POWERS + 1.0) / (2.0 * _SERIES_POWERS + 3.0),
+        (_SERIES_POWERS + 1.0) * (_SERIES_POWERS + 2.0) / (2.0 * _SERIES_POWERS + 5.0),
+    ]
+)
+
+
+def _log1p_ratio_slopes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first and second derivatives of ``L(x) = log1p(x)/x`` at each
+    x >= 0 of a 1-d array: ``L' = (x/(1 + x) - log1p(x))/x**2`` and
+    ``L'' = -(1/(1 + x)**2 + 2 L')/x``, with ``L'(0) = -1/2`` and
+    ``L''(0) = 2/3``.
+
+    Below ``_SERIES_SWITCH`` they come from ``L = (1 - y) T(y**2)`` with
+    ``y = x/(2 + x)``, since ``log1p(x) = 2 atanh(y)``, differentiated
+    through ``dy/dx = (1 - y)**2 / 2``; there the closed forms would
+    cancel.  The series are summed by numpy's own reduction over each x's
+    terms, not by a matrix product, so that their floats depend neither on
+    the BLAS numpy is built with nor on the array's length.  Each branch
+    runs on x clipped to its own side of the switch, and the closed forms
+    only when some x reaches it.
+    """
+    near = np.minimum(x, _SERIES_SWITCH)
+    y = near / (2.0 + near)
+    w = y * y
+    powers = np.empty((x.size, _SERIES_POWERS.size))
+    powers[:, 0] = 1.0
+    powers[:, 1:] = w[:, np.newaxis]
+    np.multiply.accumulate(powers, axis=1, out=powers)
+    t0, t1, t2 = (powers[:, np.newaxis, :] * _SERIES_COEFFICIENTS).sum(axis=2).T
+    q = 1.0 - y
+    # dL/dy = 2 y q T' - T and its derivative in y.
+    by_y = 2.0 * y * q * t1 - t0
+    by_yy = (2.0 - 6.0 * y) * t1 + 4.0 * w * q * t2
+    slope_near = 0.5 * q * q * by_y
+    bend_near = 0.5 * q * q * q * (0.5 * q * by_yy - by_y)
+
+    small = x < _SERIES_SWITCH
+    if small.all():
+        return slope_near, bend_near
+    far = np.maximum(x, _SERIES_SWITCH)
+    inverse = 1.0 / (1.0 + far)
+    slope_far = (inverse - np.log1p(far) / far) / far
+    bend_far = -(inverse * inverse + 2.0 * slope_far) / far
+    return np.where(small, slope_near, slope_far), np.where(small, bend_near, bend_far)
 
 
 class ReliabilityModel(ABC):
@@ -334,10 +392,14 @@ class LittlewoodVerrall(ReliabilityModel):
     ``-ln[alpha phi_i**alpha / (t_i + phi_i)**(alpha + 1)]`` rewritten so
     that it stays finite and continuous at ``u = 0``, the exponential limit
     ``alpha -> inf``, and at ``scale1 = 0``.  The fit minimizes the sum of
-    these terms over ``u = z0**2``, ``scale0 = exp(z1)`` and
-    ``scale1 = z2**2``, so the simplex reaches both limits in finitely many
-    steps instead of drifting towards them.  A fit at the exponential limit
-    is named by :attr:`boundary`.
+    these terms over ``(u, ln scale0, scale1/m)``, m the mean interval, with
+    :func:`geomrel.estimation.levenberg_marquardt` in its Hessian form,
+    from analytic first and second derivatives of each term (through
+    ``L'`` and ``L''``, see :func:`_log1p_ratio_slopes`), with lower bounds
+    ``u >= 0`` and ``scale1 >= 0``.  A step cut short by a bound ends
+    exactly on it, so a fit reaches either limit instead of drifting
+    towards it.  A fit at the exponential limit is named by
+    :attr:`boundary`.
 
     Predictions invert the closed-form expected time to failure n,
     ``(n*scale0 + scale1*n(n+1)(2n+1)/6)/(1 - u)``, by integer bisection
@@ -355,7 +417,8 @@ class LittlewoodVerrall(ReliabilityModel):
         There the fit sits at the edge ``alpha -> inf`` of the gamma
         family: the history shows no evidence of varying hazards, and the
         intervals are fitted as exponential with means ``s(i)``.
-        ``converged`` still says whether the simplex collapsed.
+        ``converged`` still says only whether the search met its stopping
+        criterion, with u held on its bound.
         """
         if self.params.inverse_shape < EXPONENTIAL_LIMIT_INVERSE_SHAPE:
             return "exponential-limit"
@@ -370,25 +433,6 @@ class LittlewoodVerrall(ReliabilityModel):
                 f"{cls.model_name}: needs at least {cls.min_failures} failures, got {n}"
             )
         squared = np.square(np.arange(1, n + 1, dtype=float))
-
-        def negative_log_likelihood(z: np.ndarray) -> float:
-            z0, z1, z2 = z.tolist()
-            # Above the log of the largest float, exp(z1) overflows; below
-            # its negative, scale0 underflows to zero.
-            if abs(z1) > _LOG_FLOAT_MAX:
-                return math.inf
-            # z*z, not z**2: a float power raises OverflowError where a
-            # product gives inf.
-            u, scale0, scale1 = z0 * z0, math.exp(z1), z2 * z2
-            # Tiny scales or huge u can still overflow the ratios below;
-            # such probes come out non-finite, which nelder_mead rejects as
-            # +inf, with numpy's warnings off for its whole run.
-            scales = scale0 + scale1 * squared
-            ratios = tbf / scales
-            x = u * ratios
-            log1p_ratio = np.divide(np.log1p(x), x, out=np.ones_like(x), where=x > 0)
-            return float((np.log(scales) + (1.0 + u) * ratios * log1p_ratio).sum())
-
         # Moment-style start: regress the intervals on i^2 for the trend and
         # begin at alpha = 2 (u = 1/2) with s(i) half the trend, so that the
         # expected TBF s(i)/(1 - u) equals the trend itself.
@@ -396,16 +440,83 @@ class LittlewoodVerrall(ReliabilityModel):
         scale = float(np.mean(tbf))
         beta1_start = max(float(slope), 1e-6 * scale / squared[-1])
         beta0_start = max(float(intercept), 1e-3 * scale)
-        start = np.array(
-            [math.sqrt(0.5), math.log(beta0_start / 2.0), math.sqrt(beta1_start / 2.0)]
-        )
+        # The search runs in (u, ln scale0, scale1 / scale): with the mean
+        # interval as the unit of scale1, no derivative depends on the unit
+        # of time.
+        start = [0.5, math.log(beta0_start / 2.0), beta1_start / 2.0 / scale]
+        spread = scale * squared  # d s / d(scale1 / m)
+        unit = np.ones(n)
+        probed = []  # the latest probe's (u, scale0, scales, ratios, x, L(x))
+
+        def negative_log_likelihood(z: np.ndarray):
+            u, log_scale0, trend = z.tolist()
+            # Above the log of the largest float, exp overflows; below its
+            # negative, scale0 underflows to zero.
+            if abs(log_scale0) > _LOG_FLOAT_MAX:
+                return None
+            scale0 = math.exp(log_scale0)
+            # Tiny scales or huge u can still overflow the ratios below;
+            # such probes come out non-finite, which the loop rejects, with
+            # numpy's warnings off for its whole run.
+            scales = scale0 + trend * scale * squared
+            ratios = tbf / scales
+            if u == 0.0:  # every x is 0, and L(0) = 1
+                x, log1p_ratio = 0.0, 1.0
+            else:
+                x = u * ratios
+                log1p_ratio = np.divide(np.log1p(x), x, out=unit.copy(), where=x > 0)
+            probed[:] = u, scale0, scales, ratios, x, log1p_ratio
+            return float((np.log(scales) + (1.0 + u) * ratios * log1p_ratio).sum())
+
+        def derivatives(z: np.ndarray, value: float):
+            u, scale0, scales, ratios, x, log1p_ratio = probed
+            if u == 0.0:
+                slope, bend = -0.5, 2.0 / 3.0  # L'(0) and L''(0)
+            else:
+                slope, bend = _log1p_ratio_slopes(x)
+            grown = 1.0 + u
+            shifted = 1.0 + x
+            share = grown * ratios / shifted
+            ratios2 = ratios * ratios
+            # Each term's derivatives in ln s (first, second, and across u),
+            # and d s / s in each scale coordinate: all free of the unit of
+            # time.
+            by_s = 1.0 - share
+            by_ss = share * (2.0 + x) / shifted - 1.0
+            by_us = ratios * (ratios - 1.0) / (shifted * shifted)
+            p = scale0 / scales
+            q = spread / scales
+            by_ss_p = by_ss * p
+            sums = np.array(
+                [
+                    ratios * log1p_ratio + grown * ratios2 * slope,
+                    ratios2 * (2.0 * slope + grown * ratios * bend),
+                    by_s * p,
+                    by_s * q,
+                    by_us * p,
+                    by_us * q,
+                    by_ss_p * p,
+                    by_ss_p * q,
+                    by_ss * q * q,
+                ]
+            ).sum(axis=1)
+            g_u, h_uu, g_a, g_b, h_ua, h_ub, h_aa, h_ab, h_bb = (0.5 * sums).tolist()
+            # ln scale0 also enters s through d s = scale0 d(ln scale0).
+            h_aa += g_a
+            return [g_u, g_a, g_b], [[h_uu, h_ua, h_ub], [h_ua, h_aa, h_ab], [h_ub, h_ab, h_bb]]
 
         try:
-            best, diag = estimation.nelder_mead(negative_log_likelihood, start)
+            best, diag = estimation.levenberg_marquardt(
+                negative_log_likelihood,
+                derivatives,
+                start,
+                lower=[0.0, -math.inf, 0.0],
+                least_squares=False,
+            )
         except ValueError as exc:
             raise FitError(f"{cls.model_name}: {exc}") from exc
-        z0, z1, z2 = best.tolist()
-        return cls(LittlewoodVerrallParams(z0 * z0, math.exp(z1), z2 * z2), diag)
+        u, log_scale0, trend = best.tolist()
+        return cls(LittlewoodVerrallParams(u, math.exp(log_scale0), trend * scale), diag)
 
     def predict_mean(self, t) -> float:
         if t < 0 or not math.isfinite(t):

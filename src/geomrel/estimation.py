@@ -9,9 +9,12 @@ cumulative failure counts on a log scale,
 The four models fitted to it (the geometric-rates model here, and the
 closed forms of :mod:`geomrel.comparison`) minimize it with a
 self-contained Levenberg-Marquardt loop on the residuals and their
-Jacobian.  Littlewood-Verrall minimizes its likelihood with a
-self-contained Nelder-Mead simplex.  Both optimizers return one record,
-:class:`OptimizerResult`, which is every fitted model's ``diagnostics``.
+Jacobian.  Littlewood-Verrall minimizes its negative log-likelihood with
+the same loop, given its gradient and Hessian.  The loop returns one
+record, :class:`OptimizerResult`, which is every fitted model's
+``diagnostics``.  The self-contained Nelder-Mead simplex,
+:func:`nelder_mead`, fits no model any more; it stays as a public
+optimizer, and as the reference the fits are checked against.
 The geometric model's parameters p1 and d live in (0, 1)^2; the search
 runs in an unconstrained space via the inverse-sigmoid map of each
 parameter so feasibility never has to be patched up afterwards.
@@ -86,20 +89,28 @@ _LM_MAX_ITERATIONS = 200
 class OptimizerResult:
     """Diagnostics of one optimizer run.
 
-    ``optimizer`` is ``"nelder-mead"`` or ``"levenberg-marquardt"``, and
-    ``x`` the best point in the optimizer's coordinates.  ``evaluations``
-    counts every objective (or residual) call, the start included;
+    ``optimizer`` is ``"levenberg-marquardt"`` for every fitted model
+    (:func:`levenberg_marquardt`, in its least-squares or its Hessian
+    form) and ``"nelder-mead"`` for a :func:`nelder_mead` run; ``x`` is
+    the best point in the optimizer's coordinates.  ``evaluations`` counts
+    every objective (or residual) call, the start included;
     ``nonfinite_evaluations`` counts those that were not finite, and
-    ``jacobian_evaluations`` the Jacobians (none for Nelder-Mead).
-    ``iterations`` counts simplex steps, or damped steps tried.
+    ``jacobian_evaluations`` the Jacobians, or gradient-and-Hessian passes
+    (none for Nelder-Mead).  ``iterations`` counts simplex steps, or damped
+    steps tried, a step refused for a damped matrix that is not positive
+    definite included.
 
     ``converged`` says that the run stopped on its own criterion rather
     than on its iteration cap: for Nelder-Mead a value spread across the
-    simplex (``simplex_spread``) of at most 1e-8; for Levenberg-Marquardt
-    a relative decrease of at most 1e-13, or a step below 1e-12 relative,
-    which includes a point where every coordinate is held at its bound.
-    ``simplex_spread`` is ``None`` for Levenberg-Marquardt.  A fit reports
-    ``value`` as its objective recomputed at the parameters it returns.
+    simplex (``simplex_spread``) of at most 1e-8; for Levenberg-Marquardt,
+    in either form, an accepted step that lowered the objective by at most
+    1e-13 of its magnitude, a step below 1e-12 relative, or a point where
+    every coordinate is held (its curvature zero, or on its bound with the
+    gradient pointing outward).  For a likelihood that is a stationary
+    point within the bounds, not a check that the Hessian there is
+    positive definite.  ``simplex_spread`` is ``None`` for
+    Levenberg-Marquardt.  A fit reports ``value`` as its objective
+    recomputed at the parameters it returns.
     """
 
     optimizer: str
@@ -222,7 +233,7 @@ def nelder_mead(objective, start) -> tuple[np.ndarray, OptimizerResult]:
     diagnostics.  Iteration stops when the function-value spread across
     the simplex drops to 1e-8 or after 2,000 iterations; the best vertex
     seen is returned either way and is never worse than the best initial
-    vertex.  Every fit runs this one setting.
+    vertex.  Every run uses this one setting.
 
     The objective gets each probe as a fresh 1-d float array.  The whole
     run is under one ``np.errstate`` that silences overflow, invalid and
@@ -345,66 +356,86 @@ def nelder_mead(objective, start) -> tuple[np.ndarray, OptimizerResult]:
     return np.array(simplex[0]), result
 
 
+def _bounds(given, k: int, none: float, name: str) -> list[float]:
+    """One bound per coordinate from ``given`` (``none`` everywhere when it
+    is None); raises unless there are k of them, none NaN."""
+    if given is None:
+        return [none] * k
+    bounds = [float(b) for b in given]
+    if len(bounds) != k:
+        raise ValueError(f"{name} must give one bound per coordinate: {len(bounds)} for {k}")
+    if any(math.isnan(b) for b in bounds):
+        raise ValueError(f"{name} must not contain NaN")
+    return bounds
+
+
 def levenberg_marquardt(
-    residuals, jacobian, start, upper=None
+    residuals, jacobian, start, upper=None, lower=None, least_squares=True
 ) -> tuple[np.ndarray, OptimizerResult]:
     """Minimize ``sum(residuals(x)**2)`` by damped Gauss-Newton steps
-    (Levenberg 1944; Marquardt 1963), within an optional upper bound on
-    each coordinate.
+    (Levenberg 1944; Marquardt 1963), or with ``least_squares=False`` a
+    smooth objective by damped Newton steps, within optional lower and
+    upper bounds on each coordinate.
 
     ``residuals(x)`` gets each probe as a fresh 1-d float array and returns
-    the residual vector, or ``None`` for a point outside the model's
-    domain; a probe whose sum of squares is not finite is rejected and
-    tallied.  ``jacobian(x, r)`` returns the residuals' partial
-    derivatives at x, one array per coordinate, given r = residuals(x).
-    It is only ever called for the point of the latest ``residuals`` call,
-    so it may reuse that call's work.
+    the residual vector (with ``least_squares=False``, the objective's
+    value), or ``None`` for a point outside the model's domain; a probe
+    whose sum of squares (or value) is not finite is rejected and tallied.
+    ``jacobian(x, out)``, given ``out = residuals(x)``, returns the
+    residuals' partial derivatives at x, one array per coordinate (with
+    ``least_squares=False``, half the objective's gradient, one float per
+    coordinate, and half its Hessian, one row per coordinate, of which only
+    the upper triangle is read).  It is only ever called for the point of
+    the latest ``residuals`` call, so it may reuse that call's work.  Either way the objective near x is modelled
+    as ``f + 2 g.s + s'As`` for a step s, with ``g = J^T r`` and
+    ``A = J^T J`` for least squares.
 
-    Each step solves ``(A + damping diag(A)) step = -g`` with
-    ``A = J^T J`` and ``g = J^T r`` (Marquardt's scaling) by Cramer's rule
+    Each step solves ``(A + damping |diag A|) step = -g`` (Marquardt's
+    scaling, ``(1 + damping) diag A`` for least squares) by Cramer's rule
     in Python floats, so that runs are deterministic whatever linear
-    algebra numpy is built with; x has 1 or 2 coordinates, and one whose
-    Jacobian column is zero is held.  The damping starts at 1e-3.  A step
-    is accepted only when it lowers the objective; the damping then
-    shrinks by Nielsen's gain-ratio rule, ``max(1/3, 1 - (2 rho - 1)**3)``,
-    and after a rejected step it grows by 2, 4, 8, ...  The run stops once
-    an accepted step lowers the objective by at most 1e-13 of its value,
+    algebra numpy is built with; x has 1 to 3 coordinates, and one whose
+    diagonal entry of A is zero is held.  A damped matrix that is not
+    positive definite (a leading minor at or below zero), as a likelihood's
+    Hessian can be away from its optimum, is refused without a probe, like
+    a rejected step.  The damping starts at 1e-3.  A step is accepted only
+    when it lowers the objective; the damping then shrinks by Nielsen's
+    gain-ratio rule, ``max(1/3, 1 - (2 rho - 1)**3)``, and after a rejected
+    or refused step it grows by 2, 4, 8, ...  The run stops once an
+    accepted step lowers the objective by at most 1e-13 of its magnitude,
     or a step moves every coordinate x by at most 1e-12 (1 + |x|)
     (``converged``), or after 200 steps.
 
-    ``upper`` gives each coordinate's upper bound (``math.inf`` for none),
-    one per coordinate and none NaN, and ``start`` must lie within it;
-    otherwise ``ValueError`` is raised.  A step that crosses a bound is
-    shortened along its direction to end on it.  A coordinate on its bound
-    whose gradient points outward is held while the others move, as is
-    one whose step would point outward once solved with the others.
+    ``upper`` and ``lower`` give each coordinate's bounds (``math.inf`` and
+    ``-math.inf`` for none), one per coordinate and none NaN, and ``start``
+    must lie within them; otherwise ``ValueError`` is raised.  A step that
+    crosses a bound is shortened along its direction to end exactly on it.
+    A coordinate on a bound whose gradient points outward is held while the
+    others move, as is one whose step would point outward once solved with
+    the others.
 
     Like :func:`nelder_mead`, the whole run is under one ``np.errstate``
     that silences overflow, invalid and divide warnings.
     """
     point = [float(v) for v in np.asarray(start, dtype=float)]
-    if not 1 <= len(point) <= 2:
-        raise ValueError("start must have 1 or 2 coordinates")
-    two = len(point) == 2
-    if upper is None:
-        bounds = [math.inf] * len(point)
-    else:
-        bounds = [float(u) for u in upper]
-        if len(bounds) != len(point):
-            raise ValueError(
-                f"upper must give one bound per coordinate: {len(bounds)} for {len(point)}"
-            )
-        if any(math.isnan(b) for b in bounds):
-            raise ValueError("upper must not contain NaN")
-        if any(v > b for v, b in zip(point, bounds)):
+    k = len(point)
+    if not 1 <= k <= 3:
+        raise ValueError("start must have 1 to 3 coordinates")
+    highs = _bounds(upper, k, math.inf, "upper")
+    lows = _bounds(lower, k, -math.inf, "lower")
+    for v, high, low in zip(point, highs, lows):
+        if v > high:
             raise ValueError("start must lie within upper")
-    # A 1-d search carries a second coordinate at 0 with no bound, no
-    # gradient and no curvature: it is never free, so it never moves, and
-    # the first coordinate's floats are those of a 1-d solve.
-    x0, x1 = point if two else (point[0], 0.0)
-    b0, b1 = bounds if two else (bounds[0], math.inf)
-    g1 = n01 = n10 = n11 = 0.0
-    free1 = False
+        if v < low:
+            raise ValueError("start must lie within lower")
+    # A search in fewer than 3 coordinates carries the rest at 0 with no
+    # bound, gradient or curvature: they are never free, so they never
+    # move, and the others' floats are those of a smaller solve.
+    pad = 3 - k
+    x0, x1, x2 = point + [0.0] * pad
+    hi0, hi1, hi2 = highs + [math.inf] * pad
+    lo0, lo1, lo2 = lows + [-math.inf] * pad
+    g0 = g1 = g2 = 0.0
+    a00 = a01 = a02 = a11 = a12 = a22 = 0.0
 
     nonfinite = 0
     evaluations = 0
@@ -413,105 +444,157 @@ def levenberg_marquardt(
     def evaluate(probe: list[float]):
         nonlocal nonfinite, evaluations
         evaluations += 1
-        r = residuals(np.array(probe))
-        value = math.inf if r is None else float(r @ r)
+        out = residuals(np.array(probe))
+        if out is None:
+            value = math.inf
+        else:
+            value = float(out @ out) if least_squares else float(out)
         if not math.isfinite(value):
             nonfinite += 1
             return None, math.inf
-        return r, value
+        return out, value
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        r, value = evaluate(point)
-        if r is None:
+        out, value = evaluate(point)
+        if out is None:
             raise ValueError("objective is not finite at the start")
 
         damping, growth = _LM_DAMPING, 2.0
         iterations = 0
         converged = False
-        fresh = True  # the Jacobian is due at the point
+        fresh = True  # the derivatives are due at the point
         while True:
             if fresh:
-                columns = jacobian(np.array(point), r)
-                jacobians += 1
-                c0 = columns[0]
-                g0 = float(c0 @ r)
-                n00 = float(c0 @ c0)
-                free0 = n00 > 0.0 and not (x0 >= b0 and g0 < 0.0)
-                if two:
-                    c1 = columns[1]
-                    g1 = float(c1 @ r)
+                if least_squares:
                     # numpy's dot multiplies pairwise and sums in index
-                    # order, so c1 @ c0 is this same float.
-                    n01 = n10 = float(c0 @ c1)
-                    n11 = float(c1 @ c1)
-                    free1 = n11 > 0.0 and not (x1 >= b1 and g1 < 0.0)
-            if not (free0 or free1):
+                    # order, so c1 @ c0 is the same float as c0 @ c1.
+                    columns = jacobian(np.array(point), out)
+                    c0 = columns[0]
+                    g0 = float(c0 @ out)
+                    a00 = float(c0 @ c0)
+                    if k > 1:
+                        c1 = columns[1]
+                        g1 = float(c1 @ out)
+                        a01 = float(c0 @ c1)
+                        a11 = float(c1 @ c1)
+                        if k > 2:
+                            c2 = columns[2]
+                            g2 = float(c2 @ out)
+                            a02 = float(c0 @ c2)
+                            a12 = float(c1 @ c2)
+                            a22 = float(c2 @ c2)
+                else:
+                    gradient, hessian = jacobian(np.array(point), out)
+                    g0, g1, g2 = [*gradient, 0.0, 0.0][:3]
+                    rows = [[*row, 0.0, 0.0][:3] for row in hessian] + [[0.0] * 3] * pad
+                    (a00, a01, a02), (_, a11, a12), (_, _, a22) = rows
+                jacobians += 1
+                free0 = abs(a00) > 0.0 and not (x0 >= hi0 and g0 < 0.0 or x0 <= lo0 and g0 > 0.0)
+                free1 = abs(a11) > 0.0 and not (x1 >= hi1 and g1 < 0.0 or x1 <= lo1 and g1 > 0.0)
+                free2 = abs(a22) > 0.0 and not (x2 >= hi2 and g2 < 0.0 or x2 <= lo2 and g2 > 0.0)
+                on_bound = (
+                    x0 >= hi0 or x0 <= lo0 or x1 >= hi1 or x1 <= lo1 or x2 >= hi2 or x2 <= lo2
+                )
+            if not (free0 or free1 or free2):
                 converged = True
                 break
             if iterations >= _LM_MAX_ITERATIONS:
                 break
             iterations += 1
 
-            # The damped step over the free coordinates, 0 for the others.
-            # A coordinate on its bound whose step points outward is held,
-            # and the other solved again alone.  When rounding leaves the
-            # determinant at or below zero, the step is NaN and its probe
-            # rejected.
-            scale = 1.0 + damping
-            s0 = s1 = 0.0
-            move0, move1 = free0, free1
-            if move0 and move1:
-                a = n00 * scale
-                d = n11 * scale
-                det = a * d - n01 * n10
-                if det > 0.0:
-                    t0 = (-g0 * d - n01 * -g1) / det
-                    t1 = (a * -g1 - n10 * -g0) / det
-                else:
-                    t0 = t1 = math.nan
-                move0 = not (x0 >= b0 and t0 > 0.0)
-                move1 = not (x1 >= b1 and t1 > 0.0)
-                if move0 and move1:
-                    s0, s1 = t0, t1
-            if move0 and not move1:
-                t0 = -g0 / (n00 * scale)
-                if not (x0 >= b0 and t0 > 0.0):
-                    s0 = t0
-            elif move1 and not move0:
-                t1 = -g1 / (n11 * scale)
-                if not (x1 >= b1 and t1 > 0.0):
-                    s1 = t1
+            # The damped step over the free coordinates, 0 for the others:
+            # a held coordinate's row and column are those of the identity,
+            # with nothing on the right, which leaves the others the floats
+            # of their own smaller system.  A coordinate on a bound whose
+            # step points outward is held, and the others solved again.
+            grow, shrink = 1.0 + damping, 1.0 - damping
+            held0, held1, held2 = not free0, not free1, not free2
+            while True:
+                d00 = 1.0 if held0 else a00 * (grow if a00 > 0.0 else shrink)
+                d11 = 1.0 if held1 else a11 * (grow if a11 > 0.0 else shrink)
+                d22 = 1.0 if held2 else a22 * (grow if a22 > 0.0 else shrink)
+                d01 = 0.0 if held0 or held1 else a01
+                d02 = 0.0 if held0 or held2 else a02
+                d12 = 0.0 if held1 or held2 else a12
+                p = 0.0 if held0 else -g0
+                q = 0.0 if held1 else -g1
+                r = 0.0 if held2 else -g2
+                # The cofactors of the symmetric damped matrix.
+                c00 = d11 * d22 - d12 * d12
+                c01 = d12 * d02 - d01 * d22
+                c02 = d01 * d12 - d11 * d02
+                c11 = d00 * d22 - d02 * d02
+                c12 = d01 * d02 - d00 * d12
+                c22 = d00 * d11 - d01 * d01
+                det = d00 * c00 + d01 * c01 + d02 * c02
+                # The leading minors are d00, c22 and det.
+                positive = d00 > 0.0 and c22 > 0.0 and det > 0.0
+                if not positive:
+                    break
+                s0 = 0.0 if held0 else (c00 * p + c01 * q + c02 * r) / det
+                s1 = 0.0 if held1 else (c01 * p + c11 * q + c12 * r) / det
+                s2 = 0.0 if held2 else (c02 * p + c12 * q + c22 * r) / det
+                if not on_bound:
+                    break
+                out0 = s0 > 0.0 and x0 >= hi0 or s0 < 0.0 and x0 <= lo0
+                out1 = s1 > 0.0 and x1 >= hi1 or s1 < 0.0 and x1 <= lo1
+                out2 = s2 > 0.0 and x2 >= hi2 or s2 < 0.0 and x2 <= lo2
+                if not (out0 or out1 or out2):
+                    break
+                held0, held1, held2 = held0 or out0, held1 or out1, held2 or out2
+            if not positive:
+                damping *= growth
+                growth *= 2.0
+                fresh = False
+                continue
 
-            # Shorten a step that crosses a bound so that it ends there, at
-            # the smaller share of the step when both cross.
+            # Shorten a step that crosses a bound so that it ends exactly
+            # there, at the smallest share of the step when several cross.
             share = 1.0
-            cross0 = x0 + s0 > b0
-            if cross0:
-                share = f0 = (b0 - x0) / s0
-            cross1 = x1 + s1 > b1
-            if cross1:
-                f1 = (b1 - x1) / s1
-                if not cross0 or f1 < share:
+            crossed = False
+            e0 = hi0 if x0 + s0 > hi0 else lo0 if x0 + s0 < lo0 else None
+            e1 = hi1 if x1 + s1 > hi1 else lo1 if x1 + s1 < lo1 else None
+            e2 = hi2 if x2 + s2 > hi2 else lo2 if x2 + s2 < lo2 else None
+            if e0 is not None:
+                share = f0 = (e0 - x0) / s0
+                crossed = True
+            if e1 is not None:
+                f1 = (e1 - x1) / s1
+                if not crossed or f1 < share:
                     share = f1
-            trial0 = b0 if cross0 and f0 == share else x0 + share * s0
-            trial1 = b1 if cross1 and f1 == share else x1 + share * s1
+                crossed = True
+            if e2 is not None:
+                f2 = (e2 - x2) / s2
+                if not crossed or f2 < share:
+                    share = f2
+            trial0 = e0 if e0 is not None and f0 == share else x0 + share * s0
+            trial1 = e1 if e1 is not None and f1 == share else x1 + share * s1
+            trial2 = e2 if e2 is not None and f2 == share else x2 + share * s2
             u0 = trial0 - x0
             u1 = trial1 - x1
-            if abs(u0) <= _LM_STEP * (1.0 + abs(x0)) and abs(u1) <= _LM_STEP * (1.0 + abs(x1)):
+            u2 = trial2 - x2
+            if (
+                abs(u0) <= _LM_STEP * (1.0 + abs(x0))
+                and abs(u1) <= _LM_STEP * (1.0 + abs(x1))
+                and abs(u2) <= _LM_STEP * (1.0 + abs(x2))
+            ):
                 converged = True
                 break
 
-            trial = [trial0, trial1] if two else [trial0]
-            r_trial, value_trial = evaluate(trial)
+            # A padded coordinate never moves, so its probe is left out.
+            trial = [trial0, trial1, trial2][:k]
+            out_trial, value_trial = evaluate(trial)
             if value_trial < value:
                 decrease = value - value_trial
-                # The reduction the linear model predicts: -(2 g.u + u'Au).
+                # The reduction the model predicts: -(2 g.u + u'Au).
                 predicted = -(
-                    u0 * (2.0 * g0 + (n00 * u0 + n01 * u1))
-                    + u1 * (2.0 * g1 + (n10 * u0 + n11 * u1))
+                    u0 * (2.0 * g0 + (a00 * u0 + a01 * u1 + a02 * u2))
+                    + u1 * (2.0 * g1 + (a01 * u0 + a11 * u1 + a12 * u2))
+                    + u2 * (2.0 * g2 + (a02 * u0 + a12 * u1 + a22 * u2))
                 )
-                small = decrease <= _LM_DECREASE * value
-                point, x0, x1, r, value = trial, trial0, trial1, r_trial, value_trial
+                small = decrease <= _LM_DECREASE * abs(value)
+                point, out, value = trial, out_trial, value_trial
+                x0, x1, x2 = trial0, trial1, trial2
                 if small:
                     converged = True
                     break

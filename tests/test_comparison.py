@@ -7,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomrel.comparison import (
+    _LOG_FLOAT_MAX,
+    _SERIES_SWITCH,
     ALL_MODEL_NAMES,
     ClosedFormModel,
     LittlewoodVerrall,
     LittlewoodVerrallParams,
     ReliabilityModel,
+    _log1p_ratio_slopes,
     fit_model,
 )
 from geomrel.data import FailureDataset, parse_dataset
@@ -332,6 +335,207 @@ class TestLittlewoodVerrallOnNtds:
         assert set(full.params_dict()) == {"inverse_shape", "scale0", "scale1"}
 
 
+
+def reference_lv_nelder_mead(ds: FailureDataset) -> OptimizerResult:
+    """The Littlewood-Verrall fit before the derivative route: Nelder-Mead
+    over (sqrt u, ln scale0, sqrt scale1) on the same terms, from the same
+    start."""
+    tbf = ds.time_between_failures()
+    squared = np.square(np.arange(1, tbf.size + 1, dtype=float))
+
+    def negative_log_likelihood(z):
+        z0, z1, z2 = z.tolist()
+        if abs(z1) > _LOG_FLOAT_MAX:
+            return math.inf
+        u, scale0, scale1 = z0 * z0, math.exp(z1), z2 * z2
+        scales = scale0 + scale1 * squared
+        ratios = tbf / scales
+        x = u * ratios
+        log1p_ratio = np.divide(np.log1p(x), x, out=np.ones_like(x), where=x > 0)
+        return float((np.log(scales) + (1.0 + u) * ratios * log1p_ratio).sum())
+
+    slope, intercept = np.polyfit(squared, tbf, 1)
+    scale = float(np.mean(tbf))
+    beta1_start = max(float(slope), 1e-6 * scale / squared[-1])
+    beta0_start = max(float(intercept), 1e-3 * scale)
+    start = np.array(
+        [math.sqrt(0.5), math.log(beta0_start / 2.0), math.sqrt(beta1_start / 2.0)]
+    )
+    return nelder_mead(negative_log_likelihood, start)[1]
+
+
+def simulated_lv_histories(count: int, seed: int) -> list[FailureDataset]:
+    """Intervals drawn from the Littlewood-Verrall model itself: hazards
+    from gamma priors with shape alpha and scale trend beta0 + beta1 i**2,
+    intervals from the implied exponentials; 5 to 500 failures, alpha from
+    0.7 (u > 1) to 200 (near the exponential limit), a third of the
+    histories without trend."""
+    rng = np.random.default_rng(seed)
+    histories = []
+    for k in range(count):
+        n = int(rng.integers(5, 501)) if k % 3 else int(rng.integers(5, 40))
+        alpha = float(rng.choice([0.7, 1.05, 1.5, 2.0, 5.0, 20.0, 200.0]))
+        beta0 = float(10 ** rng.uniform(-2, 3))
+        beta1 = float(beta0 * 10 ** rng.uniform(-6, -1)) if k % 3 else 0.0
+        i = np.arange(1, n + 1)
+        hazards = rng.gamma(shape=alpha, scale=1.0 / (beta0 + beta1 * i**2))
+        histories.append(FailureDataset.from_tbf(rng.exponential(1.0 / hazards), f"lv-{k}"))
+    return histories
+
+
+class TestLittlewoodVerrallGate:
+    """Objective gate: on every distinct NTDS prefix and on a seeded set of
+    simulated Littlewood-Verrall histories, the fit's negative log
+    likelihood is at most the reference Nelder-Mead's, within 1e-12 of its
+    magnitude (at least 1)."""
+
+    @pytest.fixture(scope="class")
+    def histories(self):
+        with open(REPO_DATA / "ntds_tbf.csv", "rb") as handle:
+            ntds = parse_dataset(handle, "tbf_csv", label="ntds")
+        prefixes = [
+            FailureDataset(ntds.points[:n], f"ntds[:{n}]")
+            for n in range(LittlewoodVerrall.min_failures, len(ntds.points) + 1)
+        ]
+        return prefixes + simulated_lv_histories(60, 1602)
+
+    def test_fit_at_or_below_reference(self, histories):
+        for ds in histories:
+            fitted = LittlewoodVerrall.fit(ds)
+            reference = reference_lv_nelder_mead(ds)
+            assert fitted.diagnostics.converged, ds.label
+            bound = reference.value + 1e-12 * max(1.0, abs(reference.value))
+            assert fitted.diagnostics.value <= bound, ds.label
+            terms = lv_terms(fitted.params, ds.time_between_failures().tolist())
+            assert fitted.diagnostics.value == pytest.approx(math.fsum(terms), rel=1e-12)
+
+
+def _captured_lv(monkeypatch, ds: FailureDataset):
+    """The objective and derivatives a Littlewood-Verrall fit hands to
+    ``levenberg_marquardt``."""
+    captured = []
+    original = estimation.levenberg_marquardt
+
+    def capture(objective, derivatives, start, *bounds, **form):
+        captured.append((objective, derivatives))
+        return original(objective, derivatives, start, *bounds, **form)
+
+    monkeypatch.setattr(estimation, "levenberg_marquardt", capture)
+    LittlewoodVerrall.fit(ds)
+    return captured[-1]
+
+
+class TestLittlewoodVerrallDerivatives:
+    """The fit's half-gradient and half-Hessian in (u, ln scale0, scale1)
+    against differences of its value and of its gradient: central ones,
+    and one-sided ones of second order in u at u = 0, where the terms are
+    only defined on one side."""
+
+    @pytest.fixture(scope="class")
+    def ntds(self):
+        with open(REPO_DATA / "ntds_tbf.csv", "rb") as handle:
+            return parse_dataset(handle, "tbf_csv", label="ntds")
+
+    @pytest.mark.parametrize(
+        "z, straddles",
+        [
+            ((0.3, math.log(5.0), 0.005), True),
+            ((0.01, math.log(5.0), 0.005), False),
+            ((0.0, math.log(5.0), 0.005), False),
+            ((0.3, math.log(5.0), 0.0), True),
+            ((0.0, math.log(7.0), 0.0), False),
+        ],
+        ids=["interior", "interior-series-only", "u=0", "scale1=0", "both-zero"],
+    )
+    def test_against_differences(self, monkeypatch, ntds, z, straddles):
+        objective, derivatives = _captured_lv(monkeypatch, ntds)
+        tbf = ntds.time_between_failures()
+        x = z[0] * tbf / (math.exp(z[1]) + z[2] * np.arange(1, tbf.size + 1) ** 2)
+        # Whether the terms' x lie on both sides of the series switch.
+        assert ((x < _SERIES_SWITCH).any() and (x >= _SERIES_SWITCH).any()) == straddles
+
+        def at(point):
+            point = np.array(point, dtype=float)
+            value = objective(point)
+            half_gradient, half_hessian = derivatives(point, value)
+            return value, 2.0 * np.array(half_gradient), 2.0 * np.array(half_hessian)
+
+        def moved(j, steps):
+            point = list(z)
+            point[j] += steps
+            return at(point)
+
+        centre, gradient, hessian = at(z)
+        numeric_gradient = np.empty(3)
+        numeric_hessian = np.empty((3, 3))
+        for j, h in enumerate([1e-5, 1e-5, 1e-7]):
+            if j == 0 and z[0] == 0.0:
+                # (-3 f(0) + 4 f(h) - f(2h)) / 2h, with the gradient alike.
+                (f1, g1, _), (f2, g2, _) = moved(0, h), moved(0, 2 * h)
+                numeric_gradient[j] = (-3 * centre + 4 * f1 - f2) / (2 * h)
+                numeric_hessian[:, j] = (-3 * gradient + 4 * g1 - g2) / (2 * h)
+            else:
+                (f_below, g_below, _), (f_above, g_above, _) = moved(j, -h), moved(j, h)
+                numeric_gradient[j] = (f_above - f_below) / (2 * h)
+                numeric_hessian[:, j] = (g_above - g_below) / (2 * h)
+        np.testing.assert_allclose(gradient, numeric_gradient, rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(
+            hessian, numeric_hessian, rtol=1e-6, atol=1e-7 * np.abs(hessian).max()
+        )
+        np.testing.assert_array_equal(hessian, hessian.T)
+
+
+def _power_series_slopes(x: float) -> tuple[float, float]:
+    """L'(x) and L''(x) of L(x) = log1p(x)/x from its power series
+    sum (-1)**k x**k / (k + 1), for 0 <= x <= 1/2."""
+    slope = math.fsum((-1) ** k * k * x ** (k - 1) / (k + 1) for k in range(1, 80))
+    bend = math.fsum((-1) ** k * k * (k - 1) * x ** (k - 2) / (k + 1) for k in range(2, 80))
+    return slope, bend
+
+
+class TestLog1pRatioSlopes:
+    def test_zero_is_the_exponential_limit_constants(self):
+        slope, bend = _log1p_ratio_slopes(np.zeros(1))
+        assert slope[0] == -0.5
+        assert bend[0] == pytest.approx(2.0 / 3.0, rel=2 ** -52)
+
+    def test_series_branch_against_power_series(self):
+        xs = np.concatenate([[1e-300, 1e-12], np.geomspace(1e-8, 0.5, 60)])
+        slope, bend = _log1p_ratio_slopes(xs)
+        for x, s, b in zip(xs.tolist(), slope.tolist(), bend.tolist()):
+            reference_slope, reference_bend = _power_series_slopes(x)
+            assert s == pytest.approx(reference_slope, rel=8 * 2 ** -52), x
+            assert b == pytest.approx(reference_bend, rel=8 * 2 ** -52), x
+
+    def test_series_branch_against_closed_forms(self):
+        # From x = 1 on, the closed forms lose at most about ten ulps.
+        xs = np.linspace(1.0, _SERIES_SWITCH, 40)
+        slope, bend = _log1p_ratio_slopes(xs)
+        closed_slope = (1.0 / (1.0 + xs) - np.log1p(xs) / xs) / xs
+        closed_bend = -(1.0 / (1.0 + xs) ** 2 + 2.0 * closed_slope) / xs
+        np.testing.assert_allclose(slope, closed_slope, rtol=1e-14)
+        np.testing.assert_allclose(bend, closed_bend, rtol=1e-14)
+
+    def test_continuous_across_the_switch(self):
+        # L itself is log1p(x)/x on both sides: only its derivatives switch.
+        # Each side is within about 5 ulps of the exact values there.
+        below = math.nextafter(_SERIES_SWITCH, 0.0)
+        xs = np.array([below, _SERIES_SWITCH, math.nextafter(_SERIES_SWITCH, 3.0)])
+        for values in _log1p_ratio_slopes(xs):
+            near, at, above = values.tolist()
+            assert abs(near - at) <= 8 * math.ulp(at)
+            assert abs(above - at) <= 8 * math.ulp(at)
+
+    def test_mixed_array_takes_each_side(self):
+        # Each x gets the same floats in any array, whatever its length.
+        xs = np.array([0.0, 0.1, 1.9, 2.0, 7.0, 1e8])
+        together = _log1p_ratio_slopes(xs)
+        for i in range(xs.size):
+            alone = _log1p_ratio_slopes(xs[i : i + 1])
+            for mixed, single in zip(together, alone):
+                assert mixed[i] == single[0]
+
+
 class TestFitComparison:
     def test_musa_basic_self_consistency(self):
         true = ClosedFormModel("musa-basic", (100.0, 0.01))
@@ -508,8 +712,8 @@ class TestFitDiagnostics:
         for name in ALL_MODEL_NAMES:
             fitted = fit_model(name, ntds)
             assert isinstance(fitted.diagnostics, OptimizerResult), name
-            optimizer = "nelder-mead" if name == "littlewood-verrall" else "levenberg-marquardt"
-            assert fitted.diagnostics.optimizer == optimizer, name
+            assert fitted.diagnostics.optimizer == "levenberg-marquardt", name
+            assert fitted.diagnostics.jacobian_evaluations > 0, name
             assert fitted.boundary in (None, "truncation-cap", "exponential-limit"), name
         result = fit(ntds)
         geometric = fit_model("geometric", ntds)

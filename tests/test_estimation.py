@@ -324,10 +324,10 @@ class TestEvaluationCount:
             runs.append((tally, diag))
             return best, diag
 
-        def counting_levenberg_marquardt(residuals, jacobian, start, upper=None):
+        def counting_levenberg_marquardt(residuals, jacobian, start, *bounds, **form):
             tally = [0, 0]
             best, diag = originals["levenberg_marquardt"](
-                counted(residuals, tally, 0), counted(jacobian, tally, 1), start, upper
+                counted(residuals, tally, 0), counted(jacobian, tally, 1), start, *bounds, **form
             )
             runs.append((tally, diag))
             return best, diag
@@ -351,10 +351,12 @@ class TestEvaluationCount:
         fitted = LittlewoodVerrall.fit(FailureDataset.from_tbf(tbf))
         ((evaluations, jacobians), diag), = tallied
         assert diag is fitted.diagnostics
-        assert diag.optimizer == "nelder-mead"
-        assert diag.evaluations == evaluations
-        assert diag.jacobian_evaluations == jacobians == 0
-        assert evaluations >= 4 + diag.iterations
+        assert diag.optimizer == "levenberg-marquardt"
+        assert (diag.evaluations, diag.jacobian_evaluations) == (evaluations, jacobians)
+        # A step refused for a damped Hessian that is not positive definite
+        # counts as a step tried without a probe.
+        assert evaluations <= 1 + diag.iterations
+        assert 1 <= jacobians <= evaluations
 
 
 def reference_initial_p1(t_q, q):
@@ -1186,8 +1188,8 @@ class TestLevenbergMarquardt:
     def test_invalid_starts_rejected(self):
         with pytest.raises(ValueError, match="start"):
             levenberg_marquardt(lambda x: None, _rosenbrock_jacobian, [0.0, 0.0])
-        with pytest.raises(ValueError, match="1 or 2 coordinates"):
-            levenberg_marquardt(_rosenbrock_residuals, _rosenbrock_jacobian, [0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="1 to 3 coordinates"):
+            levenberg_marquardt(_rosenbrock_residuals, _rosenbrock_jacobian, [0.0] * 4)
 
     @pytest.mark.parametrize(
         "problem, start, upper, message",
@@ -1217,13 +1219,142 @@ class TestLevenbergMarquardt:
         assert all(s["over"] == s["invalid"] == s["divide"] == "ignore" for s in seen)
 
 
+def _rosenbrock_value(x):
+    x0, x1 = x.tolist()
+    return (1.0 - x0) ** 2 + 100.0 * (x1 - x0 * x0) ** 2
+
+
+def _rosenbrock_halves(x, value):
+    # Half the gradient and half the Hessian of _rosenbrock_value.
+    x0, x1 = x.tolist()
+    bend = x1 - x0 * x0
+    return (
+        [-(1.0 - x0) - 200.0 * x0 * bend, 100.0 * bend],
+        [[1.0 - 200.0 * bend + 400.0 * x0 * x0, -200.0 * x0], [-200.0 * x0, 100.0]],
+    )
+
+
+class TestLevenbergMarquardtWidened:
+    """Lower bounds, a third coordinate and the Hessian form."""
+
+    def test_lower_bound_is_reached_exactly(self):
+        # The minimum (3, 1) lies below x0 >= 4: the step that crosses the
+        # bound ends on it, and x0 is then held there.
+        best, diag = levenberg_marquardt(
+            _bounded_residuals, _bounded_jacobian, [6.0, 0.0], lower=[4.0, -math.inf]
+        )
+        assert best[0] == 4.0
+        assert diag.converged
+
+    def test_invalid_lower_rejected(self):
+        with pytest.raises(ValueError, match="lower must give one bound per coordinate"):
+            levenberg_marquardt(_holed_residuals, _holed_jacobian, [0.0], lower=[0.0, 1.0])
+        with pytest.raises(ValueError, match="lower must not contain NaN"):
+            levenberg_marquardt(_holed_residuals, _holed_jacobian, [0.0], lower=[math.nan])
+        with pytest.raises(ValueError, match="start must lie within lower"):
+            levenberg_marquardt(_holed_residuals, _holed_jacobian, [0.0], lower=[1.0])
+
+    def test_third_coordinate_held_gives_the_smaller_solve(self):
+        # A third coordinate with a zero Jacobian column is held: its
+        # identity row and column leave the 2-d floats.
+        def residuals(x):
+            return _bowl_residuals(x[:2])
+
+        def jacobian(x, r):
+            return [*_bowl_jacobian(x[:2], r), np.zeros(3)]
+
+        for start, upper in [([0.0, 0.0], [1.0, 2.0]), ([-1.2, 1.0], None)]:
+            two = levenberg_marquardt(_bowl_residuals, _bowl_jacobian, start, upper)
+            three = levenberg_marquardt(
+                residuals, jacobian, start + [5.0], None if upper is None else upper + [9.0]
+            )
+            assert three[0].tolist() == two[0].tolist() + [5.0]
+            assert dataclasses.replace(three[1], x=three[1].x[:2]) == two[1]
+
+    def test_hessian_form_refuses_an_indefinite_matrix(self):
+        # At (0, 1) the Rosenbrock Hessian is indefinite: the first steps are
+        # refused without a probe until the damping makes it positive
+        # definite, and the walk still reaches (1, 1).
+        best, diag = levenberg_marquardt(
+            _rosenbrock_value, _rosenbrock_halves, [0.0, 1.0], least_squares=False
+        )
+        assert best == pytest.approx([1.0, 1.0], abs=1e-6)
+        assert diag.converged
+        assert diag.value == _rosenbrock_value(best)
+        assert diag.iterations >= diag.evaluations  # refused steps take no probe
+        assert diag.jacobian_evaluations >= 2
+
+    def test_every_probe_descends_on_an_indefinite_quadratic(self):
+        # x'Ax on the box [-1, 1]**3 with A indefinite: its first minor is
+        # positive, its second negative and its determinant positive, so
+        # only the full leading-minor check refuses it.  Every probe then
+        # lies along a descent direction from the point whose derivatives
+        # it was solved from.
+        a = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
+        probes, solved_from = [], []
+
+        def value(x):
+            probes.append((x.copy(), solved_from[-1] if solved_from else None))
+            return float(x @ a @ x)
+
+        def halves(x, f):
+            solved_from.append((x.copy(), a @ x))
+            return (a @ x).tolist(), a.tolist()
+
+        best, diag = levenberg_marquardt(
+            value, halves, [0.3, -0.2, 0.1], upper=[1.0] * 3, lower=[-1.0] * 3,
+            least_squares=False,
+        )
+        assert diag.converged
+        assert diag.value == pytest.approx(-3.0)
+        assert diag.iterations >= diag.evaluations  # some steps were refused
+        for probe, origin in probes[1:]:
+            x, g = origin
+            assert float(g @ (probe - x)) < 0.0
+
+    def test_hessian_form_lower_bound_on_one_coordinate(self):
+        # A 1-d objective whose minimum at -0.7 lies below x >= 0: each
+        # search ends on the bound exactly, not a rounding error away from
+        # it (x plus the shortened step misses 0 from 4 of these starts),
+        # and is held there with its gradient pointing outward.
+        for start in np.linspace(0.05, 3.0, 40).tolist():
+            best, diag = levenberg_marquardt(
+                lambda x: float((x[0] + 0.7) ** 2),
+                lambda x, value: ([float(x[0] + 0.7)], [[1.0]]),
+                [start],
+                lower=[0.0],
+                least_squares=False,
+            )
+            assert best.tolist() == [0.0], start
+            assert diag.converged and diag.value == 0.7**2, start
+
+
+@pytest.fixture(scope="module")
+def least_squares_gate(gate_histories) -> list[FailureDataset]:
+    """The gate histories, the flat history 25 c (no growth at all), and
+    twelve seeded histories read on a 40-point grid, their truths
+    stratified over p1 in [0.01, 0.05] and d in [0.92, 0.96]."""
+    histories = list(gate_histories)
+    histories.append(FailureDataset(tuple((25.0 * c, c) for c in range(1, 33)), "flat"))
+    grid = np.arange(1, 41) * 25.0
+    rng = np.random.default_rng(1601)
+    for seed in range(12):
+        p1 = 0.01 + 0.04 * (seed + rng.random()) / 12
+        d = 0.92 + 0.04 * rng.random()
+        config = SimulationConfig(GeometricModelParams(p1, d), horizon=1000, seed=1601 + seed)
+        (simulated,) = simulate(config)
+        counts = [simulated.count_at(t) for t in grid]
+        histories.append(FailureDataset(tuple(zip(grid.tolist(), counts)), f"grid-{seed}"))
+    return histories
+
+
 class TestFrozenReferenceFits:
     """Every least-squares fit of the gate histories hands the loop its
     residuals and Jacobian; the reference, run on the same functions,
-    start and bounds, gives the same point and record."""
+    start and bounds, gives the same point and record, field by field."""
 
-    @pytest.mark.parametrize("model_name", ["geometric", "musa-basic", "musa-okumoto"])
-    def test_fits_equal_reference(self, monkeypatch, gate_histories, model_name):
+    @pytest.mark.parametrize("model_name", ["geometric", "musa-basic", "musa-okumoto", "nhpp"])
+    def test_fits_equal_reference(self, monkeypatch, least_squares_gate, model_name):
         from geomrel.comparison import fit_model
 
         calls = []
@@ -1235,9 +1366,9 @@ class TestFrozenReferenceFits:
             return best, result
 
         monkeypatch.setattr(estimation, "levenberg_marquardt", capture)
-        for ds in gate_histories:
+        for ds in least_squares_gate:
             fit_model(model_name, ds)
-        assert len(calls) == len(gate_histories)
+        assert len(calls) == len(least_squares_gate)
         for args, live in calls:
             best, result = reference_levenberg_marquardt(*args)
             _assert_same([live, (best.tolist(), result)])
