@@ -37,7 +37,6 @@ Fitted models are immutable; independent fits may run concurrently.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
 from abc import ABC, abstractmethod
@@ -306,10 +305,20 @@ class ClosedFormModel(ReliabilityModel):
     ``model_name`` is one of ``musa-basic`` (``beta0``, ``beta1``),
     ``musa-okumoto`` (``lambda0``, ``theta``) or ``nhpp`` (``a``, ``b``);
     ``params`` holds the two positive parameters in that order.
+
+    ``boundary`` is ``"no-growth"`` for a fit that ended on its bound on
+    the rate, ``c t_q = 1e-12``: there the mean is linear in t to rounding,
+    as for a history without reliability growth, and the objective would
+    still fall, by no more than rounding, as c falls.  It is ``None`` for
+    an interior fit and for given parameters.
     """
 
     def __init__(
-        self, model_name: str, params, diagnostics: estimation.OptimizerResult | None = None
+        self,
+        model_name: str,
+        params,
+        diagnostics: estimation.OptimizerResult | None = None,
+        boundary: str | None = None,
     ):
         if model_name not in _CLOSED_FORMS:
             raise ValueError(
@@ -319,6 +328,7 @@ class ClosedFormModel(ReliabilityModel):
         if not (first > 0 and second > 0):
             raise ValueError(f"{model_name} parameters must be positive, got {params!r}")
         self.model_name = model_name
+        self.boundary = boundary
         super().__init__((float(first), float(second)), diagnostics)
 
     @classmethod
@@ -328,8 +338,9 @@ class ClosedFormModel(ReliabilityModel):
         level is the mean of ``log_counts - ln shape(c, t)``, which leaves
         a 1-d Levenberg-Marquardt search in -ln c on the centred residuals,
         bounded at ``c t_q = _LINEAR_LIMIT``; their derivative is the
-        centred derivative of ``ln shape`` in ln c.  The reported objective
-        is recomputed at the returned parameters."""
+        centred derivative of ``ln shape`` in ln c.  A fit that ends on
+        that bound is named ``"no-growth"`` (:attr:`boundary`).  The
+        reported objective is recomputed at the returned parameters."""
         form = _CLOSED_FORMS[model_name]
         try:
             times, log_counts, _ = estimation._usable_arrays(ds, fewest=2)
@@ -337,18 +348,21 @@ class ClosedFormModel(ReliabilityModel):
             raise FitError(f"{model_name}: {exc}") from exc
         slope = None  # the latest probe's derivative of ln shape
 
+        # Each probe centres its own fresh arrays in place: np.add.reduce
+        # is ndarray.sum() to the bit, and sum / size ndarray.mean(),
+        # without their Python wrappers.
         def residuals(z: np.ndarray):
             nonlocal slope
             u = float(z[0])  # -ln c
             if not abs(u) < _LOG_FLOAT_MAX:
                 return None
-            log_shape, slope = form.log_shape(math.exp(-u), times)
-            levels = log_counts - log_shape
-            # sum / size is ndarray.mean() to the bit, without its overhead.
-            return levels - levels.sum() / levels.size
+            levels, slope = form.log_shape(math.exp(-u), times)
+            np.subtract(log_counts, levels, out=levels)
+            levels -= np.add.reduce(levels) / levels.size
+            return levels
 
         def jacobian(z: np.ndarray, r: np.ndarray) -> list[np.ndarray]:
-            return [slope - slope.sum() / slope.size]
+            return [np.subtract(slope, np.add.reduce(slope) / slope.size, out=slope)]
 
         t_q = ds.final_time
         start = [-math.log(form.start(t_q))]
@@ -357,21 +371,48 @@ class ClosedFormModel(ReliabilityModel):
             best, diag = estimation.levenberg_marquardt(residuals, jacobian, start, upper)
         except ValueError as exc:
             raise FitError(f"{model_name}: {exc}") from exc
-        c = math.exp(-float(best[0]))
-        levels = log_counts - form.log_shape(c, times)[0]
-        level = float(levels.sum() / levels.size)
-        params = form.params(c, level)
+        u = float(best[0])
+        c = math.exp(-u)
+        # The search's own probes ran with these warnings off; the shape at
+        # the point it returns can overflow its slope just as they did.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            levels = log_counts - form.log_shape(c, times)[0]
+            level = float(levels.sum() / levels.size)
+            params = form.params(c, level)
             value = estimation._log_count_objective(form.mean, params, times, log_counts)
-        return cls(model_name, params, dataclasses.replace(diag, value=value))
+        # The search's record with the recomputed value, built directly
+        # (about 2 us less per fit than dataclasses.replace).
+        diagnostics = estimation.OptimizerResult(
+            optimizer=diag.optimizer,
+            x=diag.x,
+            value=value,
+            iterations=diag.iterations,
+            converged=diag.converged,
+            nonfinite_evaluations=diag.nonfinite_evaluations,
+            evaluations=diag.evaluations,
+            jacobian_evaluations=diag.jacobian_evaluations,
+            simplex_spread=diag.simplex_spread,
+        )
+        boundary = "no-growth" if u == upper[0] else None
+        return cls(model_name, params, diagnostics, boundary)
 
     def predict_mean(self, t):
-        """Expected cumulative failures at ``t`` (a scalar or an array)."""
+        """Expected cumulative failures at ``t`` (a scalar or an array).  A
+        scalar time is checked with float comparisons, and its read is a
+        float."""
+        mean = _CLOSED_FORMS[self.model_name].mean
         arr = np.asarray(t, dtype=float)
+        if arr.ndim == 0:
+            value = float(arr)
+            # A NaN fails the first comparison, and +inf the second.
+            if not (value >= 0.0 and value < math.inf):
+                raise ValueError(
+                    f"{self.model_name}: predict_mean requires finite t >= 0, got {t!r}"
+                )
+            return float(mean(self.params, value))
         if np.any(arr < 0) or not np.all(np.isfinite(arr)):
             raise ValueError(f"{self.model_name}: predict_mean requires finite t >= 0, got {t!r}")
-        vals = _CLOSED_FORMS[self.model_name].mean(self.params, arr)
-        return float(vals) if arr.ndim == 0 else vals
+        return mean(self.params, arr)
 
     def params_dict(self) -> dict:
         return dict(zip(_CLOSED_FORMS[self.model_name].param_names, self.params))
@@ -440,10 +481,20 @@ class LittlewoodVerrall(ReliabilityModel):
         scale = float(np.mean(tbf))
         beta1_start = max(float(slope), 1e-6 * scale / squared[-1])
         beta0_start = max(float(intercept), 1e-3 * scale)
+        scale0_start = beta0_start / 2.0
+        # Intervals near the bottom of the float range underflow these
+        # scales to zero or to subnormals, where their logarithm fails or
+        # the scaled coordinates lose their digits.
+        for what, value in (("scale0", scale0_start), ("mean interval", scale)):
+            if not sys.float_info.min <= value <= sys.float_info.max:
+                raise FitError(
+                    f"{cls.model_name}: the start's {what} {value!r} is not a positive "
+                    "normal float; the intervals are too small to fit"
+                )
         # The search runs in (u, ln scale0, scale1 / scale): with the mean
         # interval as the unit of scale1, no derivative depends on the unit
         # of time.
-        start = [0.5, math.log(beta0_start / 2.0), beta1_start / 2.0 / scale]
+        start = [0.5, math.log(scale0_start), beta1_start / 2.0 / scale]
         spread = scale * squared  # d s / d(scale1 / m)
         unit = np.ones(n)
         probed = []  # the latest probe's (u, scale0, scales, ratios, x, L(x))

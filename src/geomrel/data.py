@@ -119,9 +119,10 @@ class FailureDataset:
 
         A prefix of a valid history is valid, so nothing is checked again:
         the prefix slices this history's points tuple, and its ``times``
-        and ``counts`` are read-only views of this history's arrays.
-        Raises ``ValueError`` unless ``n`` is an integer from 1 to
-        ``len(self)``.
+        and ``counts`` are read-only views of this history's arrays, as are
+        its usable points (:meth:`_usable_points`), so every model fitted
+        to any prefix shares one pass of ``ln`` over the counts.  Raises
+        ``ValueError`` unless ``n`` is an integer from 1 to ``len(self)``.
         """
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
             raise ValueError(f"a prefix length must be an integer, got {n!r}")
@@ -134,7 +135,29 @@ class FailureDataset:
         object.__setattr__(sub, "native_unit", self.native_unit)
         object.__setattr__(sub, "times", self.times[:n])
         object.__setattr__(sub, "counts", self.counts[:n])
+        times, log_counts, skipped = self._usable_points()
+        used = max(n - skipped, 0)
+        sub.__dict__["_usable"] = (times[:used], log_counts[:used], min(n, skipped))
         return sub
+
+    def _usable_points(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Times and ``ln`` counts of the points with at least one failure,
+        as read-only arrays, and how many points come before them.
+
+        Counts never decrease, so the points without a failure lead the
+        history, and the usable points of a prefix are a prefix of the
+        history's usable points: :meth:`prefix` slices them from its
+        history's, which gives the floats built afresh (``ln`` is
+        elementwise).  They are built once per history and cached in its
+        ``__dict__``; a racing writer can only replace them with equal
+        arrays."""
+        usable = self.__dict__.get("_usable")
+        if usable is None:
+            skipped = int(np.searchsorted(self.counts, 1))
+            log_counts = np.log(self.counts[skipped:].astype(float))
+            log_counts.setflags(write=False)
+            usable = self.__dict__["_usable"] = (self.times[skipped:], log_counts, skipped)
+        return usable
 
     @property
     def final_time(self) -> float:

@@ -58,9 +58,10 @@ __all__ = [
 MAX_FIT_TRUNCATION = 10_000
 
 _INITIAL_DECAY_GUESS = 0.94
-# 0.94**a over the 224 faults of the default truncation at 0.94, and the
-# start's cap on Newton steps.
+# 0.94**a over the 224 faults of the default truncation at 0.94, their
+# sum, and the start's cap on Newton steps.
 _START_POWERS = _INITIAL_DECAY_GUESS ** np.arange(default_truncation(0.94), dtype=float)
+_START_POWER_SUM = float(_START_POWERS.sum())
 _START_STEPS = 16
 
 
@@ -184,16 +185,16 @@ class FitResult:
 
 
 def _usable_arrays(ds: FailureDataset, fewest: int = 1) -> tuple[np.ndarray, np.ndarray, int]:
-    """Times and log-counts of the points with at least one failure; raises
-    unless there are at least ``fewest`` of them (a fit needs 2)."""
-    mask = ds.counts >= 1
-    if not mask.any():
+    """Times and log-counts of the points with at least one failure, as
+    read-only arrays shared by every fit to ``ds`` and to the prefixes of
+    the history it was sliced from, and the number of points skipped;
+    raises unless there are at least ``fewest`` of them (a fit needs 2)."""
+    times, log_counts, skipped = ds._usable_points()
+    if not times.size:
         raise ValueError("no usable points: every cumulative count is zero")
-    times = ds.times[mask]
     if times.size < fewest:
         raise ValueError(f"need at least {fewest} usable points to fit, got {times.size}")
-    log_counts = np.log(ds.counts[mask].astype(float))
-    return times, log_counts, int((~mask).sum())
+    return times, log_counts, skipped
 
 
 def _log_count_objective(mean, x, times, log_counts) -> float:
@@ -385,9 +386,11 @@ def levenberg_marquardt(
     residuals' partial derivatives at x, one array per coordinate (with
     ``least_squares=False``, half the objective's gradient, one float per
     coordinate, and half its Hessian, one row per coordinate, of which only
-    the upper triangle is read).  It is only ever called for the point of
-    the latest ``residuals`` call, so it may reuse that call's work.  Either way the objective near x is modelled
-    as ``f + 2 g.s + s'As`` for a step s, with ``g = J^T r`` and
+    the upper triangle is read).  It is called at most once per point, and
+    only for the point of the latest ``residuals`` call, with the very
+    array x that call got and the ``out`` it returned, so it may reuse, or
+    overwrite, that call's work.  Either way the objective near x is
+    modelled as ``f + 2 g.s + s'As`` for a step s, with ``g = J^T r`` and
     ``A = J^T J`` for least squares.
 
     Each step solves ``(A + damping |diag A|) step = -g`` (Marquardt's
@@ -442,20 +445,23 @@ def levenberg_marquardt(
     jacobians = 0
 
     def evaluate(probe: list[float]):
+        """The probe's array, its residuals (or value) and its objective;
+        ``None, None, inf`` for a rejected probe."""
         nonlocal nonfinite, evaluations
         evaluations += 1
-        out = residuals(np.array(probe))
+        z = np.array(probe)
+        out = residuals(z)
         if out is None:
             value = math.inf
         else:
-            value = float(out @ out) if least_squares else float(out)
+            value = float(out.dot(out)) if least_squares else float(out)
         if not math.isfinite(value):
             nonfinite += 1
-            return None, math.inf
-        return out, value
+            return None, None, math.inf
+        return z, out, value
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out, value = evaluate(point)
+        z, out, value = evaluate(point)
         if out is None:
             raise ValueError("objective is not finite at the start")
 
@@ -466,25 +472,27 @@ def levenberg_marquardt(
         while True:
             if fresh:
                 if least_squares:
-                    # numpy's dot multiplies pairwise and sums in index
-                    # order, so c1 @ c0 is the same float as c0 @ c1.
-                    columns = jacobian(np.array(point), out)
+                    # For 1-d float vectors ndarray.dot and @ call the same
+                    # BLAS ddot, which multiplies pairwise and sums in index
+                    # order, so c1.dot(c0) is the same float as c0 @ c1;
+                    # dot skips matmul's dispatch.
+                    columns = jacobian(z, out)
                     c0 = columns[0]
-                    g0 = float(c0 @ out)
-                    a00 = float(c0 @ c0)
+                    g0 = float(c0.dot(out))
+                    a00 = float(c0.dot(c0))
                     if k > 1:
                         c1 = columns[1]
-                        g1 = float(c1 @ out)
-                        a01 = float(c0 @ c1)
-                        a11 = float(c1 @ c1)
+                        g1 = float(c1.dot(out))
+                        a01 = float(c0.dot(c1))
+                        a11 = float(c1.dot(c1))
                         if k > 2:
                             c2 = columns[2]
-                            g2 = float(c2 @ out)
-                            a02 = float(c0 @ c2)
-                            a12 = float(c1 @ c2)
-                            a22 = float(c2 @ c2)
+                            g2 = float(c2.dot(out))
+                            a02 = float(c0.dot(c2))
+                            a12 = float(c1.dot(c2))
+                            a22 = float(c2.dot(c2))
                 else:
-                    gradient, hessian = jacobian(np.array(point), out)
+                    gradient, hessian = jacobian(z, out)
                     g0, g1, g2 = [*gradient, 0.0, 0.0][:3]
                     rows = [[*row, 0.0, 0.0][:3] for row in hessian] + [[0.0] * 3] * pad
                     (a00, a01, a02), (_, a11, a12), (_, _, a22) = rows
@@ -583,7 +591,7 @@ def levenberg_marquardt(
 
             # A padded coordinate never moves, so its probe is left out.
             trial = [trial0, trial1, trial2][:k]
-            out_trial, value_trial = evaluate(trial)
+            z_trial, out_trial, value_trial = evaluate(trial)
             if value_trial < value:
                 decrease = value - value_trial
                 # The reduction the model predicts: -(2 g.u + u'Au).
@@ -593,7 +601,7 @@ def levenberg_marquardt(
                     + u2 * (2.0 * g2 + (a02 * u0 + a12 * u1 + a22 * u2))
                 )
                 small = decrease <= _LM_DECREASE * abs(value)
-                point, out, value = trial, out_trial, value_trial
+                point, z, out, value = trial, z_trial, out_trial, value_trial
                 x0, x1, x2 = trial0, trial1, trial2
                 if small:
                     converged = True
@@ -650,19 +658,22 @@ def _initial_p1(t_q: float, q: float) -> float:
     mean then meets q to a few parts in 1e15) or after ``_START_STEPS``."""
     lo, hi = 1e-12, 0.5
 
+    # (-p1) * 0.94**a is -(p1 * 0.94**a) to the bit: rounding is symmetric
+    # in sign, so the negated rates are formed in one pass.
     def mean(p1: float) -> float:
-        return float(_occurrence_sum(t_q, np.log1p(-(p1 * _START_POWERS)))[0])
+        return float(_occurrence_sum(t_q, np.log1p((-p1) * _START_POWERS))[0])
 
     if mean(hi) <= q:
         return hi
     if mean(lo) >= q:
         return lo
-    p1 = min(max(q / (t_q * float(_START_POWERS.sum())), lo), hi)
+    p1 = min(max(q / (t_q * _START_POWER_SUM), lo), hi)
     for _ in range(_START_STEPS):
-        rates = p1 * _START_POWERS
-        log_survival = np.log1p(-rates)
+        negated = (-p1) * _START_POWERS
+        log_survival = np.log1p(negated)
         mu = float(_occurrence_sum(t_q, log_survival)[0])
-        reach = t_q * float(rates @ np.exp((t_q - 1.0) * log_survival))  # d mean / d ln p1
+        # d mean / d ln p1, t_q (rates . (1 - rates)**(t_q - 1)), negated twice.
+        reach = -(t_q * float(negated.dot(np.exp((t_q - 1.0) * log_survival))))
         step = (math.log(q) - math.log(mu)) * mu / reach
         last, p1 = p1, min(max(p1 * math.exp(step), lo), hi)
         if abs(math.log(p1 / last)) <= 1e-10:
@@ -718,7 +729,8 @@ def fit(ds: FailureDataset) -> FitResult:
         params = GeometricModelParams(p1, d, default_truncation(d))
         mu, terms = _mean_terms(params, column, t_max)
         probed[:] = p1, d, params, mu, terms
-        return log_counts - np.log(mu)
+        r = np.log(mu)
+        return np.subtract(log_counts, r, out=r)
 
     def jacobian(z: np.ndarray, r: np.ndarray) -> list[np.ndarray]:
         p1, d, params, mu, terms = probed

@@ -69,6 +69,13 @@ _SERIES_STEPS = np.arange(1, SERIES_ORDER + 1, dtype=float)
 _SERIES_OFFSETS = _SERIES_STEPS - 1.0
 _SERIES_POWERS = np.arange(1, SERIES_ORDER + 2, dtype=float)
 
+# Fault indices 0, 1, 2, ... as floats, sliced for every head up to this
+# length (any head of a population of at most 10,000 faults, the largest a
+# fit takes); a longer head builds its own.
+_INDEX_TERMS = 10_000
+_INDICES = np.arange(_INDEX_TERMS, dtype=float)
+_INDICES.setflags(write=False)
+
 # Enumeration caps for the exact likelihood; the subset count C(N, x) blows
 # up beyond desk scale otherwise.
 MAX_LIKELIHOOD_TRUNCATION = 20
@@ -210,18 +217,26 @@ def _series_head(params: GeometricModelParams, t_max: float) -> int:
     return n if n - k <= DIRECT_SUM_MAX_TERMS else k
 
 
+def _fault_indices(k: int) -> np.ndarray:
+    """The fault indices 0.0, 1.0, ..., k - 1 of a head of k faults."""
+    return _INDICES[:k] if k <= _INDEX_TERMS else np.arange(k, dtype=float)
+
+
 def _direct_terms(params: GeometricModelParams, k: int):
     """Rates and ``ln(1 - rate)`` of the first k faults, those summed term
     by term.  Both are cached on ``params``; a head is sliced from the
     longest one built so far, which gives the same floats as building it
-    afresh (``d**n`` is elementwise)."""
+    afresh (``d**n`` is elementwise), and returned as it is when k is its
+    length."""
     head = params.__dict__.get("_head")
     if head is None or head[0].size < k:
-        rates = params.p1 * params.d ** np.arange(k, dtype=float)
+        rates = params.p1 * params.d ** _fault_indices(k)
         log_survival = np.log1p(-rates)
         rates.setflags(write=False)
         log_survival.setflags(write=False)
         head = params.__dict__["_head"] = (rates, log_survival)
+    if head[0].size == k:
+        return head
     return head[0][:k], head[1][:k]
 
 
@@ -230,10 +245,14 @@ def _occurrence_sum(t, log_survival: np.ndarray):
     array with a last axis of length 1), as ``-expm1(t ln(1 - p_a))``
     summed over the last axis, and the array of ``expm1`` terms.
 
-    The sums are negated, not the terms, which saves a pass over the
-    points x terms array and gives the same floats: rounding is symmetric
-    in sign.  ``0.0 -`` keeps an all-zero sum (t = 0) at +0.0."""
-    terms = np.expm1(t * log_survival)
+    ``expm1`` overwrites the product ``t ln(1 - p_a)`` it is taken of, a
+    fresh array, so the pass allocates one points x terms array, not two;
+    ``log_survival`` is only read.  The sums are negated, not the terms,
+    which saves a pass over that array and gives the same floats: rounding
+    is symmetric in sign.  ``0.0 -`` keeps an all-zero sum (t = 0) at
+    +0.0."""
+    terms = t * log_survival
+    np.expm1(terms, out=terms)
     return 0.0 - terms.sum(axis=-1), terms
 
 
@@ -317,7 +336,9 @@ def _intensity_sums(params: GeometricModelParams, t: np.ndarray, terms: np.ndarr
     ``sum_a a p_a (1 - p_a)**(t - 1)``, over faults a = 0..N-1, at each
     time of ``t`` (an array with a last axis of length 1), given the head
     array ``terms`` that :func:`_mean_terms` returned for the same params
-    and times.
+    and times.  ``terms`` is overwritten with ``1 + terms``, the survivals
+    ``(1 - p_a)**t``, so a mean's terms serve one call, and the fit calls
+    it once per accepted point.
 
     They give the derivatives of the mean: ``d mu / d p1 = t lambda / p1``
     and ``d mu / d d = t W / d`` for the weighted sum W, as
@@ -337,9 +358,9 @@ def _intensity_sums(params: GeometricModelParams, t: np.ndarray, terms: np.ndarr
     """
     k = terms.shape[-1]
     rates, log_survival = _direct_terms(params, k)
-    indices = np.arange(k, dtype=float)
+    indices = _fault_indices(k)
     weights = rates / (1.0 - rates)
-    survival = 1.0 + terms
+    survival = np.add(terms, 1.0, out=terms)
     intensity = survival @ weights
     weighted = survival @ (indices * weights)
     # The survivals grow with a, so the weighted sum's share of its weights

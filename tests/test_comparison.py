@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geomrel import comparison
 from geomrel.comparison import (
     _LOG_FLOAT_MAX,
     _SERIES_SWITCH,
@@ -118,6 +120,38 @@ class TestMeanFunctions:
                 model.predict_mean(bad)
 
 
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_NAMES)
+@given(
+    first=st.floats(1e-3, 1e6),
+    second=st.floats(1e-9, 10.0),
+    t=st.one_of(st.just(0.0), st.floats(0.0, 1e9)),
+)
+@settings(max_examples=150, deadline=None)
+def test_scalar_read_is_element_zero_of_the_array_read(name, first, second, t):
+    """A scalar time skips the array checks, and its read is a float
+    equal, bit for bit, to element 0 of the read at ``[t]``."""
+    model = ClosedFormModel(name, (first, second))
+    value = model.predict_mean(t)
+    assert type(value) is float
+    assert same_bits(value, model.predict_mean(np.array([t]))[0])
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_NAMES)
+@pytest.mark.parametrize("t", [-1.0, -5e-324, math.nan, math.inf, -math.inf])
+def test_scalar_read_refused_like_the_array_read(name, t):
+    model = ClosedFormModel(name, (50.0, 0.02))
+    messages = []
+    for read in (t, np.float64(t), np.array([t])):
+        with pytest.raises(ValueError) as refused:
+            model.predict_mean(read)
+        messages.append(str(refused.value).split(", got ")[0])
+    assert messages == [f"{name}: predict_mean requires finite t >= 0"] * 3
+
+
 def loop_prediction(params, t):
     """Littlewood-Verrall prediction by accumulating expected intervals
     one failure at a time."""
@@ -187,6 +221,16 @@ class TestLittlewoodVerrall:
         ds = FailureDataset.from_tbf([1.0, 2.0, 3.0, 4.0])
         with pytest.raises(FitError, match="at least 5"):
             LittlewoodVerrall.fit(ds)
+
+    def test_underflowing_start_refused(self):
+        # Subnormal intervals: half the start's scale0 rounds to 0, whose
+        # logarithm the search would start from.
+        ds = FailureDataset.from_tbf([5e-324, 1e-323, 1.5e-323, 2e-323, 3e-323, 4e-323])
+        with pytest.raises(
+            FitError,
+            match="^littlewood-verrall: the start's scale0 0.0 is not a positive normal float",
+        ):
+            fit_model("littlewood-verrall", ds)
 
     def test_alpha_at_most_one_refuses_prediction(self):
         model = LittlewoodVerrall(LittlewoodVerrallParams(1.0 / 0.9, 10.0 / 0.9, 1.0 / 0.9))
@@ -564,6 +608,16 @@ class TestFitComparison:
         assert math.isfinite(first) and math.isfinite(second)
         assert fitted.predict_mean(ds.final_time) == pytest.approx(32.0, rel=1e-6)
 
+    @pytest.mark.parametrize("name", CLOSED_FORM_NAMES)
+    def test_flat_pair_fits_without_numpy_warnings(self, name):
+        # Two points with the same count: Musa-Okumoto's search ends at a
+        # rate so high that the shape's slope overflows, at the returned
+        # point as at its probes, and no warning may escape the fit.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fitted = fit_model(name, FailureDataset(((25.0, 3), (50.0, 3))))
+        assert math.isfinite(fitted.diagnostics.value)
+
     def test_unknown_name_listed(self):
         ds = FailureDataset(((1.0, 1), (2.0, 2)))
         with pytest.raises(ValueError, match="musa-basic"):
@@ -714,7 +768,9 @@ class TestFitDiagnostics:
             assert isinstance(fitted.diagnostics, OptimizerResult), name
             assert fitted.diagnostics.optimizer == "levenberg-marquardt", name
             assert fitted.diagnostics.jacobian_evaluations > 0, name
-            assert fitted.boundary in (None, "truncation-cap", "exponential-limit"), name
+            assert fitted.boundary in (
+                None, "truncation-cap", "exponential-limit", "no-growth"
+            ), name
         result = fit(ntds)
         geometric = fit_model("geometric", ntds)
         assert geometric.diagnostics == result.diagnostics
@@ -723,7 +779,23 @@ class TestFitDiagnostics:
     def test_geometric_boundary_names_the_truncation_cap(self):
         flat = FailureDataset(tuple((25.0 * c, c) for c in range(1, 33)), "flat")
         assert fit_model("geometric", flat).boundary == "truncation-cap"
-        assert fit_model("musa-basic", flat).boundary is None
+        assert fit_model("musa-basic", flat).boundary == "no-growth"
+
+    @pytest.mark.parametrize("name", CLOSED_FORM_NAMES)
+    def test_closed_forms_name_their_no_growth_bound(self, name):
+        # NTDS prefixes 5 to 25 end exactly on the bound c t_q = 1e-12 of
+        # the rate; prefixes 2 to 4 and the whole history fit inside it.
+        with open(REPO_DATA / "ntds_tbf.csv", "rb") as handle:
+            ntds = parse_dataset(handle, "tbf_csv", label="ntds")
+        for n in range(2, len(ntds) + 1):
+            prefix = ntds.prefix(n)
+            fitted = fit_model(name, prefix)
+            bound = -math.log(comparison._LINEAR_LIMIT / prefix.final_time)
+            on_bound = fitted.diagnostics.x[0] == bound
+            assert on_bound == (5 <= n <= 25), n
+            assert fitted.boundary == ("no-growth" if on_bound else None), n
+            assert fitted.diagnostics.converged, n
+        assert ClosedFormModel(name, (50.0, 0.02)).boundary is None
 
 
 class TestGeometricFitIsTheModel:

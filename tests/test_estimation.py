@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 import geomrel.estimation as estimation
 import geomrel.model as model
-from geomrel.comparison import LittlewoodVerrall
+from geomrel.comparison import LittlewoodVerrall, fit_model
 from geomrel.data import FailureDataset
+from geomrel.errors import FitError
 from geomrel.estimation import (
     FitResult,
     OptimizerResult,
@@ -1372,6 +1373,91 @@ class TestFrozenReferenceFits:
         for args, live in calls:
             best, result = reference_levenberg_marquardt(*args)
             _assert_same([live, (best.tolist(), result)])
+
+
+class TestSharedUsableArrays:
+    """A prefix slices its usable points from its history's, built once;
+    they equal, bit for bit, those of the prefix built as a history of its
+    own, whichever prefixes were read, and models fitted, before."""
+
+    zero_led = [
+        [0, 0, 3, 3, 8, 9, 9, 14, 2**62, 2**63 - 1],
+        [0, 0, 0, 1, 1, 2, 5, 5, 6],
+        [0, 1, 1],
+        [0, 0, 0],
+    ]
+
+    @pytest.fixture(scope="class")
+    def histories(self, gate_histories) -> list[tuple]:
+        """The points of each history: the gate histories, and histories
+        that start with zero counts."""
+        return [ds.points for ds in gate_histories] + [
+            tuple((2.5 * (i + 1), c) for i, c in enumerate(counts)) for counts in self.zero_led
+        ]
+
+    @staticmethod
+    def usable(ds):
+        """The history's usable points as cached, and as a fit checks them
+        (or the reason it refuses them)."""
+        try:
+            checked = estimation._usable_arrays(ds, fewest=2)
+        except ValueError as exc:
+            checked = str(exc)
+        return ds._usable_points(), checked
+
+    @staticmethod
+    def assert_same(live, rebuilt):
+        for got, expected in zip(live, rebuilt):
+            assert type(got) is type(expected)
+            if isinstance(expected, str):
+                assert got == expected
+                continue
+            for arr, built in zip(got[:2], expected[:2]):
+                assert arr.dtype == built.dtype == float
+                assert arr.tobytes() == built.tobytes()
+                assert not arr.flags.writeable
+            assert got[2] == expected[2]
+
+    @pytest.mark.parametrize("order", ["rising", "falling", "history-first", "nested"])
+    def test_prefix_arrays_equal_the_rebuilt_history(self, histories, order):
+        for points in histories:
+            ds = FailureDataset(points)
+            lengths = list(range(1, len(points) + 1))
+            if order == "falling":
+                lengths.reverse()
+            if order == "history-first":
+                self.usable(ds)
+            for n in lengths:
+                sub = ds.prefix(len(points)).prefix(n) if order == "nested" else ds.prefix(n)
+                self.assert_same(self.usable(sub), self.usable(FailureDataset(points[:n])))
+
+    def test_fits_leave_the_arrays_as_built(self, histories):
+        for points in histories[::4] + histories[-len(self.zero_led):]:
+            ds = FailureDataset(points)
+            for n in range(1, len(points) + 1):
+                sub = ds.prefix(n)
+                for name in ("geometric", "musa-basic", "musa-okumoto", "nhpp"):
+                    try:
+                        fit_model(name, sub)
+                    except FitError:
+                        pass
+                    rebuilt = FailureDataset(points[:n])
+                    self.assert_same(self.usable(sub), self.usable(rebuilt))
+                    self.assert_same(self.usable(ds.prefix(n)), self.usable(rebuilt))
+
+    def test_too_few_usable_points_still_raise(self):
+        ds = FailureDataset(tuple((2.5 * (i + 1), c) for i, c in enumerate(self.zero_led[1])))
+        with pytest.raises(ValueError, match="^no usable points: every cumulative count is zero$"):
+            estimation._usable_arrays(ds.prefix(3))
+        with pytest.raises(ValueError, match="^need at least 2 usable points to fit, got 1$"):
+            estimation._usable_arrays(ds.prefix(4), fewest=2)
+        for n, message in [(3, "no usable points"), (4, "need at least 2 usable points")]:
+            for name in ("geometric", "musa-basic", "musa-okumoto", "nhpp"):
+                with pytest.raises(FitError, match=f"^{name}: {message}"):
+                    fit_model(name, ds.prefix(n))
+        times, log_counts, skipped = estimation._usable_arrays(ds.prefix(6), fewest=2)
+        assert times.tolist() == [10.0, 12.5, 15.0] and skipped == 3
+        assert log_counts.tolist() == [0.0, 0.0, math.log(2.0)]
 
 
 class TestDecayBound:

@@ -95,6 +95,28 @@ class TestNumberOfFailuresEval:
         assert 20.0 in skipped_cuts and 30.0 in skipped_cuts
         assert [nt for nt, _ in curve.points] == [1.0]
 
+    def test_underflowing_littlewood_verrall_start_recorded_at_every_cut(self):
+        # Subnormal intervals: every LV cut is a gap with its reason, the
+        # cuts with 5 failures or more naming the start that underflows.
+        ds = FailureDataset.from_tbf(
+            [5e-324, 1e-323, 1.5e-323, 2e-323, 3e-323, 4e-323], "subnormal"
+        )
+        cuts = sorted(set(default_cut_points(ds)))
+        curve = number_of_failures_eval("littlewood-verrall", ds)
+        assert curve.points == ()
+        assert [t for t, _ in curve.skipped] == cuts
+        started = 0
+        for t_e, reason in curve.skipped:
+            n = int(np.searchsorted(ds.times, t_e, side="right"))
+            if n >= 5:
+                started += 1
+                assert reason.startswith(
+                    "littlewood-verrall: the start's scale0 0.0 is not a positive normal float"
+                ), t_e
+            else:
+                assert reason.startswith("littlewood-verrall: needs at least 5 failures"), t_e
+        assert started > 0
+
     def test_deterministic(self):
         ds = forward_dataset()
         cuts = default_cut_points(ds, 6)
