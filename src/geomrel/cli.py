@@ -17,6 +17,7 @@ native unit); rescale a history first if it was recorded on another axis.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -359,10 +360,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser that :func:`main` uses, built once per process: parsing
+    keeps no state in it, so one parser serves every call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help/--version and 2 for usage problems;
         # usage problems are input errors here.

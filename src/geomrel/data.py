@@ -107,8 +107,8 @@ class FailureDataset:
             raise ValueError("cumulative failure counts must be non-negative")
         if np.any(np.diff(counts) < 0):
             raise ValueError("cumulative failure counts must not decrease")
-        object.__setattr__(self, "times", np.frombuffer(times.tobytes(), dtype=float))
-        object.__setattr__(self, "counts", np.frombuffer(counts.tobytes(), dtype=np.int64))
+        object.__setattr__(self, "times", _frozen(times))
+        object.__setattr__(self, "counts", _frozen(counts))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -129,12 +129,9 @@ class FailureDataset:
         if not 1 <= n <= len(self.points):
             raise ValueError(f"a prefix length must lie in 1..{len(self.points)}, got {n}")
         n = int(n)
-        sub = object.__new__(FailureDataset)
-        object.__setattr__(sub, "points", self.points[:n])
-        object.__setattr__(sub, "label", self.label)
-        object.__setattr__(sub, "native_unit", self.native_unit)
-        object.__setattr__(sub, "times", self.times[:n])
-        object.__setattr__(sub, "counts", self.counts[:n])
+        sub = _checked_history(
+            self.points[:n], self.label, self.native_unit, self.times[:n], self.counts[:n]
+        )
         times, log_counts, skipped = self._usable_points()
         used = max(n - skipped, 0)
         sub.__dict__["_usable"] = (times[:used], log_counts[:used], min(n, skipped))
@@ -216,6 +213,25 @@ class FailureDataset:
         times = np.cumsum(values)
         points = tuple((float(t), k + 1) for k, t in enumerate(times))
         return cls(points, label, native_unit)
+
+
+def _frozen(values: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``values`` over immutable ``bytes``."""
+    return np.frombuffer(values.tobytes(), dtype=values.dtype)
+
+
+def _checked_history(points, label, native_unit, times, counts) -> FailureDataset:
+    """A history from points that already pass :class:`FailureDataset`'s
+    checks, in its normal form (float times, int counts, a ``TimeUnit``),
+    with their ``times`` and ``counts`` as read-only arrays: equal to
+    ``FailureDataset(points, label, native_unit)``, without checking again."""
+    ds = object.__new__(FailureDataset)
+    object.__setattr__(ds, "points", points)
+    object.__setattr__(ds, "label", label)
+    object.__setattr__(ds, "native_unit", native_unit)
+    object.__setattr__(ds, "times", times)
+    object.__setattr__(ds, "counts", counts)
+    return ds
 
 
 @dataclass(frozen=True)
@@ -352,8 +368,9 @@ def parse_dataset(
     if len(rows) == 1:
         raise DataFormatError("no data rows")
 
+    times = []
     if format == "cumulative_csv":
-        points = []
+        counts = []
         prev_time = 0.0
         prev_count = 0
         for lineno, row in enumerate(rows[1:], start=2):
@@ -378,33 +395,44 @@ def parse_dataset(
                 raise DataFormatError(
                     f"cumulative failures fell from {prev_count} to {c}", line=lineno
                 )
-            points.append((t, c))
+            times.append(t)
+            counts.append(c)
             prev_time, prev_count = t, c
-        return FailureDataset(tuple(points), label, native_unit)
-
-    tbf = []
-    total = 0.0
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 1:
-            raise DataFormatError(f"expected 1 field, got {len(row)}", line=lineno)
-        try:
-            v = float(row[0])
-        except ValueError as exc:
-            raise DataFormatError(f"malformed row {row!r}: {exc}", line=lineno) from exc
-        if v <= 0:
-            raise DataFormatError(f"time between failures must be positive, got {v}", line=lineno)
-        # The failure time FailureDataset.from_tbf will compute (np.cumsum
-        # adds in the same order), checked here so that a problem with it
-        # is reported on its line, and an overflow raises no numpy warning.
-        previous, total = total, total + v
-        if not math.isfinite(total):
-            raise DataFormatError(f"failure time {total} is not finite", line=lineno)
-        if total <= previous:
-            raise DataFormatError(
-                f"failure time does not advance past {previous} by {v}", line=lineno
-            )
-        tbf.append(v)
-    return FailureDataset.from_tbf(tbf, label, native_unit)
+    else:
+        total = 0.0
+        for lineno, row in enumerate(rows[1:], start=2):
+            if len(row) != 1:
+                raise DataFormatError(f"expected 1 field, got {len(row)}", line=lineno)
+            try:
+                v = float(row[0])
+            except ValueError as exc:
+                raise DataFormatError(f"malformed row {row!r}: {exc}", line=lineno) from exc
+            if v <= 0:
+                raise DataFormatError(
+                    f"time between failures must be positive, got {v}", line=lineno
+                )
+            # The failure time, as FailureDataset.from_tbf computes it
+            # (np.cumsum adds in the same order), checked here so that a
+            # problem with it is reported on its line, and an overflow
+            # raises no numpy warning.
+            previous, total = total, total + v
+            if not math.isfinite(total):
+                raise DataFormatError(f"failure time {total} is not finite", line=lineno)
+            if total <= previous:
+                raise DataFormatError(
+                    f"failure time does not advance past {previous} by {v}", line=lineno
+                )
+            times.append(total)
+        counts = range(1, len(times) + 1)
+    # Every row has passed the checks that FailureDataset makes, so the
+    # history is built from them without a second pass.
+    return _checked_history(
+        tuple(zip(times, counts)),
+        label,
+        TimeUnit(native_unit),
+        _frozen(np.array(times, dtype=float)),
+        _frozen(np.array(counts, dtype=np.int64)),
+    )
 
 
 def to_cumulative_csv(ds: FailureDataset) -> str:

@@ -57,6 +57,12 @@ __all__ = [
 # model's ``boundary`` names.
 MAX_FIT_TRUNCATION = 10_000
 
+# A fitted leading rate within this of 1 lies in the saturated corner
+# p1 -> 1, which the fitted model's ``boundary`` names: there the
+# residuals' derivative in logit p1 carries the factor 1 - p1, so the
+# search stops without reaching an optimum inside (0, 1).
+SATURATED_RATE_GAP = 1e-9
+
 _INITIAL_DECAY_GUESS = 0.94
 # 0.94**a over the 224 faults of the default truncation at 0.94, their
 # sum, and the start's cap on Newton steps.
@@ -158,10 +164,17 @@ class FitResult:
         """``"truncation-cap"`` when the truncation equals
         ``MAX_FIT_TRUNCATION`` (the fit stopped against its bound on d: the
         objective still falls as d moves towards 1, as for a history
-        without reliability growth), else ``None``.  ``converged`` says
-        only that the search met its stopping criterion, with d held at
-        the bound."""
-        return "truncation-cap" if self.params.truncation == MAX_FIT_TRUNCATION else None
+        without reliability growth); else ``"saturated-rate"`` when
+        ``1 - p1 < SATURATED_RATE_GAP`` (the fit ran into the corner
+        p1 -> 1); else ``None``.  A fit in both limits reports
+        ``"truncation-cap"``, so that the saturated name only ever replaces
+        ``None``.  ``converged`` says only that the search met its stopping
+        criterion."""
+        if self.params.truncation == MAX_FIT_TRUNCATION:
+            return "truncation-cap"
+        if 1.0 - self.params.p1 < SATURATED_RATE_GAP:
+            return "saturated-rate"
+        return None
 
     def predict_mean(self, t):
         """Expected cumulative failures at ``t`` (:func:`mean_failures`)."""
@@ -391,7 +404,11 @@ def levenberg_marquardt(
     array x that call got and the ``out`` it returned, so it may reuse, or
     overwrite, that call's work.  Either way the objective near x is
     modelled as ``f + 2 g.s + s'As`` for a step s, with ``g = J^T r`` and
-    ``A = J^T J`` for least squares.
+    ``A = J^T J`` for least squares.  The start and every accepted point
+    get their ``jacobian`` call before the next probe, except an accepted
+    point that ends the run; the point returned is the latest accepted
+    one, so it is the point of the latest ``jacobian`` call unless the
+    run ended on accepting the latest probe.
 
     Each step solves ``(A + damping |diag A|) step = -g`` (Marquardt's
     scaling, ``(1 + damping) diag A`` for least squares) by Cramer's rule
@@ -719,6 +736,7 @@ def fit(ds: FailureDataset) -> FitResult:
     # exp(ln q) differs from q for some counts; starting from q moves fits.
     p1_start = _initial_p1(float(times[-1]), float(math.exp(log_counts[-1])))
     probed = []  # the latest probe's (p1, d, params, mean, head terms)
+    at_jacobian = []  # the params of the latest point the Jacobian was taken at
 
     def residuals(z: np.ndarray):
         z0, z1 = z.tolist()
@@ -726,7 +744,7 @@ def fit(ds: FailureDataset) -> FitResult:
         d = _expit(z1)
         if not (0.0 < p1 < 1.0 and 0.0 < d < 1.0):
             return None
-        params = GeometricModelParams(p1, d, default_truncation(d))
+        params = GeometricModelParams._from_checked(p1, d, default_truncation(d))
         mu, terms = _mean_terms(params, column, t_max)
         probed[:] = p1, d, params, mu, terms
         r = np.log(mu)
@@ -734,6 +752,7 @@ def fit(ds: FailureDataset) -> FitResult:
 
     def jacobian(z: np.ndarray, r: np.ndarray) -> list[np.ndarray]:
         p1, d, params, mu, terms = probed
+        at_jacobian[:] = [params]
         intensity, weighted = _intensity_sums(params, column, terms)
         scale = times / mu
         return [-(1.0 - p1) * scale * intensity, -(1.0 - d) * scale * weighted]
@@ -743,4 +762,7 @@ def fit(ds: FailureDataset) -> FitResult:
 
     p1 = _expit(float(best[0]))
     d = _expit(float(best[1]))
-    return FitResult(GeometricModelParams(p1, d, default_truncation(d)), diag, skipped)
+    # The params that the best point's probe built, with its head of fault
+    # terms cached: the latest probe's when the run ended on accepting it.
+    params = probed[2] if probed[:2] == [p1, d] else at_jacobian[0]
+    return FitResult(params, diag, skipped)

@@ -19,10 +19,24 @@ denominator ``sum(p_a - p_a**2)`` uses the j = 1 and j = 2 cases of the
 same identity.
 
 All operations here are pure functions of immutable inputs and safe for
-unrestricted concurrent use.  The params cache one array of leading fault
-rates, with their ``ln(1 - rate)``, in their ``__dict__``: the longest
-head any sum (or ``rates``) has asked for, which is sliced for shorter
-ones.  A racing writer can only replace one valid head with another.
+unrestricted concurrent use.  The params cache in their ``__dict__`` what
+depends on them alone, so that a planning request pays once for each
+quantity:
+
+* one array of leading fault rates, with their ``ln(1 - rate)``: the
+  longest head any sum (or ``rates``) has asked for, which is sliced for
+  shorter ones;
+* the release-time denominator ``sum(p_a - p_a**2)``;
+* a memo of the intensities that the release-time searches evaluated,
+  keyed by time, t = 1 included, so that the searches for several
+  targets share their common probes.  It holds at most
+  ``_PROBE_MEMO_SIZE`` (1,024) times; once full, further probes are
+  evaluated without being kept.
+
+Each cached value is the float a fresh evaluation gives, so a read on
+warm params equals the read on fresh ones.  A racing writer can only
+replace a value with an equal one, and can push the memo past its bound
+by at most one entry per racing thread.
 """
 
 from __future__ import annotations
@@ -90,6 +104,12 @@ _LN2 = math.log(2.0)
 _LN16 = math.log(16.0)
 # A gap within this of zero is rounding noise to the secant.
 _GAP_NOISE = 4.0 * sys.float_info.epsilon
+# The most times at which a params keeps the intensities its release-time
+# searches evaluated.  A search probes about 13 times, t = 1 included, so
+# the three searches of a planning request stay well inside it; a search
+# whose bracket grows towards 2**1023 (up to 1,023 steps) fills it and
+# evaluates its further probes afresh.  A full memo holds about 100 kB.
+_PROBE_MEMO_SIZE = 1024
 
 
 def default_truncation(d: float) -> int:
@@ -141,6 +161,15 @@ class GeometricModelParams:
             )
         object.__setattr__(self, "truncation", int(n))
 
+    @classmethod
+    def _from_checked(cls, p1: float, d: float, truncation: int) -> "GeometricModelParams":
+        """Params from values that already pass :meth:`__post_init__`'s
+        checks (floats p1 and d in (0, 1), an int truncation from 1 to the
+        float range), built without checking them again."""
+        params = object.__new__(cls)
+        params.__dict__.update(p1=p1, d=d, truncation=truncation)
+        return params
+
     @property
     def rates(self) -> np.ndarray:
         """Per-fault rates ``p1 * d**(n-1)`` for n = 1..truncation (read-only)."""
@@ -183,7 +212,13 @@ def _checked_times(t, minimum: float, what: str):
     A scalar (0-d) time is checked with float comparisons and returned as
     a float; an array gains a last axis of length 1.  Either form
     broadcasts against a head of fault terms, and a sum over that head has
-    the shape of ``t``: a scalar read costs no array reductions."""
+    the shape of ``t``: a scalar read costs no array reductions, and a
+    Python float no array at all."""
+    if type(t) is float:
+        # A NaN fails the first comparison, and +inf the second.
+        if not (t >= minimum and t < math.inf):
+            raise ValueError(f"{what} requires finite t >= {minimum}, got {t!r}")
+        return t, t
     arr = np.asarray(t, dtype=float)
     if arr.ndim == 0:
         value = float(arr)
@@ -323,7 +358,11 @@ def failure_intensity(params: GeometricModelParams, t):
     t, t_max = _checked_times(t, 1.0, "failure_intensity")
     k = _series_head(params, t_max)
     rates, log_survival = _direct_terms(params, k)
-    vals = (rates * np.exp((t - 1.0) * log_survival)).sum(axis=-1)
+    # exp and the product with the rates overwrite a fresh array.
+    terms = (t - 1.0) * log_survival
+    np.exp(terms, out=terms)
+    terms *= rates
+    vals = terms.sum(axis=-1)
     if k < params.truncation:
         p_k = params.p1 * params.d**k
         g = _tail_power_sums(params, k)
@@ -385,14 +424,34 @@ def _intensity_sums(params: GeometricModelParams, t: np.ndarray, terms: np.ndarr
 def _occurrence_hazard_sum(params: GeometricModelParams) -> float:
     """``sum(p_a - p_a**2)`` over the fault population, in closed form:
     ``p1 (1 - d**N) / (1 - d) - p1**2 (1 - d**(2N)) / (1 - d**2)``, with
-    ``1 - d**x`` taken as ``-expm1(x ln d)``."""
+    ``1 - d**x`` taken as ``-expm1(x ln d)``; kept on ``params`` once
+    computed."""
+    hazard = params.__dict__.get("_hazard")
+    if hazard is not None:
+        return hazard
     p1, d = params.p1, params.d
     x = params.truncation * math.log(d)
     hazard = p1 * -math.expm1(x) / (1.0 - d)
     hazard -= p1 * p1 * -math.expm1(2.0 * x) / ((1.0 - d) * (1.0 + d))
     if not hazard > 0.0:  # a subnormal p1
         raise ValueError(f"the release-time denominator sum(p_a - p_a**2) is {hazard} at p1 = {p1}")
+    params.__dict__["_hazard"] = hazard
     return hazard
+
+
+def _probe_intensity(params: GeometricModelParams, t: float) -> float:
+    """``failure_intensity(params, t)`` at a float time, evaluated through
+    the module attribute the first time t is asked for and read from the
+    params' memo after that.  The memo keeps at most
+    ``_PROBE_MEMO_SIZE`` times; beyond that a time is evaluated afresh.
+    An evaluation that raises leaves the memo as it was."""
+    memo = params.__dict__.setdefault("_probes", {})
+    lam = memo.get(t)
+    if lam is None:
+        lam = failure_intensity(params, t)
+        if len(memo) < _PROBE_MEMO_SIZE:
+            memo[t] = lam
+    return lam
 
 
 def _initial_intensity(params: GeometricModelParams, lambda_target: float) -> float:
@@ -400,7 +459,7 @@ def _initial_intensity(params: GeometricModelParams, lambda_target: float) -> fl
     finite positive intensity not above it."""
     if not lambda_target > 0 or not math.isfinite(lambda_target):
         raise ValueError(f"intensity target must be finite and positive, got {lambda_target}")
-    lam1 = failure_intensity(params, 1.0)
+    lam1 = _probe_intensity(params, 1.0)
     if lambda_target > lam1:
         raise ValueError(
             f"intensity target {lambda_target} exceeds the initial intensity {lam1}"
@@ -430,7 +489,9 @@ def time_for_intensity_exact(params: GeometricModelParams, lambda_target: float)
     ``failure_intensity(params, prev) > lambda_target >=
     failure_intensity(params, t)``, where ``prev`` is the float just below
     t (t = 1 when the target is the initial intensity).  Every evaluation
-    goes through the module attribute ``failure_intensity``.
+    goes through the module attribute ``failure_intensity``, once per time
+    and params: a time that an earlier search on the same params probed
+    (t = 1 included) is read from the params' memo.
 
     The search runs on the gap ``ln intensity - ln lambda_target``, which
     is positive below the root and close to linear in ln t.  It grows a
@@ -461,7 +522,7 @@ def time_for_intensity_exact(params: GeometricModelParams, lambda_target: float)
         """Probe t and move the end of the bracket on its side there; True
         when t lies below the root."""
         nonlocal lo, lo_gap, hi, hi_gap
-        lam = failure_intensity(params, t)
+        lam = _probe_intensity(params, t)
         # The gap as ln(1 + diff / target), to full precision when small.
         diff = lam - lambda_target
         share = diff / lambda_target

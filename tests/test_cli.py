@@ -694,3 +694,33 @@ class TestVersionAndHelp:
 
     def test_version_exits_zero(self):
         assert cli.main(["--version"]) == 0
+
+
+class TestParserReuse:
+    def test_main_builds_its_parser_once(self, monkeypatch):
+        cli._parser.cache_clear()
+        built = []
+        real = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        try:
+            assert cli.main(["--version"]) == 0
+            assert cli.main(["fit"]) == 1
+            assert cli.main(["--help"]) == 0
+            assert len(built) == 1
+        finally:
+            cli._parser.cache_clear()
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_a_parse_leaves_no_state_for_the_next(self):
+        parser = cli._parser()
+        first = parser.parse_args(["evaluate", "a.csv", "--model", "nhpp", "--out", "o"])
+        second = parser.parse_args(["evaluate", "b.csv", "--out", "o"])
+        assert first.model == ["nhpp"] and second.model is None
+        assert second.inputs == ["b.csv"] and second.cuts == 20

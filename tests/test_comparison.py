@@ -769,7 +769,7 @@ class TestFitDiagnostics:
             assert fitted.diagnostics.optimizer == "levenberg-marquardt", name
             assert fitted.diagnostics.jacobian_evaluations > 0, name
             assert fitted.boundary in (
-                None, "truncation-cap", "exponential-limit", "no-growth"
+                None, "truncation-cap", "saturated-rate", "exponential-limit", "no-growth"
             ), name
         result = fit(ntds)
         geometric = fit_model("geometric", ntds)
@@ -780,6 +780,27 @@ class TestFitDiagnostics:
         flat = FailureDataset(tuple((25.0 * c, c) for c in range(1, 33)), "flat")
         assert fit_model("geometric", flat).boundary == "truncation-cap"
         assert fit_model("musa-basic", flat).boundary == "no-growth"
+
+    def test_geometric_boundary_names_the_saturated_rate(self):
+        # The search runs into p1 -> 1 (1 - p1 is one float step), where the
+        # residuals' derivative in logit p1 vanishes, and stops there.
+        ds = FailureDataset(((6.0, 220), (605860300011.447, 596)), "saturated")
+        fitted = fit_model("geometric", ds)
+        assert 1.0 - fitted.params.p1 < estimation.SATURATED_RATE_GAP
+        assert fitted.params.truncation < estimation.MAX_FIT_TRUNCATION
+        assert fitted.converged
+        assert fitted.boundary == "saturated-rate"
+        assert fitted.to_dict()["boundary"] == "saturated-rate"
+
+    def test_truncation_cap_named_before_the_saturated_rate(self):
+        diagnostics = fit(FailureDataset(((1.0, 1), (2.0, 2)), "pair")).diagnostics
+        gap = estimation.SATURATED_RATE_GAP
+        both = GeometricModelParams(1.0 - gap / 2, 0.5, estimation.MAX_FIT_TRUNCATION)
+        assert FitResult(both, diagnostics, 0).boundary == "truncation-cap"
+        saturated = GeometricModelParams(1.0 - gap / 2, 0.5, 10)
+        assert FitResult(saturated, diagnostics, 0).boundary == "saturated-rate"
+        interior = GeometricModelParams(1.0 - 2 * gap, 0.5, 10)
+        assert FitResult(interior, diagnostics, 0).boundary is None
 
     @pytest.mark.parametrize("name", CLOSED_FORM_NAMES)
     def test_closed_forms_name_their_no_growth_bound(self, name):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from geomrel.data import (
@@ -134,6 +134,30 @@ def assert_unwritable(arr):
     assert isinstance(arr, bytes)
 
 
+def assert_same_history(parsed):
+    """``parsed`` equals the history that ``FailureDataset`` builds and
+    checks from its points, label and unit, down to the bits and
+    read-only memory of its arrays and its usable points."""
+    rebuilt = FailureDataset(parsed.points, parsed.label, parsed.native_unit)
+    assert parsed == rebuilt
+    assert hash(parsed) == hash(rebuilt)
+    assert parsed.native_unit is rebuilt.native_unit
+    for (t, c), (t_rebuilt, c_rebuilt) in zip(parsed.points, rebuilt.points, strict=True):
+        assert type(t) is float and type(c) is int
+        assert t.hex() == t_rebuilt.hex() and c == c_rebuilt
+    for name in ("times", "counts"):
+        arr, expected = getattr(parsed, name), getattr(rebuilt, name)
+        assert arr.dtype == expected.dtype
+        assert arr.tobytes() == expected.tobytes()
+        assert_unwritable(arr)
+    for got, expected in zip(parsed._usable_points(), rebuilt._usable_points(), strict=True):
+        if isinstance(expected, np.ndarray):
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+        else:
+            assert got == expected
+
+
 class TestPrefix:
     @pytest.mark.parametrize("history", [_ntds_history, _grid_history], ids=["ntds", "grid"])
     def test_equals_the_rebuilt_history(self, history):
@@ -232,6 +256,29 @@ class TestParseDataset:
         ds = parse_dataset(text.encode(), "tbf_csv")
         assert np.array_equal(np.diff(ds.times, prepend=0.0), np.array(tbf, dtype=float))
 
+    @given(
+        gaps=st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=40),
+        steps=st.lists(st.integers(0, 2**40), min_size=40, max_size=40),
+        unit=st.sampled_from([*TimeUnit, "calendar_day"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_parsed_history_equals_the_checked_one(self, gaps, steps, unit):
+        # Both formats, rows written with repr, from growing times and
+        # non-decreasing counts (zero counts and repeats included).
+        times = np.cumsum(gaps)
+        # A gap far below its time would not advance it.
+        assume(np.all(np.diff(times) > 0))
+        counts = np.cumsum(steps[: len(gaps)]) - steps[0]
+        cumulative = "time,cumulative_failures\n" + "".join(
+            f"{float(t)!r},{int(c)}\n" for t, c in zip(times, counts)
+        )
+        tbf = "tbf\n" + "".join(f"{g!r}\n" for g in gaps)
+        for text, fmt in ((cumulative, "cumulative_csv"), (tbf, "tbf_csv")):
+            parsed = parse_dataset(text.encode(), fmt, label="h", native_unit=unit)
+            assert_same_history(parsed)
+            assert parsed.native_unit is TimeUnit(unit)
+        assert parsed == FailureDataset.from_tbf(gaps, "h", unit)
+
     def test_csv_roundtrip_is_exact(self):
         ds = FailureDataset(((3.5, 1), (5.25, 2), (10.125, 4)), label="rt")
         again = parse_dataset(to_cumulative_csv(ds).encode(), "cumulative_csv", label="rt")
@@ -283,6 +330,10 @@ _CELLS = st.one_of(
     ),
 )
 _ROWS = st.lists(_CELLS, max_size=3).map(",".join)
+_NUMBERS = st.one_of(
+    st.integers(0, 2**64).map(str),
+    st.floats(0.0, 1e308, allow_nan=False).map(repr),
+)
 
 
 @given(
@@ -301,6 +352,25 @@ def test_parse_dataset_fuzz_gives_a_dataset_or_a_format_error(header, rows, endi
     except DataFormatError:
         return
     assert isinstance(ds, FailureDataset)
+    assert_same_history(ds)
+
+
+@given(data=st.data(), fmt=st.sampled_from(["cumulative_csv", "tbf_csv"]))
+@settings(max_examples=400, deadline=None)
+def test_parse_dataset_fuzz_of_rows_under_their_header(data, fmt):
+    # The cells above and plain numbers, one per header field, so that
+    # histories of both formats parse, and each is checked against the
+    # history rebuilt from its points.
+    header = "time,cumulative_failures" if fmt == "cumulative_csv" else "tbf"
+    width = header.count(",") + 1
+    cell = st.one_of(_CELLS, _NUMBERS, _NUMBERS)
+    row = st.lists(cell, min_size=width, max_size=width).map(",".join)
+    rows = data.draw(st.lists(row, min_size=1, max_size=8), label="rows")
+    try:
+        ds = parse_dataset("\n".join([header, *rows]).encode(), fmt, label="fuzz")
+    except DataFormatError:
+        return
+    assert_same_history(ds)
 
 
 class TestTimeConversion:

@@ -1375,6 +1375,23 @@ class TestFrozenReferenceFits:
             _assert_same([live, (best.tolist(), result)])
 
 
+def test_fit_returns_the_params_of_its_best_point(least_squares_gate):
+    # The params come from the probe at the loop's best point, head of
+    # fault terms cached, and read as freshly built params do.
+    saturated = FailureDataset(((6.0, 220), (605860300011.447, 596)), "saturated")
+    for ds in [*least_squares_gate, saturated]:
+        result = fit(ds)
+        p1, d = (estimation._expit(z) for z in result.diagnostics.x)
+        fresh = GeometricModelParams(p1, d, default_truncation(d))
+        assert result.params == fresh
+        assert (result.params.p1, result.params.d) == (p1, d)
+        assert "_head" in result.params.__dict__
+        t = np.linspace(1.0, 3.0 * ds.final_time, 50)
+        for read in (mean_failures, failure_intensity):
+            assert read(result.params, t).tobytes() == read(fresh, t).tobytes()
+        assert least_squares_objective(result.params, ds) == result.objective_value
+
+
 class TestSharedUsableArrays:
     """A prefix slices its usable points from its history's, built once;
     they equal, bit for bit, those of the prefix built as a history of its

@@ -819,7 +819,10 @@ def ref_time_for_intensity_exact(params, target):
 def probed(search, params, target):
     """What ``search`` returns (or the message of the ValueError it
     raises), and every time at which it evaluates the intensity through
-    ``model.failure_intensity``."""
+    ``model.failure_intensity``, on a fresh copy of ``params``: a search on
+    params that an earlier one probed reads those probes from the params'
+    memo, t = 1 included."""
+    params = GeometricModelParams(params.p1, params.d, params.truncation)
     times = []
     original = model.failure_intensity
 
@@ -871,6 +874,80 @@ class TestExactInverseMatchesItsReference:
         message, times = probed(time_for_intensity_exact, params, 5e-324)
         assert (message, times) == probed(ref_time_for_intensity_exact, params, 5e-324)
         assert "finite" in message and times[-1] == math.inf
+
+
+def release_reads(params, lambda_now, target):
+    """The three release-time reads of a planning request, as floats."""
+    return (
+        time_for_intensity_exact(params, target),
+        time_for_intensity(params, target),
+        additional_time(params, lambda_now, target),
+    )
+
+
+class TestWarmParams:
+    """Params that earlier release-time reads left their memo on answer
+    every read with the floats that fresh params give."""
+
+    @pytest.mark.parametrize(
+        "truncations, max_d",
+        [
+            (st.integers(1, DIRECT_SUM_MAX_TERMS), 0.99999),
+            (st.integers(DIRECT_SUM_MAX_TERMS + 1, 10**12), 0.9995),
+        ],
+        ids=["direct", "series"],
+    )
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_reads_in_any_order_equal_cold_reads(self, truncations, max_d, data):
+        p1 = data.draw(st.floats(1e-6, 0.9), label="p1")
+        d = data.draw(st.floats(0.3, max_d), label="d")
+        n = data.draw(truncations, label="n")
+        t_now = 10.0 ** data.draw(st.floats(0.0, 4.0), label="log_t")
+        shares = data.draw(
+            st.lists(st.sampled_from([1.0, 0.5, 0.25, 0.1, 0.01]), min_size=1, max_size=8),
+            label="shares",
+        )
+        lambda_now = failure_intensity(GeometricModelParams(p1, d, n), t_now)
+        targets = [share * lambda_now for share in shares]
+        assume(0.0 < min(targets))
+        warm = GeometricModelParams(p1, d, n)
+        calls = []
+        original = model.failure_intensity
+
+        def recording(params, t):
+            calls.append((params, t))
+            return original(params, t)
+
+        with mock.patch.object(model, "failure_intensity", recording):
+            for target in data.draw(st.permutations(targets), label="order"):
+                cold = release_reads(GeometricModelParams(p1, d, n), lambda_now, target)
+                got = release_reads(warm, lambda_now, target)
+                assert [v.hex() for v in got] == [v.hex() for v in cold]
+        warm_times = [t for params, t in calls if params is warm]
+        assert warm_times.count(1.0) == 1
+        # Each time is evaluated once on the warm params.
+        assert len(warm_times) == len(set(warm_times)) == len(warm.__dict__["_probes"])
+        assert len(warm.__dict__["_probes"]) <= model._PROBE_MEMO_SIZE
+
+    def test_memo_stays_within_its_bound(self, monkeypatch):
+        monkeypatch.setattr(model, "_PROBE_MEMO_SIZE", 5)
+        warm = GeometricModelParams(0.03, 0.95)
+        lambda_now = failure_intensity(warm, 800.0)
+        for share in (0.5, 0.25, 0.1, 0.25, 0.5):
+            cold = GeometricModelParams(0.03, 0.95)
+            got = release_reads(warm, lambda_now, share * lambda_now)
+            assert got == release_reads(cold, lambda_now, share * lambda_now)
+            assert len(warm.__dict__["_probes"]) == 5
+        assert 1.0 in warm.__dict__["_probes"]
+
+    def test_refused_target_keeps_what_was_probed(self):
+        params = GeometricModelParams(1e-310, 0.5, 1)
+        with pytest.raises(ValueError, match="finite"):
+            time_for_intensity_exact(params, 5e-324)
+        memo = params.__dict__["_probes"]
+        assert math.inf not in memo and len(memo) <= model._PROBE_MEMO_SIZE
+        assert all(memo[t] == failure_intensity(params, t) for t in memo)
 
 
 class TestLogLikelihoodSmall:
