@@ -181,20 +181,14 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    requested = list(args.model or [])
-    if args.models == "all" and not requested:
-        models = list(ALL_MODEL_NAMES)
-    else:
-        if args.models != "all":
-            requested.extend(m.strip() for m in args.models.split(",") if m.strip())
-        seen = set()
-        models = [m for m in requested if not (m in seen or seen.add(m))]
-        unknown = [m for m in models if m not in ALL_MODEL_NAMES]
-        if unknown:
-            return _fail(
-                f"unknown model names {unknown}; supported: {', '.join(ALL_MODEL_NAMES)}",
-                EXIT_INPUT,
-            )
+    names = ALL_MODEL_NAMES if args.models == "all" else args.models.split(",")
+    models = list(dict.fromkeys(m.strip() for m in names if m.strip()))
+    unknown = [m for m in models if m not in ALL_MODEL_NAMES]
+    if unknown:
+        return _fail(
+            f"unknown model names {unknown}; supported: {', '.join(ALL_MODEL_NAMES)}",
+            EXIT_INPUT,
+        )
     if not models:
         return _fail("no models requested", EXIT_INPUT)
     # Checked before any fit so that a bad value leaves no partial output.
@@ -324,16 +318,16 @@ def build_parser() -> argparse.ArgumentParser:
     predict_p.add_argument("--profile", help="time conversion profile JSON")
     predict_p.set_defaults(func=cmd_predict)
 
+    # Options are spelled out in full, so that no prefix reads as --models.
     evaluate_p = commands.add_parser(
-        "evaluate", help="predictive-validity curves and cross-project medians"
+        "evaluate",
+        help="predictive-validity curves and cross-project medians",
+        allow_abbrev=False,
     )
     evaluate_p.add_argument("inputs", nargs="+", help="failure history CSVs")
     evaluate_p.add_argument("--format", choices=sorted(_FORMATS), default="cumulative")
     evaluate_p.add_argument(
         "--models", default="all", help="comma-separated model names, or 'all'"
-    )
-    evaluate_p.add_argument(
-        "--model", action="append", help="a single model name (repeatable)"
     )
     evaluate_p.add_argument("--cuts", type=int, default=20, help="fitting horizons per project")
     evaluate_p.add_argument("--bins", type=int, default=10, help="aggregation cells")

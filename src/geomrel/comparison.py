@@ -5,10 +5,12 @@ Four classic models (Musa basic, Musa-Okumoto, Littlewood-Verrall in its
 quadratic form, and an NHPP with exponentially bounded mean) are exposed
 with the same contract as the geometric-rates model so that a validity
 harness can treat all five uniformly; :func:`fit_model` fits any of them
-by name, and every fit reports its optimizer run and boundary alike.  The
-fitted geometric-rates model is the record of its fit,
-:class:`geomrel.estimation.FitResult`, registered as a
-:class:`ReliabilityModel`.
+by name, and every fit reports its optimizer run and boundary alike.  It
+alone raises :class:`FitError`, naming the model, from the bare reason a
+route's ``ValueError`` gives; every time a model reads goes through
+:func:`geomrel.model._checked_times`, the one time check.  The fitted
+geometric-rates model is the record of its fit,
+:class:`geomrel.estimation.FitResult`, registered as a :class:`ReliabilityModel`.
 
 Musa basic, Musa-Okumoto, and NHPP are rows of one table of closed-form
 mean value functions, each with its parameter names, its mean written as a
@@ -49,6 +51,7 @@ from . import estimation
 from .data import FailureDataset
 from .errors import FitError, PredictionError
 from .estimation import FitResult
+from .model import _checked_times
 
 __all__ = [
     "ALL_MODEL_NAMES",
@@ -342,10 +345,7 @@ class ClosedFormModel(ReliabilityModel):
         that bound is named ``"no-growth"`` (:attr:`boundary`).  The
         reported objective is recomputed at the returned parameters."""
         form = _CLOSED_FORMS[model_name]
-        try:
-            times, log_counts, _ = estimation._usable_arrays(ds, fewest=2)
-        except ValueError as exc:
-            raise FitError(f"{model_name}: {exc}") from exc
+        times, log_counts, _ = estimation._usable_arrays(ds, fewest=2)
         slope = None  # the latest probe's derivative of ln shape
 
         # Each probe centres its own fresh arrays in place: np.add.reduce
@@ -367,10 +367,7 @@ class ClosedFormModel(ReliabilityModel):
         t_q = ds.final_time
         start = [-math.log(form.start(t_q))]
         upper = [-math.log(_LINEAR_LIMIT / t_q)]
-        try:
-            best, diag = estimation.levenberg_marquardt(residuals, jacobian, start, upper)
-        except ValueError as exc:
-            raise FitError(f"{model_name}: {exc}") from exc
+        best, diag = estimation.levenberg_marquardt(residuals, jacobian, start, upper)
         u = float(best[0])
         c = math.exp(-u)
         # The search's own probes ran with these warnings off; the shape at
@@ -397,22 +394,10 @@ class ClosedFormModel(ReliabilityModel):
         return cls(model_name, params, diagnostics, boundary)
 
     def predict_mean(self, t):
-        """Expected cumulative failures at ``t`` (a scalar or an array).  A
-        scalar time is checked with float comparisons, and its read is a
-        float."""
-        mean = _CLOSED_FORMS[self.model_name].mean
-        arr = np.asarray(t, dtype=float)
-        if arr.ndim == 0:
-            value = float(arr)
-            # A NaN fails the first comparison, and +inf the second.
-            if not (value >= 0.0 and value < math.inf):
-                raise ValueError(
-                    f"{self.model_name}: predict_mean requires finite t >= 0, got {t!r}"
-                )
-            return float(mean(self.params, value))
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-            raise ValueError(f"{self.model_name}: predict_mean requires finite t >= 0, got {t!r}")
-        return mean(self.params, arr)
+        """Expected cumulative failures at ``t``, a scalar (read as a float) or an array."""
+        t, _ = _checked_times(t, 0.0, f"{self.model_name}: predict_mean")
+        mean = _CLOSED_FORMS[self.model_name].mean(self.params, t)
+        return float(mean) if isinstance(t, float) else mean[..., 0]
 
     def params_dict(self) -> dict:
         return dict(zip(_CLOSED_FORMS[self.model_name].param_names, self.params))
@@ -470,9 +455,7 @@ class LittlewoodVerrall(ReliabilityModel):
         tbf = ds.time_between_failures()
         n = tbf.size
         if n < cls.min_failures:
-            raise FitError(
-                f"{cls.model_name}: needs at least {cls.min_failures} failures, got {n}"
-            )
+            raise ValueError(f"needs at least {cls.min_failures} failures, got {n}")
         squared = np.square(np.arange(1, n + 1, dtype=float))
         # Moment-style start: regress the intervals on i^2 for the trend and
         # begin at alpha = 2 (u = 1/2) with s(i) half the trend, so that the
@@ -487,9 +470,9 @@ class LittlewoodVerrall(ReliabilityModel):
         # the scaled coordinates lose their digits.
         for what, value in (("scale0", scale0_start), ("mean interval", scale)):
             if not sys.float_info.min <= value <= sys.float_info.max:
-                raise FitError(
-                    f"{cls.model_name}: the start's {what} {value!r} is not a positive "
-                    "normal float; the intervals are too small to fit"
+                raise ValueError(
+                    f"the start's {what} {value!r} is not a positive normal float; "
+                    "the intervals are too small to fit"
                 )
         # The search runs in (u, ln scale0, scale1 / scale): with the mean
         # interval as the unit of scale1, no derivative depends on the unit
@@ -556,22 +539,21 @@ class LittlewoodVerrall(ReliabilityModel):
             h_aa += g_a
             return [g_u, g_a, g_b], [[h_uu, h_ua, h_ub], [h_ua, h_aa, h_ab], [h_ub, h_ab, h_bb]]
 
-        try:
-            best, diag = estimation.levenberg_marquardt(
-                negative_log_likelihood,
-                derivatives,
-                start,
-                lower=[0.0, -math.inf, 0.0],
-                least_squares=False,
-            )
-        except ValueError as exc:
-            raise FitError(f"{cls.model_name}: {exc}") from exc
+        best, diag = estimation.levenberg_marquardt(
+            negative_log_likelihood,
+            derivatives,
+            start,
+            lower=[0.0, -math.inf, 0.0],
+            least_squares=False,
+        )
         u, log_scale0, trend = best.tolist()
         return cls(LittlewoodVerrallParams(u, math.exp(log_scale0), trend * scale), diag)
 
     def predict_mean(self, t) -> float:
-        if t < 0 or not math.isfinite(t):
-            raise ValueError(f"predict_mean requires finite t >= 0, got {t!r}")
+        """Expected cumulative failures at a scalar time ``t``."""
+        t, _ = _checked_times(t, 0.0, f"{self.model_name}: predict_mean")
+        if not isinstance(t, float):
+            raise ValueError(f"{self.model_name}: predict_mean requires a scalar t")
         if t == 0:
             return 0.0
         time_to = self.params.expected_time_to
@@ -622,15 +604,13 @@ def fit_model(model_name: str, ds: FailureDataset) -> ReliabilityModel:
     """Fit any supported model by name: the geometric-rates model (its
     :func:`geomrel.estimation.fit` record), Littlewood-Verrall, or one of
     the closed-form models."""
-    if model_name in _CLOSED_FORMS:
-        return ClosedFormModel.fit(model_name, ds)
-    if model_name == FitResult.model_name:
-        try:
-            return estimation.fit(ds)
-        except ValueError as exc:
-            raise FitError(f"{model_name}: {exc}") from exc
-    if model_name == LittlewoodVerrall.model_name:
-        return LittlewoodVerrall.fit(ds)
-    raise ValueError(
-        f"unknown model {model_name!r}; choose from {sorted(ALL_MODEL_NAMES)}"
-    )
+    if model_name not in ALL_MODEL_NAMES:
+        raise ValueError(f"unknown model {model_name!r}; choose from {sorted(ALL_MODEL_NAMES)}")
+    try:
+        if model_name in _CLOSED_FORMS:
+            return ClosedFormModel.fit(model_name, ds)
+        if model_name == LittlewoodVerrall.model_name:
+            return LittlewoodVerrall.fit(ds)
+        return estimation.fit(ds)
+    except ValueError as exc:
+        raise FitError(f"{model_name}: {exc}") from exc

@@ -13,11 +13,13 @@ Jacobian.  Littlewood-Verrall minimizes its negative log-likelihood with
 the same loop, given its gradient and Hessian.  The loop returns one
 record, :class:`OptimizerResult`, which is every fitted model's
 ``diagnostics``.  The self-contained Nelder-Mead simplex,
-:func:`nelder_mead`, fits no model any more; it stays as a public
-optimizer, and as the reference the fits are checked against.
-The geometric model's parameters p1 and d live in (0, 1)^2; the search
-runs in an unconstrained space via the inverse-sigmoid map of each
-parameter so feasibility never has to be patched up afterwards.
+:func:`nelder_mead`, is a public optimizer and the reference the fits
+are checked against.  :func:`fit`, like every fitting route, refuses a
+history with a ``ValueError`` giving the bare reason; only
+:func:`geomrel.comparison.fit_model` raises ``FitError``.  The geometric
+model's parameters p1 and d live in (0, 1)^2; the search runs in an
+unconstrained space via the inverse-sigmoid map of each parameter so
+feasibility never has to be patched up afterwards.
 """
 
 from __future__ import annotations

@@ -200,14 +200,16 @@ def fault_cdf(p: float, t: float) -> float:
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"rate must lie in (0, 1), got {p}")
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
+    t, _ = _checked_times(t, 0.0, "fault_cdf")
+    if not isinstance(t, float):
+        raise ValueError("fault_cdf requires a scalar t")
     return -math.expm1(t * math.log1p(-p))
 
 
 def _checked_times(t, minimum: float, what: str):
     """``t`` once every time in it is checked to be finite and at least
-    ``minimum``, and its largest time (0 when it has none).
+    ``minimum``, and its largest time (0 when it has none): the one check
+    of a time argument, whose refusal names the reader ``what``.
 
     A scalar (0-d) time is checked with float comparisons and returned as
     a float; an array gains a last axis of length 1.  Either form
@@ -506,8 +508,7 @@ def time_for_intensity_exact(params: GeometricModelParams, lambda_target: float)
     reaches, where the secant has nothing left to place.  Bisection then
     closes the bracket to ``_BRACKET_ULPS`` floats, and the floats above
     its lower end are probed one by one; the first one not above the
-    target is the answer.  That takes about 12 evaluations for
-    release-planning targets, where bisection takes about 66.
+    target is the answer: about 12 evaluations for release-planning targets.
 
     The intensity is strictly decreasing, but its computed value can be
     non-monotone over a few floats next to the root; there the answer is
@@ -640,8 +641,9 @@ def log_likelihood_small(params: GeometricModelParams, x: int, t: float) -> floa
         )
     if x > n:
         raise ValueError(f"cannot observe {x} distinct failures from {n} faults")
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
+    t, _ = _checked_times(t, 0.0, "log_likelihood_small")
+    if not isinstance(t, float):
+        raise ValueError("log_likelihood_small requires a scalar t")
 
     log_surv = t * params.log_survival  # ln P(fault silent through t)
     base = float(log_surv.sum())

@@ -381,18 +381,19 @@ EVALUATE_OPTIONS = {
 @settings(max_examples=60, deadline=None)
 def test_evaluate_fuzz_ends_with_an_exit_code(tmp_path_factory, broken, data):
     """With any one option given a bad value, or none, evaluate ends in exit
-    code 0, 1 or 2, never a traceback; each ``--model`` may name any model
-    or none."""
+    code 0, 1 or 2, never a traceback; a ``--models`` list given before
+    the options, which a drawn ``--models`` replaces, may name any model."""
     out = tmp_path_factory.mktemp("evaluate_fuzz")
     argv = ["evaluate", str(REPO_DATA / "ntds_tbf.csv"), "--out", str(out)]
     if broken != "--format":
         argv += ["--format", "tbf"]
+    names = data.draw(st.lists(st.sampled_from([*MODEL_NAMES, "duane"]), max_size=2))
+    if names:
+        argv += ["--models", ",".join(names)]
     for option, (good, bad) in EVALUATE_OPTIONS.items():
         value = data.draw(bad if option == broken else good, label=option)
         if value is not None:
             argv += [option, value if isinstance(value, str) else repr(value)]
-    for name in data.draw(st.lists(st.sampled_from([*MODEL_NAMES, "duane"]), max_size=2)):
-        argv += ["--model", name]
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
         code = cli.main(argv)
     assert code in (0, 1, 2)
@@ -483,15 +484,12 @@ class TestEvaluateCommand:
         assert manifest_a == manifest_b
         assert tree_a == tree_b
 
-    def test_single_model_flag_repeatable(self, cumulative_file, tmp_path):
+    def test_models_flag_names_a_subset_once(self, cumulative_file, tmp_path):
         out = tmp_path / "o"
-        code = cli.main(
-            [
-                "evaluate", str(cumulative_file),
-                "--model", "geometric", "--model", "nhpp", "--cuts", "4",
-                "--out", str(out),
-            ]
-        )
+        argv = ["evaluate", str(cumulative_file), "--cuts", "4", "--out", str(out)]
+        assert cli.main([*argv, "--model", "nhpp"]) == 1  # the option is gone
+        assert not out.exists()
+        code = cli.main([*argv, "--models", "geometric, nhpp,geometric"])
         assert code == 0
         assert (out / "aggregate_geometric.csv").exists()
         assert (out / "aggregate_nhpp.csv").exists()
@@ -720,7 +718,7 @@ class TestParserReuse:
 
     def test_a_parse_leaves_no_state_for_the_next(self):
         parser = cli._parser()
-        first = parser.parse_args(["evaluate", "a.csv", "--model", "nhpp", "--out", "o"])
+        first = parser.parse_args(["evaluate", "a.csv", "--models", "nhpp", "--out", "o"])
         second = parser.parse_args(["evaluate", "b.csv", "--out", "o"])
-        assert first.model == ["nhpp"] and second.model is None
+        assert first.models == "nhpp" and second.models == "all"
         assert second.inputs == ["b.csv"] and second.cuts == 20

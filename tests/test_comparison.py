@@ -24,7 +24,7 @@ from geomrel.errors import FitError, PredictionError
 from geomrel import estimation
 from geomrel.estimation import FitResult, OptimizerResult, fit, nelder_mead
 from geomrel.evaluation import default_cut_points
-from geomrel.model import GeometricModelParams, mean_failures
+from geomrel.model import GeometricModelParams, fault_cdf, log_likelihood_small, mean_failures
 
 REPO_DATA = Path(__file__).resolve().parent.parent / "data"
 CLOSED_FORM_NAMES = ("musa-basic", "musa-okumoto", "nhpp")
@@ -149,7 +149,96 @@ def test_scalar_read_refused_like_the_array_read(name, t):
         with pytest.raises(ValueError) as refused:
             model.predict_mean(read)
         messages.append(str(refused.value).split(", got ")[0])
-    assert messages == [f"{name}: predict_mean requires finite t >= 0"] * 3
+    assert messages == [f"{name}: predict_mean requires finite t >= 0.0"] * 3
+
+
+# Every reader of a time checks it with model._checked_times, and refuses a
+# bad one with a ValueError that names the reader.
+_TIME_READERS = {
+    "geometric": (
+        FitResult(GeometricModelParams(0.05, 0.95), None, 0).predict_mean,
+        "mean_failures",
+    ),
+    **{
+        name: (ClosedFormModel(name, (50.0, 0.02)).predict_mean, f"{name}: predict_mean")
+        for name in CLOSED_FORM_NAMES
+    },
+    "littlewood-verrall": (
+        LittlewoodVerrall(LittlewoodVerrallParams(0.5, 5.0, 0.5)).predict_mean,
+        "littlewood-verrall: predict_mean",
+    ),
+    "fault_cdf": (lambda t: fault_cdf(0.5, t), "fault_cdf"),
+    "log_likelihood_small": (
+        lambda t: log_likelihood_small(GeometricModelParams(0.5, 0.5, 2), 1, t),
+        "log_likelihood_small",
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_TIME_READERS))
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
+def test_every_time_reader_refuses_a_bad_time(reader, t):
+    read, caller = _TIME_READERS[reader]
+    with pytest.raises(ValueError) as refused:
+        read(t)
+    assert str(refused.value) == f"{caller} requires finite t >= 0.0, got {t!r}"
+
+
+@pytest.mark.parametrize("reader", ["littlewood-verrall", "fault_cdf", "log_likelihood_small"])
+def test_scalar_readers_refuse_an_array_time(reader):
+    read, caller = _TIME_READERS[reader]
+    for t in (np.array([3.0]), np.array([1.0, 2.0]), np.zeros((1, 1))):
+        with pytest.raises(ValueError) as refused:
+            read(t)
+        assert str(refused.value) == f"{caller} requires a scalar t"
+    assert read(np.float64(3.0)) == read(np.array(3.0)) == read(3) == read(3.0)
+
+
+_NO_FAILURES = FailureDataset(((1.0, 0), (2.0, 0)))
+_ONE_POINT = FailureDataset(((10.0, 3),))
+_SUBNORMAL = FailureDataset.from_tbf([5e-324, 1e-323, 1.5e-323, 2e-323, 3e-323, 4e-323])
+_FAR_APART = FailureDataset(((1e-300, 1), (1e300, 2)))
+
+
+# fit_model's refusals, each with its full text.
+FIT_REFUSALS = [
+    ("geometric", _NO_FAILURES, "no usable points: every cumulative count is zero"),
+    ("musa-basic", _NO_FAILURES, "no usable points: every cumulative count is zero"),
+    ("musa-okumoto", _NO_FAILURES, "no usable points: every cumulative count is zero"),
+    ("nhpp", _NO_FAILURES, "no usable points: every cumulative count is zero"),
+    ("littlewood-verrall", _NO_FAILURES, "needs at least 5 failures, got 0"),
+    ("geometric", _ONE_POINT, "need at least 2 usable points to fit, got 1"),
+    ("musa-okumoto", _ONE_POINT, "need at least 2 usable points to fit, got 1"),
+    (
+        "littlewood-verrall",
+        FailureDataset.from_tbf([1.0, 2.0, 3.0, 4.0]),
+        "needs at least 5 failures, got 4",
+    ),
+    (
+        "littlewood-verrall",
+        _SUBNORMAL,
+        "the start's scale0 0.0 is not a positive normal float; the intervals are too small to fit",
+    ),
+    ("musa-basic", _SUBNORMAL, "objective is not finite at the start"),
+    ("musa-okumoto", _FAR_APART, "objective is not finite at the start"),
+    ("nhpp", _FAR_APART, "objective is not finite at the start"),
+    ("geometric", FailureDataset(((5e-324, 1), (1.0, 2))), "objective is not finite at the start"),
+]
+
+
+@pytest.mark.parametrize("name, ds, reason", FIT_REFUSALS)
+def test_fit_model_alone_names_the_refusal(name, ds, reason):
+    """fit_model refuses with a FitError that names the model; the route
+    it calls refuses with a ValueError that gives the bare reason."""
+    with pytest.raises(FitError) as refused:
+        fit_model(name, ds)
+    assert str(refused.value) == f"{name}: {reason}"
+    route = {"geometric": fit, "littlewood-verrall": LittlewoodVerrall.fit}.get(
+        name, lambda ds: ClosedFormModel.fit(name, ds)
+    )
+    with pytest.raises(ValueError) as bare:
+        route(ds)
+    assert str(bare.value) == reason
 
 
 def loop_prediction(params, t):
@@ -218,9 +307,12 @@ class TestLittlewoodVerrall:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_too_few_failures_rejected(self):
+        # The route refuses with the bare reason; fit_model names the model.
         ds = FailureDataset.from_tbf([1.0, 2.0, 3.0, 4.0])
-        with pytest.raises(FitError, match="at least 5"):
+        with pytest.raises(ValueError, match="^needs at least 5 failures, got 4$"):
             LittlewoodVerrall.fit(ds)
+        with pytest.raises(FitError, match="^littlewood-verrall: needs at least 5"):
+            fit_model("littlewood-verrall", ds)
 
     def test_underflowing_start_refused(self):
         # Subnormal intervals: half the start's scale0 rounds to 0, whose

@@ -373,6 +373,46 @@ def test_parse_dataset_fuzz_of_rows_under_their_header(data, fmt):
     assert_same_history(ds)
 
 
+@st.composite
+def corrupted_histories(draw):
+    """A valid history of 1 to 40 rows in either format, with at most one
+    cell, the header's included, replaced by one of the cells above:
+    ``(text, format, whether a cell was replaced)``.  Cumulative rows
+    have sorted times and counts that never fall, as
+    ``cumulative_histories`` in test_cli.py draws them; tbf rows have
+    gaps that always advance the time."""
+    fmt = draw(st.sampled_from(["cumulative_csv", "tbf_csv"]))
+    if fmt == "cumulative_csv":
+        times = sorted(draw(st.lists(st.floats(1e-6, 1e12), min_size=1, max_size=40, unique=True)))
+        counts = sorted(draw(st.lists(
+            st.integers(0, 2**63 - 1), min_size=len(times), max_size=len(times))))
+        rows = [["time", "cumulative_failures"]]
+        rows += ([repr(t), str(c)] for t, c in zip(times, counts))
+    else:
+        gaps = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=40))
+        rows = [["tbf"], *([repr(g)] for g in gaps)]
+    corrupted = draw(st.booleans())
+    if corrupted:
+        row = draw(st.integers(0, len(rows) - 1))
+        rows[row][draw(st.integers(0, len(rows[row]) - 1))] = draw(_CELLS)
+    return "".join(",".join(cells) + "\n" for cells in rows), fmt, corrupted
+
+
+@given(history=corrupted_histories())
+@settings(max_examples=400, deadline=None)
+def test_parse_dataset_fuzz_of_histories_with_one_bad_cell(history):
+    """A valid history parses, in either format; one with a replaced cell
+    gives a history or a format error.  Each parsed history equals the
+    one rebuilt from its points."""
+    text, fmt, corrupted = history
+    try:
+        ds = parse_dataset(text.encode(), fmt, label="fuzz")
+    except DataFormatError:
+        assert corrupted
+        return
+    assert_same_history(ds)
+
+
 class TestTimeConversion:
     def test_profile_validation(self):
         with pytest.raises(ValueError):
