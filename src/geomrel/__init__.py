@@ -35,7 +35,6 @@ from .estimation import (
     fit,
     least_squares_objective,
     levenberg_marquardt,
-    nelder_mead,
 )
 from .evaluation import (
     AggregateCell,
@@ -104,7 +103,6 @@ __all__ = [
     "levenberg_marquardt",
     "log_likelihood_small",
     "mean_failures",
-    "nelder_mead",
     "number_of_failures_eval",
     "outlier_report",
     "parse_dataset",

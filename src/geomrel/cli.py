@@ -121,6 +121,9 @@ def _params_from_args(args) -> GeometricModelParams:
             payload = json.load(handle)
         if not isinstance(payload, dict):
             raise DataFormatError("params file must hold a JSON object")
+        missing = [name for name in ("p1", "d", "truncation") if name not in payload]
+        if missing:
+            raise DataFormatError(f"params file is missing {', '.join(map(repr, missing))}")
         truncation = payload["truncation"]
         # JSON integers load as int; a float such as 2.5, 1e400 or
         # Infinity, a string, a boolean or null is refused, not coerced.
@@ -172,10 +175,11 @@ def cmd_predict(args) -> int:
     }
     if args.profile is not None:
         profile = _read_profile(args.profile)
-        payload["delta_t_raw_calendar_days"] = convert_time(
-            delta_raw, TimeUnit.INCIDENT, TimeUnit.CALENDAR_DAY, profile
-        )
-        payload["delta_t_abs_calendar_days"] = abs(payload["delta_t_raw_calendar_days"])
+        days = convert_time(delta_raw, TimeUnit.INCIDENT, TimeUnit.CALENDAR_DAY, profile)
+        if not math.isfinite(days):
+            return _fail("the release time in calendar days is beyond the float range", EXIT_INPUT)
+        payload["delta_t_raw_calendar_days"] = days
+        payload["delta_t_abs_calendar_days"] = abs(days)
     print(json.dumps(payload, indent=2))
     return EXIT_OK
 

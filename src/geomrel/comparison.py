@@ -307,7 +307,8 @@ class ClosedFormModel(ReliabilityModel):
 
     ``model_name`` is one of ``musa-basic`` (``beta0``, ``beta1``),
     ``musa-okumoto`` (``lambda0``, ``theta``) or ``nhpp`` (``a``, ``b``);
-    ``params`` holds the two positive parameters in that order.
+    ``params`` holds the two finite positive parameters in that order, so
+    that a fit whose level overflows is refused.
 
     ``boundary`` is ``"no-growth"`` for a fit that ended on its bound on
     the rate, ``c t_q = 1e-12``: there the mean is linear in t to rounding,
@@ -328,8 +329,10 @@ class ClosedFormModel(ReliabilityModel):
                 f"unknown closed-form model {model_name!r}; choose from {sorted(_CLOSED_FORMS)}"
             )
         first, second = params
-        if not (first > 0 and second > 0):
-            raise ValueError(f"{model_name} parameters must be positive, got {params!r}")
+        if not (0 < first < math.inf and 0 < second < math.inf):
+            raise ValueError(
+                f"{model_name} parameters must be finite and positive, got {params!r}"
+            )
         self.model_name = model_name
         self.boundary = boundary
         super().__init__((float(first), float(second)), diagnostics)
@@ -388,7 +391,6 @@ class ClosedFormModel(ReliabilityModel):
             nonfinite_evaluations=diag.nonfinite_evaluations,
             evaluations=diag.evaluations,
             jacobian_evaluations=diag.jacobian_evaluations,
-            simplex_spread=diag.simplex_spread,
         )
         boundary = "no-growth" if u == upper[0] else None
         return cls(model_name, params, diagnostics, boundary)

@@ -245,7 +245,9 @@ class TimeConversionProfile:
     ``incidents_per_client_per_day * client_count`` incidents per calendar
     day, and one test case occupies ``avg_test_case_duration`` in-service
     hours.  Indirect unit pairs compose through these three links, so
-    round trips are identities up to floating-point rounding.
+    round trips are identities up to floating-point rounding.  A profile
+    in which some unit is not worth a finite positive float of incidents
+    is refused.
     """
 
     incidents_per_client_per_day: float
@@ -264,6 +266,18 @@ class TimeConversionProfile:
             raise ValueError("test_case_incident_equivalent must be positive")
         if not self.avg_test_case_duration > 0:
             raise ValueError("avg_test_case_duration must be positive")
+        # Each link must also be finite and not underflow, or a conversion
+        # through it gives 0, inf or NaN.
+        for unit in TimeUnit:
+            try:
+                factor = float(self.incident_equivalent(unit))
+            except OverflowError:  # an integer beyond the float range
+                factor = math.inf
+            if not 0.0 < factor < math.inf:
+                raise ValueError(
+                    f"one {unit.value} must be a finite positive number of incidents, "
+                    f"got {factor!r}"
+                )
 
     def incident_equivalent(self, unit: TimeUnit) -> float:
         """How many incidents one unit of ``unit`` is worth."""

@@ -12,9 +12,7 @@ self-contained Levenberg-Marquardt loop on the residuals and their
 Jacobian.  Littlewood-Verrall minimizes its negative log-likelihood with
 the same loop, given its gradient and Hessian.  The loop returns one
 record, :class:`OptimizerResult`, which is every fitted model's
-``diagnostics``.  The self-contained Nelder-Mead simplex,
-:func:`nelder_mead`, is a public optimizer and the reference the fits
-are checked against.  :func:`fit`, like every fitting route, refuses a
+``diagnostics``.  :func:`fit`, like every fitting route, refuses a
 history with a ``ValueError`` giving the bare reason; only
 :func:`geomrel.comparison.fit_model` raises ``FitError``.  The geometric
 model's parameters p1 and d live in (0, 1)^2; the search runs in an
@@ -48,7 +46,6 @@ __all__ = [
     "fit",
     "least_squares_objective",
     "levenberg_marquardt",
-    "nelder_mead",
 ]
 
 # The geometric fit bounds d so that its default truncation stays at or
@@ -73,19 +70,6 @@ _START_POWER_SUM = float(_START_POWERS.sum())
 _START_STEPS = 16
 
 
-# Every Nelder-Mead run uses the standard Nelder & Mead (1965)
-# coefficients, the same budget and the same first step.  Termination
-# watches the function-value spread across the simplex rather than vertex
-# distances, because the objectives are flat near their optimum, where
-# distance criteria stall.
-_REFLECTION = 1.0
-_EXPANSION = 2.0
-_CONTRACTION = 0.5
-_SHRINK = 0.5
-_TOLERANCE = 1e-8
-_MAX_ITERATIONS = 2000
-_INITIAL_STEP = 0.25
-
 # The one Levenberg-Marquardt setting: its first damping, its relative
 # decrease and step size to stop at, and its budget of steps.
 _LM_DAMPING = 1e-3
@@ -98,28 +82,23 @@ _LM_MAX_ITERATIONS = 200
 class OptimizerResult:
     """Diagnostics of one optimizer run.
 
-    ``optimizer`` is ``"levenberg-marquardt"`` for every fitted model
-    (:func:`levenberg_marquardt`, in its least-squares or its Hessian
-    form) and ``"nelder-mead"`` for a :func:`nelder_mead` run; ``x`` is
-    the best point in the optimizer's coordinates.  ``evaluations`` counts
-    every objective (or residual) call, the start included;
-    ``nonfinite_evaluations`` counts those that were not finite, and
-    ``jacobian_evaluations`` the Jacobians, or gradient-and-Hessian passes
-    (none for Nelder-Mead).  ``iterations`` counts simplex steps, or damped
-    steps tried, a step refused for a damped matrix that is not positive
-    definite included.
+    ``optimizer`` names the optimizer, ``"levenberg-marquardt"`` for every
+    fitted model (:func:`levenberg_marquardt`, in its least-squares or its
+    Hessian form); ``x`` is the best point in the optimizer's coordinates.
+    ``evaluations`` counts every objective (or residual) call, the start
+    included; ``nonfinite_evaluations`` counts those that were not finite,
+    and ``jacobian_evaluations`` the Jacobians, or gradient-and-Hessian
+    passes.  ``iterations`` counts damped steps tried, a step refused for a
+    damped matrix that is not positive definite included.
 
     ``converged`` says that the run stopped on its own criterion rather
-    than on its iteration cap: for Nelder-Mead a value spread across the
-    simplex (``simplex_spread``) of at most 1e-8; for Levenberg-Marquardt,
-    in either form, an accepted step that lowered the objective by at most
-    1e-13 of its magnitude, a step below 1e-12 relative, or a point where
-    every coordinate is held (its curvature zero, or on its bound with the
-    gradient pointing outward).  For a likelihood that is a stationary
-    point within the bounds, not a check that the Hessian there is
-    positive definite.  ``simplex_spread`` is ``None`` for
-    Levenberg-Marquardt.  A fit reports ``value`` as its objective
-    recomputed at the parameters it returns.
+    than on its iteration cap: in either form, an accepted step that
+    lowered the objective by at most 1e-13 of its magnitude, a step below
+    1e-12 relative, or a point where every coordinate is held (its
+    curvature zero, or on its bound with the gradient pointing outward).
+    For a likelihood that is a stationary point within the bounds, not a
+    check that the Hessian there is positive definite.  A fit reports
+    ``value`` as its objective recomputed at the parameters it returns.
     """
 
     optimizer: str
@@ -130,7 +109,6 @@ class OptimizerResult:
     nonfinite_evaluations: int
     evaluations: int
     jacobian_evaluations: int
-    simplex_spread: float | None
 
 
 @dataclass(frozen=True)
@@ -220,8 +198,8 @@ def _log_count_objective(mean, x, times, log_counts) -> float:
     mean gives a NaN or infinite residual, while a finite positive mean
     keeps every ``|ln mu|`` below about 745 and so the sum finite.  Callers
     run it with numpy's over/invalid/divide warnings off, as
-    both optimizers do for their whole search: excursions can overflow a
-    mean, or the parameters built from x."""
+    :func:`levenberg_marquardt` does for its whole search: excursions can
+    overflow a mean, or the parameters built from x."""
     residuals = log_counts - np.log(mean(x, times))
     value = float(residuals @ residuals)
     return value if math.isfinite(value) else math.inf
@@ -237,139 +215,6 @@ def least_squares_objective(params: GeometricModelParams, ds: FailureDataset) ->
     times, log_counts, _ = _usable_arrays(ds)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return _log_count_objective(mean_failures, params, times, log_counts)
-
-
-def nelder_mead(objective, start) -> tuple[np.ndarray, OptimizerResult]:
-    """Minimize a k-dimensional function with the reflect/expand/contract/
-    shrink simplex method, with the coefficients 1, 2, 1/2 and 1/2.
-
-    The initial simplex is ``start`` plus 0.25 along each coordinate; the
-    objective must be finite at all of these vertices.  Later probes
-    returning non-finite values are treated as +inf and tallied in the
-    diagnostics.  Iteration stops when the function-value spread across
-    the simplex drops to 1e-8 or after 2,000 iterations; the best vertex
-    seen is returned either way and is never worse than the best initial
-    vertex.  Every run uses this one setting.
-
-    The objective gets each probe as a fresh 1-d float array.  The whole
-    run is under one ``np.errstate`` that silences overflow, invalid and
-    divide warnings: a probe that trips them comes out non-finite and is
-    rejected as +inf anyway, so objectives need no guard of their own.
-    The vertices are kept as lists of Python floats; every coordinate is
-    the same IEEE expression, in the same operand order, as elementwise
-    array arithmetic would give, so results match it bit for bit.
-
-    Two deterministic tie conventions matter on plateaus: a reflected
-    point that exactly ties the worst vertex takes the contraction branch
-    that works with the reflected point (replacing the worst vertex with
-    an equal-valued mirror image instead would cycle forever), and a value
-    spread of exactly zero across geometrically distinct vertices counts
-    as a tie plateau rather than convergence (it happens when the simplex
-    straddles a kink symmetrically), so the walk continues there.  Vertices
-    are ordered by value with a stable sort, so ties keep their order.
-    """
-    x0 = np.asarray(start, dtype=float)
-    if x0.ndim != 1 or x0.size == 0:
-        raise ValueError("start must be a non-empty 1-d vector")
-    k = x0.size
-
-    nonfinite = 0
-    evaluations = 0
-
-    def evaluate(x: list[float]) -> float:
-        nonlocal nonfinite, evaluations
-        evaluations += 1
-        v = float(objective(np.array(x)))
-        if not math.isfinite(v):
-            nonfinite += 1
-            return math.inf
-        return v
-
-    def shrink_towards_best() -> None:
-        best = simplex[0]
-        for i in range(1, k + 1):
-            simplex[i] = [b + _SHRINK * (v - b) for b, v in zip(best, simplex[i])]
-            values[i] = evaluate(simplex[i])
-
-    def tolerance_met() -> bool:
-        spread = values[-1] - values[0]
-        if spread > _TOLERANCE:
-            return False
-        if spread == 0.0:
-            best = simplex[0]
-            return all(a == b for vertex in simplex[1:] for a, b in zip(vertex, best))
-        return True
-
-    simplex = [x0.tolist()]
-    for i in range(k):
-        vertex = x0.tolist()
-        vertex[i] += _INITIAL_STEP
-        simplex.append(vertex)
-
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        values = [evaluate(v) for v in simplex]
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("objective is not finite at the initial simplex vertices")
-
-        iterations = 0
-        converged = False
-        while True:
-            order = sorted(range(k + 1), key=values.__getitem__)
-            simplex = [simplex[i] for i in order]
-            values = [values[i] for i in order]
-            if tolerance_met():
-                converged = True
-                break
-            if iterations >= _MAX_ITERATIONS:
-                break
-            iterations += 1
-
-            # The row sum from the best vertex on, left to right, divided by
-            # k: np.mean(simplex[:-1], axis=0) bit for bit.
-            centroid = simplex[0]
-            for vertex in simplex[1:-1]:
-                centroid = [c + v for c, v in zip(centroid, vertex)]
-            centroid = [c / k for c in centroid]
-            worst = simplex[-1]
-            reflected = [c + _REFLECTION * (c - w) for c, w in zip(centroid, worst)]
-            f_reflected = evaluate(reflected)
-
-            if f_reflected < values[0]:
-                expanded = [c + _EXPANSION * (r - c) for c, r in zip(centroid, reflected)]
-                f_expanded = evaluate(expanded)
-                if f_expanded < f_reflected:
-                    simplex[-1], values[-1] = expanded, f_expanded
-                else:
-                    simplex[-1], values[-1] = reflected, f_reflected
-            elif f_reflected < values[-2]:
-                simplex[-1], values[-1] = reflected, f_reflected
-            elif f_reflected <= values[-1]:
-                contracted = [c + _CONTRACTION * (r - c) for c, r in zip(centroid, reflected)]
-                f_contracted = evaluate(contracted)
-                if f_contracted <= f_reflected:
-                    simplex[-1], values[-1] = contracted, f_contracted
-                else:
-                    shrink_towards_best()
-            else:
-                contracted = [c + _CONTRACTION * (w - c) for c, w in zip(centroid, worst)]
-                f_contracted = evaluate(contracted)
-                if f_contracted < values[-1]:
-                    simplex[-1], values[-1] = contracted, f_contracted
-                else:
-                    shrink_towards_best()
-
-    result = OptimizerResult(
-        optimizer="nelder-mead",
-        x=tuple(simplex[0]),
-        value=values[0],
-        iterations=iterations,
-        converged=converged,
-        nonfinite_evaluations=nonfinite,
-        evaluations=evaluations,
-        jacobian_evaluations=0,
-        simplex_spread=values[-1] - values[0],
-    )
-    return np.array(simplex[0]), result
 
 
 def _bounds(given, k: int, none: float, name: str) -> list[float]:
@@ -435,8 +280,10 @@ def levenberg_marquardt(
     others move, as is one whose step would point outward once solved with
     the others.
 
-    Like :func:`nelder_mead`, the whole run is under one ``np.errstate``
-    that silences overflow, invalid and divide warnings.
+    The whole run is under one ``np.errstate`` that silences overflow,
+    invalid and divide warnings: a probe that trips them comes out
+    non-finite and is rejected anyway, so callers need no guard of their
+    own.
     """
     point = [float(v) for v in np.asarray(start, dtype=float)]
     k = len(point)
@@ -644,7 +491,6 @@ def levenberg_marquardt(
         nonfinite_evaluations=nonfinite,
         evaluations=evaluations,
         jacobian_evaluations=jacobians,
-        simplex_spread=None,
     )
     return np.array(point), result
 

@@ -1,6 +1,7 @@
 """Histories shared by the objective gates of ``test_estimation.py`` and
 ``test_comparison.py``: each least-squares fit must end at or below a
-Nelder-Mead run on the same objective, within a stated bound."""
+run of the tests' reference simplex (``reference_simplex.py``) on the same
+objective, within a stated bound."""
 
 from pathlib import Path
 

@@ -13,7 +13,7 @@ import pytest
 import geomrel.cli as cli
 from geomrel.comparison import ClosedFormModel, fit_model
 from geomrel.data import FailureDataset
-from geomrel.estimation import fit, nelder_mead
+from geomrel.estimation import fit, levenberg_marquardt
 from geomrel.evaluation import ValidityCurve, aggregate_median, number_of_failures_eval
 from geomrel.model import (
     GeometricModelParams,
@@ -129,11 +129,19 @@ def test_criterion_05_parameter_recovery():
 
 
 def test_criterion_06_rosenbrock_benchmark():
-    with Criterion(6, "Nelder-Mead reaches the Rosenbrock minimum from (-1.2, 1)", 1.0):
-        rosen = lambda z: (1.0 - z[0]) ** 2 + 100.0 * (z[1] - z[0] ** 2) ** 2
-        best, diag = nelder_mead(rosen, np.array([-1.2, 1.0]))
-        assert diag.iterations <= 2000
-        assert abs(best[0] - 1.0) <= 1e-3 and abs(best[1] - 1.0) <= 1e-3
+    with Criterion(6, "Levenberg-Marquardt reaches the Rosenbrock minimum from (-1.2, 1)", 1.0):
+        # Rosenbrock's function as the squares of r = (10(y - x^2), 1 - x).
+        def residuals(z):
+            x, y = z.tolist()
+            return np.array([10.0 * (y - x * x), 1.0 - x])
+
+        def jacobian(z, r):
+            x = float(z[0])
+            return [np.array([-20.0 * x, -1.0]), np.array([10.0, 0.0])]
+
+        best, diag = levenberg_marquardt(residuals, jacobian, [-1.2, 1.0])
+        assert diag.converged
+        assert abs(best[0] - 1.0) <= 1e-6 and abs(best[1] - 1.0) <= 1e-6
 
 
 def test_criterion_07_validity_terminal_point():

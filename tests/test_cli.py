@@ -15,7 +15,7 @@ import geomrel.cli as cli
 import geomrel.evaluation as evaluation
 from geomrel.data import FailureDataset, parse_dataset, to_cumulative_csv
 from geomrel.estimation import FitResult, OptimizerResult, least_squares_objective
-from geomrel.model import GeometricModelParams
+from geomrel.model import GeometricModelParams, failure_intensity
 
 REPO_DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -99,7 +99,6 @@ class TestFitCommand:
                 nonfinite_evaluations=0,
                 evaluations=201,
                 jacobian_evaluations=100,
-                simplex_spread=None,
             ),
             skipped_points=0,
         )
@@ -251,6 +250,60 @@ class TestPredictCommand:
         assert out.err.startswith("geomrel: error:")
         assert "Traceback" not in out.err
 
+    @pytest.mark.parametrize("field", ["p1", "d", "truncation"])
+    def test_params_file_without_a_field_names_it(self, tmp_path, cumulative_file, capsys, field):
+        payload = {"p1": 0.05, "d": 0.95, "truncation": 270}
+        del payload[field]
+        params_path = tmp_path / "params.json"
+        params_path.write_text(json.dumps(payload))
+        code, out = self.predict(
+            capsys, str(cumulative_file), "--params", str(params_path), "--objective", "1e-6"
+        )
+        assert code == 1
+        assert out.err == f"geomrel: error: params file is missing '{field}'\n"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '{"incidents_per_client_per_day": Infinity, "client_count": 1}',
+            '{"incidents_per_client_per_day": 1e308, "client_count": 10}',
+            '{"incidents_per_client_per_day": 2.0, "client_count": 1%s}' % ("0" * 400),
+        ],
+        ids=["infinite-rate", "overflowing-product", "count-beyond-the-float-range"],
+    )
+    def test_profile_with_an_infinite_day_exits_one(
+        self, tmp_path, cumulative_file, capsys, payload
+    ):
+        profile = tmp_path / "profile.json"
+        profile.write_text(payload)
+        code, out = self.predict(
+            capsys, str(cumulative_file), "--p1", "0.05", "--d", "0.9", "--objective", "0.01",
+            "--profile", str(profile),
+        )
+        assert code == 1
+        assert out.out == ""
+        assert out.err == (
+            "geomrel: error: one calendar_day must be a finite positive number of incidents, "
+            "got inf\n"
+        )
+
+    def test_calendar_days_beyond_the_float_range_exit_one(
+        self, tmp_path, cumulative_file, capsys
+    ):
+        # A valid profile, 1e-308 incidents a day: the release time of a
+        # few incidents overflows in days.
+        profile = tmp_path / "profile.json"
+        profile.write_text('{"incidents_per_client_per_day": 1e-308, "client_count": 1}')
+        code, out = self.predict(
+            capsys, str(cumulative_file), "--p1", "0.05", "--d", "0.9", "--objective", "0.01",
+            "--profile", str(profile),
+        )
+        assert code == 1
+        assert out.out == ""
+        assert out.err == (
+            "geomrel: error: the release time in calendar days is beyond the float range\n"
+        )
+
     @pytest.mark.parametrize("source", ["inline", "params"])
     def test_truncation_beyond_the_float_range_exits_one(self, tmp_path, capsys, source):
         huge = "1" + "0" * 400
@@ -308,6 +361,81 @@ def test_predict_fuzz_ends_with_an_exit_code(broken, data):
         code = cli.main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+# One bad JSON value each: not a number, infinite, beyond the float range
+# as a float and as an integer, and of the wrong type.
+BAD_JSON_VALUES = ["NaN", "Infinity", "1e400", "1" + "0" * 400, '"0.5"', "null", "[1]", "true"]
+
+
+@st.composite
+def predict_json_inputs(draw):
+    """A params object and a profile object, valid as drawn, then one of
+    them with one field dropped or replaced by a bad JSON value; the name of
+    that object, its field, the bad value (None for a dropped field) and an
+    objective at half the valid params' current intensity on NTDS."""
+    params = {
+        "p1": draw(st.floats(1e-3, 0.5)),
+        "d": draw(st.floats(0.5, 0.99)),
+        "truncation": draw(st.integers(1, 2000)),
+    }
+    profile = {
+        "incidents_per_client_per_day": draw(st.floats(0.01, 100.0)),
+        "client_count": draw(st.integers(1, 10_000)),
+        "test_case_incident_equivalent": draw(st.floats(0.01, 100.0)),
+        "avg_test_case_duration": draw(st.floats(0.01, 100.0)),
+    }
+    valid = GeometricModelParams(params["p1"], params["d"], params["truncation"])
+    objective = 0.5 * failure_intensity(valid, NTDS_FINAL_TIME)
+    name = draw(st.sampled_from(["params", "profile"]))
+    texts = {
+        "params": {key: json.dumps(value) for key, value in params.items()},
+        "profile": {key: json.dumps(value) for key, value in profile.items()},
+    }
+    field = draw(st.sampled_from(sorted(texts[name])))
+    bad = draw(st.sampled_from([None, *BAD_JSON_VALUES]))
+    if bad is None:
+        del texts[name][field]
+    else:
+        texts[name][field] = bad
+    objects = {
+        key: "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+        for key, fields in texts.items()
+    }
+    return objects, name, field, bad, objective
+
+
+NTDS_FINAL_TIME = parse_dataset((REPO_DATA / "ntds_tbf.csv").read_bytes(), "tbf_csv").final_time
+
+
+@given(case=predict_json_inputs())
+@settings(max_examples=300, deadline=None)
+def test_predict_json_fuzz_ends_with_an_exit_code(tmp_path_factory, case):
+    """With one field of the params or profile file dropped or given a bad
+    JSON value, predict ends in exit code 0, 1 or 2, never a traceback; a
+    dropped params field is named in the error, and a run that succeeds
+    prints finite, nonzero calendar days for its nonzero release time."""
+    objects, name, field, bad, objective = case
+    tmp = tmp_path_factory.mktemp("json")
+    for key, text in objects.items():
+        (tmp / f"{key}.json").write_text(text)
+    argv = [
+        "predict", str(REPO_DATA / "ntds_tbf.csv"), "--format", "tbf",
+        "--params", str(tmp / "params.json"), "--profile", str(tmp / "profile.json"),
+        "--objective", repr(objective),
+    ]
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if name == "params" and bad is None:
+        assert code == 1
+        assert err.getvalue() == f"geomrel: error: params file is missing '{field}'\n"
+    if code == 0:
+        payload = json.loads(out.getvalue())
+        days = payload["delta_t_raw_calendar_days"]
+        assert payload["delta_t_raw"] != 0.0
+        assert math.isfinite(days) and days != 0.0, objects
 
 
 @st.composite

@@ -22,9 +22,10 @@ from geomrel.comparison import (
 from geomrel.data import FailureDataset, parse_dataset
 from geomrel.errors import FitError, PredictionError
 from geomrel import estimation
-from geomrel.estimation import FitResult, OptimizerResult, fit, nelder_mead
+from geomrel.estimation import FitResult, OptimizerResult, fit
 from geomrel.evaluation import default_cut_points
 from geomrel.model import GeometricModelParams, fault_cdf, log_likelihood_small, mean_failures
+from reference_simplex import SimplexRun, reference_nelder_mead
 
 REPO_DATA = Path(__file__).resolve().parent.parent / "data"
 CLOSED_FORM_NAMES = ("musa-basic", "musa-okumoto", "nhpp")
@@ -239,6 +240,38 @@ def test_fit_model_alone_names_the_refusal(name, ds, reason):
     with pytest.raises(ValueError) as bare:
         route(ds)
     assert str(bare.value) == reason
+
+
+# Histories that start at subnormal times, where a closed-form level can
+# overflow.
+_SUBNORMAL_STARTS = [
+    FailureDataset(((5e-324, 1), (1.0, 2)), "subnormal-pair"),
+    FailureDataset(
+        tuple((1e-310 * i, i) for i in range(1, 101)) + ((1.0, 101),), "subnormal-run"
+    ),
+]
+
+
+@pytest.mark.parametrize("ds", _SUBNORMAL_STARTS, ids=lambda ds: ds.label)
+@pytest.mark.parametrize("name", CLOSED_FORM_NAMES)
+def test_closed_form_fit_is_finite_or_refused(name, ds):
+    """A closed-form fit has finite parameters and a finite mean, or
+    fit_model refuses it: Musa-Okumoto's level overflows on both histories.
+    Musa basic's rate, finite at 1.8e308 or 5.7e307, stands."""
+    if name == "musa-okumoto":
+        with pytest.raises(FitError, match=r"^musa-okumoto: musa-okumoto parameters must be "
+                           r"finite and positive, got \(inf, "):
+            fit_model(name, ds)
+        return
+    fitted = fit_model(name, ds)
+    assert all(0.0 < p < math.inf for p in fitted.params)
+    assert math.isfinite(fitted.predict_mean(ds.final_time))
+
+
+@pytest.mark.parametrize("params", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, 0.0)])
+def test_closed_form_model_refuses_params_that_are_not_finite_and_positive(params):
+    with pytest.raises(ValueError, match="^nhpp parameters must be finite and positive, got"):
+        ClosedFormModel("nhpp", params)
 
 
 def loop_prediction(params, t):
@@ -472,9 +505,9 @@ class TestLittlewoodVerrallOnNtds:
 
 
 
-def reference_lv_nelder_mead(ds: FailureDataset) -> OptimizerResult:
-    """The Littlewood-Verrall fit before the derivative route: Nelder-Mead
-    over (sqrt u, ln scale0, sqrt scale1) on the same terms, from the same
+def reference_lv_nelder_mead(ds: FailureDataset) -> SimplexRun:
+    """The Littlewood-Verrall fit before the derivative route: the
+    reference simplex over (sqrt u, ln scale0, sqrt scale1) on the same terms, from the same
     start."""
     tbf = ds.time_between_failures()
     squared = np.square(np.arange(1, tbf.size + 1, dtype=float))
@@ -497,7 +530,7 @@ def reference_lv_nelder_mead(ds: FailureDataset) -> OptimizerResult:
     start = np.array(
         [math.sqrt(0.5), math.log(beta0_start / 2.0), math.sqrt(beta1_start / 2.0)]
     )
-    return nelder_mead(negative_log_likelihood, start)[1]
+    return reference_nelder_mead(negative_log_likelihood, start)[1]
 
 
 def simulated_lv_histories(count: int, seed: int) -> list[FailureDataset]:
@@ -522,7 +555,7 @@ def simulated_lv_histories(count: int, seed: int) -> list[FailureDataset]:
 class TestLittlewoodVerrallGate:
     """Objective gate: on every distinct NTDS prefix and on a seeded set of
     simulated Littlewood-Verrall histories, the fit's negative log
-    likelihood is at most the reference Nelder-Mead's, within 1e-12 of its
+    likelihood is at most the reference simplex's, within 1e-12 of its
     magnitude (at least 1)."""
 
     @pytest.fixture(scope="class")
@@ -775,8 +808,8 @@ class TestFitComparison:
 
 
 def reference_closed_form_fit(name, ds):
-    """The closed-form fits as first written: Nelder-Mead over the log of
-    each parameter, from a start that interpolates the final point."""
+    """The closed-form fits as first written: the reference simplex over the
+    log of each parameter, from a start that interpolates the final point."""
     mask = ds.counts >= 1
     times = ds.times[mask]
     log_counts = np.log(ds.counts[mask].astype(float))
@@ -803,23 +836,23 @@ def reference_closed_form_fit(name, ds):
             residuals = log_counts - np.log(mu)
             return float(residuals @ residuals)
 
-    best, diag = nelder_mead(objective, start)
+    best, run = reference_nelder_mead(objective, start)
     vec = np.exp(best)
-    return (float(vec[0]), float(vec[1])), diag
+    return (float(vec[0]), float(vec[1])), run
 
 
 class TestClosedFormReference:
     """Objective gate: the variable-projection fits end at or below the
-    reference Nelder-Mead fits, within 1e-12, and report the objective at
+    reference simplex fits, within 1e-12, and report the objective at
     the parameters they return."""
 
     @pytest.mark.parametrize("name", CLOSED_FORM_NAMES)
     def test_fit_at_or_below_reference(self, name, gate_histories):
         for ds in gate_histories:
             fitted = fit_model(name, ds)
-            _, diag = reference_closed_form_fit(name, ds)
+            _, run = reference_closed_form_fit(name, ds)
             assert fitted.diagnostics.converged, ds.label
-            assert fitted.diagnostics.value <= diag.value + 1e-12, ds.label
+            assert fitted.diagnostics.value <= run.value + 1e-12, ds.label
             mask = ds.counts >= 1
             residuals = np.log(ds.counts[mask].astype(float)) - np.log(
                 fitted.predict_mean(ds.times[mask])

@@ -1,4 +1,5 @@
 import io
+import math
 from pathlib import Path
 
 import numpy as np
@@ -423,6 +424,26 @@ class TestTimeConversion:
             TimeConversionProfile(2.0, 10, test_case_incident_equivalent=-1.0)
         with pytest.raises(ValueError):
             TimeConversionProfile(2.0, 10, avg_test_case_duration=0.0)
+
+    @pytest.mark.parametrize(
+        "fields, unit, factor",
+        [
+            ({"incidents_per_client_per_day": math.inf}, "calendar_day", math.inf),
+            ({"incidents_per_client_per_day": 1e308, "client_count": 10}, "calendar_day", math.inf),
+            ({"client_count": 10**400}, "calendar_day", math.inf),
+            ({"test_case_incident_equivalent": 10**400}, "test_case", math.inf),
+            ({"test_case_incident_equivalent": 5e-324, "avg_test_case_duration": 10.0},
+             "in_service_hour", 0.0),
+            ({"avg_test_case_duration": 1e-320}, "in_service_hour", math.inf),
+        ],
+        ids=["infinite-rate", "overflowing-product", "huge-count", "huge-test-case",
+             "underflowing-hour", "overflowing-hour"],
+    )
+    def test_every_unit_must_be_worth_a_finite_positive_float(self, fields, unit, factor):
+        given = {"incidents_per_client_per_day": 2.0, "client_count": 1, **fields}
+        message = f"^one {unit} must be a finite positive number of incidents, got {factor!r}$"
+        with pytest.raises(ValueError, match=message):
+            TimeConversionProfile(**given)
 
     def test_default_test_case_equals_incident(self):
         profile = TimeConversionProfile(2.0, 10)
