@@ -59,11 +59,7 @@ from .model import (
     time_for_intensity,
     time_for_intensity_exact,
 )
-from .simulation import (
-    SimulationConfig,
-    empirical_intensity,
-    simulate,
-)
+from .simulation import SimulationConfig, simulate
 
 __version__ = "0.1.0"
 
@@ -93,7 +89,6 @@ __all__ = [
     "curve_to_csv",
     "default_cut_points",
     "default_truncation",
-    "empirical_intensity",
     "failure_intensity",
     "fault_cdf",
     "fault_rate",

@@ -593,6 +593,8 @@ def fit(ds: FailureDataset) -> FitResult:
         if not (0.0 < p1 < 1.0 and 0.0 < d < 1.0):
             return None
         params = GeometricModelParams._from_checked(p1, d, default_truncation(d))
+        if probed and probed[1] == d:  # held on the d bound: the tail sums carry over
+            params.__dict__["_tails"] = probed[2].__dict__.setdefault("_tails", {})
         mu, terms = _mean_terms(params, column, t_max)
         probed[:] = p1, d, params, mu, terms
         r = np.log(mu)

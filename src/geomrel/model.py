@@ -14,9 +14,9 @@ the largest requested time t_max, are summed directly, and the remaining
 N - k terms are replaced by a binomial power series.  Over a
 geometric progression every power sum of the rates has the closed form
 ``sum_{a=k}^{N-1} p_a**j = p_k**j (1 - d**((N-k) j)) / (1 - d**j)``, which
-generalises the paper's ``p1 (1 - d**N) / (1 - d)``.  The release-time
-denominator ``sum(p_a - p_a**2)`` uses the j = 1 and j = 2 cases of the
-same identity.
+generalises the paper's ``p1 (1 - d**N) / (1 - d)``; an empty head
+(k = 0) costs no pass.  The release-time denominator ``sum(p_a - p_a**2)``
+uses the j = 1 and j = 2 cases of the same identity.
 
 All operations here are pure functions of immutable inputs and safe for
 unrestricted concurrent use.  The params cache in their ``__dict__`` what
@@ -26,6 +26,8 @@ quantity:
 * one array of leading fault rates, with their ``ln(1 - rate)``: the
   longest head any sum (or ``rates``) has asked for, which is sliced for
   shorter ones;
+* the tail sums of :func:`_tail_sums`, keyed by head length (at most
+  ``_PROBE_MEMO_SIZE``), which the geometric fit's probes at one d share;
 * the release-time denominator ``sum(p_a - p_a**2)``;
 * a memo of the intensities that the release-time searches evaluated,
   keyed by time, t = 1 included, so that the searches for several
@@ -293,15 +295,25 @@ def _occurrence_sum(t, log_survival: np.ndarray):
     return 0.0 - terms.sum(axis=-1), terms
 
 
-def _tail_power_sums(params: GeometricModelParams, k: int) -> np.ndarray:
-    """``g_j = sum_{m=0}^{N-k-1} d**(m j)`` for j = 1..SERIES_ORDER + 1,
-    as ``expm1((N - k) j ln d) / expm1(j ln d)`` (cancellation-free).
+def _tail_sums(params: GeometricModelParams, k: int) -> list:
+    """``[g, weighted]`` for the tail after a head of k faults: the power
+    sums ``g_j = sum_{m=0}^{N-k-1} d**(m j)`` for j = 1..SERIES_ORDER + 1,
+    as ``expm1((N - k) j ln d) / expm1(j ln d)`` (cancellation-free), and
+    the weighted sums of :func:`_intensity_sums`, None until it builds
+    them.  Both depend on d, N and k alone; they are kept on ``params``
+    while its cache holds fewer than ``_PROBE_MEMO_SIZE`` heads.
 
     Beyond 2**63 terms ``d**(m j)`` is 0 in floats for every float d < 1
     (``2**63 ln d < -1000``), so N - k is capped there: the product stays
     finite and the sums do not change."""
-    x = math.log(params.d) * _SERIES_POWERS
-    return np.expm1(min(params.truncation - k, 2.0**63) * x) / np.expm1(x)
+    tails = params.__dict__.setdefault("_tails", {})
+    tail = tails.get(k)
+    if tail is None:
+        x = math.log(params.d) * _SERIES_POWERS
+        tail = [np.expm1(min(params.truncation - k, 2.0**63) * x) / np.expm1(x), None]
+        if len(tails) < _PROBE_MEMO_SIZE:
+            tails[k] = tail
+    return tail
 
 
 def _binomial_terms(s, p: float) -> np.ndarray:
@@ -317,11 +329,13 @@ def _mean_terms(params: GeometricModelParams, t, t_max: float):
     array: the one transcendental pass of a mean, which the geometric fit
     reuses for its Jacobian (:func:`_intensity_sums`)."""
     k = _series_head(params, t_max)
-    _, log_survival = _direct_terms(params, k)
-    vals, terms = _occurrence_sum(t, log_survival)
+    if k:
+        vals, terms = _occurrence_sum(t, _direct_terms(params, k)[1])
+    else:
+        vals, terms = 0.0, np.empty(np.shape(t)[:-1] + (0,))
     if k < params.truncation:
         p_k = params.p1 * params.d**k
-        vals = vals - _binomial_terms(t, p_k) @ _tail_power_sums(params, k)[:-1]
+        vals = vals - _binomial_terms(t, p_k) @ _tail_sums(params, k)[0][:-1]
     return vals, terms
 
 
@@ -359,15 +373,17 @@ def failure_intensity(params: GeometricModelParams, t):
     """
     t, t_max = _checked_times(t, 1.0, "failure_intensity")
     k = _series_head(params, t_max)
-    rates, log_survival = _direct_terms(params, k)
-    # exp and the product with the rates overwrite a fresh array.
-    terms = (t - 1.0) * log_survival
-    np.exp(terms, out=terms)
-    terms *= rates
-    vals = terms.sum(axis=-1)
+    vals = 0.0
+    if k:
+        rates, log_survival = _direct_terms(params, k)
+        # exp and the product with the rates overwrite a fresh array.
+        terms = (t - 1.0) * log_survival
+        np.exp(terms, out=terms)
+        terms *= rates
+        vals = terms.sum(axis=-1)
     if k < params.truncation:
         p_k = params.p1 * params.d**k
-        g = _tail_power_sums(params, k)
+        g = _tail_sums(params, k)[0]
         vals = vals + p_k * (g[0] + _binomial_terms(t - 1.0, p_k) @ g[1:])
     return float(vals) if isinstance(t, float) else vals
 
@@ -395,28 +411,32 @@ def _intensity_sums(params: GeometricModelParams, t: np.ndarray, terms: np.ndarr
     exp pass.  On the series route the tail of W is
     ``p_k sum_j C(t - 1, j) (-p_k)**j (k g_(j+1) + h_(j+1))`` with
     ``h_j = sum_{m=0}^{M-1} m d**(m j)`` for the M = N - k tail faults,
-    ``(q g_j - M q**M) / (1 - q)`` in closed form with q = d**j.
+    ``(q g_j - M q**M) / (1 - q)`` in closed form with q = d**j; the sums
+    ``k g_j + h_j`` are kept with ``g_j`` (:func:`_tail_sums`).
     """
     k = terms.shape[-1]
-    rates, log_survival = _direct_terms(params, k)
-    indices = _fault_indices(k)
-    weights = rates / (1.0 - rates)
-    survival = np.add(terms, 1.0, out=terms)
-    intensity = survival @ weights
-    weighted = survival @ (indices * weights)
-    # The survivals grow with a, so the weighted sum's share of its weights
-    # is at least the intensity's: one check covers both.
-    loose = intensity < 1e-4 * weights.sum()
-    if loose.any():
-        survival = np.exp((t[loose] - 1.0) * log_survival)
-        intensity[loose] = survival @ rates
-        weighted[loose] = survival @ (indices * rates)
+    intensity = weighted = 0.0
+    if k:
+        rates, log_survival = _direct_terms(params, k)
+        indices = _fault_indices(k)
+        weights = rates / (1.0 - rates)
+        survival = np.add(terms, 1.0, out=terms)
+        intensity = survival @ weights
+        weighted = survival @ (indices * weights)
+        # The survivals grow with a, so the weighted sum's share of its
+        # weights is at least the intensity's: one check covers both.
+        loose = intensity < 1e-4 * weights.sum()
+        if loose.any():
+            survival = np.exp((t[loose] - 1.0) * log_survival)
+            intensity[loose] = survival @ rates
+            weighted[loose] = survival @ (indices * rates)
     if k < params.truncation:
         p_k = params.p1 * params.d**k
-        g = _tail_power_sums(params, k)
-        x = math.log(params.d) * _SERIES_POWERS
-        m = min(params.truncation - k, 2.0**63)
-        g_weighted = k * g + (np.exp(x) * g - m * np.exp(m * x)) / -np.expm1(x)
+        g, g_weighted = tail = _tail_sums(params, k)
+        if g_weighted is None:
+            x = math.log(params.d) * _SERIES_POWERS
+            m = min(params.truncation - k, 2.0**63)
+            g_weighted = tail[1] = k * g + (np.exp(x) * g - m * np.exp(m * x)) / -np.expm1(x)
         binomial = _binomial_terms(t - 1.0, p_k)
         intensity = intensity + p_k * (g[0] + binomial @ g[1:])
         weighted = weighted + p_k * (g_weighted[0] + binomial @ g_weighted[1:])

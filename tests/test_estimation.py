@@ -1126,8 +1126,9 @@ class TestFrozenReferenceFits:
 
 
 def test_fit_returns_the_params_of_its_best_point(least_squares_gate):
-    # The params come from the probe at the loop's best point, head of
-    # fault terms cached, and read as freshly built params do.
+    # The params come from the probe at the loop's best point, with the
+    # caches its route built (the head of fault terms when it has one, the
+    # tail sums when it has a tail), and read as freshly built params do.
     saturated = FailureDataset(((6.0, 220), (605860300011.447, 596)), "saturated")
     for ds in [*least_squares_gate, saturated]:
         result = fit(ds)
@@ -1135,11 +1136,43 @@ def test_fit_returns_the_params_of_its_best_point(least_squares_gate):
         fresh = GeometricModelParams(p1, d, default_truncation(d))
         assert result.params == fresh
         assert (result.params.p1, result.params.d) == (p1, d)
-        assert "_head" in result.params.__dict__
+        k = model._series_head(fresh, ds.final_time)
+        if k:
+            assert result.params.__dict__["_head"][0].size >= k
+        if k < fresh.truncation:
+            assert k in result.params.__dict__["_tails"]
         t = np.linspace(1.0, 3.0 * ds.final_time, 50)
         for read in (mean_failures, failure_intensity):
             assert read(result.params, t).tobytes() == read(fresh, t).tobytes()
         assert least_squares_objective(result.params, ds) == result.objective_value
+
+
+def test_probes_at_one_decay_ratio_share_their_tail_sums(least_squares_gate):
+    # Every probe builds fresh params.  Those at one d (as the probes held
+    # on the truncation bound are) read one dict of tail sums, which the
+    # fitted params carry; probes at different d never share one.
+    at_cap = 0
+    for ds in least_squares_gate:
+        probes = []
+        original = estimation._mean_terms
+
+        def recording(params, t, t_max):
+            probes.append(params)
+            return original(params, t, t_max)
+
+        with mock.patch.object(estimation, "_mean_terms", recording):
+            result = fit(ds)
+        tails = [(params.d, params.__dict__.get("_tails")) for params in probes]
+        for i, (d, shared) in enumerate(tails):
+            for other_d, other in tails[i + 1 :]:
+                if shared is not None and other is not None:
+                    assert (shared is other) == (d == other_d)
+        if result.boundary == "truncation-cap":
+            at_cap += 1
+            firsts = {d: shared for d, shared in reversed(tails)}
+            assert result.params.__dict__["_tails"] is firsts[result.params.d]
+            assert sum(d == result.params.d for d, _ in tails) > 1
+    assert at_cap >= 3
 
 
 class TestSharedUsableArrays:

@@ -446,7 +446,7 @@ def exp_pass_intensity_sums(params, t):
     weighted = survival @ (np.arange(k, dtype=float) * rates)
     if k < params.truncation:
         p_k = params.p1 * params.d**k
-        g = model._tail_power_sums(params, k)
+        g = model._tail_sums(params, k)[0]
         x = math.log(params.d) * model._SERIES_POWERS
         m = min(params.truncation - k, 2.0**63)
         g_weighted = k * g + (np.exp(x) * g - m * np.exp(m * x)) / -np.expm1(x)
@@ -948,6 +948,107 @@ class TestWarmParams:
         memo = params.__dict__["_probes"]
         assert math.inf not in memo and len(memo) <= model._PROBE_MEMO_SIZE
         assert all(memo[t] == failure_intensity(params, t) for t in memo)
+
+
+def read_intensity_sums(params, t):
+    """``_intensity_sums`` at the times of ``t`` from the terms of the mean
+    at them, as the geometric fit's Jacobian reads them."""
+    column, t_max = _checked_times(np.atleast_1d(t), 0.0, "t")
+    _, terms = model._mean_terms(params, column, t_max)
+    return model._intensity_sums(params, column, terms)
+
+
+def read_bits(value):
+    """Type, shape and bytes of a read: a float, an array or a tuple of them."""
+    if isinstance(value, tuple):
+        return [read_bits(v) for v in value]
+    return type(value), np.shape(value), np.asarray(value).tobytes()
+
+
+# The truncation, leading rates and times of the reads of each route: term
+# by term; the series with an empty head (p1 max(t, 24) <= 1); the series
+# with a head of at least one fault (p1 SERIES_ORDER > 1).
+TAIL_ROUTES = {
+    "direct": (DIRECT_SUM_MAX_TERMS, st.floats(1e-6, 0.9), st.floats(1.0, 1e5)),
+    "series-empty-head": (10**7, st.floats(1e-7, 1e-5), st.floats(1.0, 1e5)),
+    "series-head": (10**7, st.floats(0.05, 0.9), st.floats(1.0, 1e5)),
+}
+
+
+class TestWarmTails:
+    """Params whose caches earlier reads at other times, and other heads,
+    filled read every sum with the floats that fresh params give."""
+
+    @pytest.mark.parametrize("route", sorted(TAIL_ROUTES))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sums_on_warm_params_equal_cold_sums(self, route, data):
+        n, rates, times = TAIL_ROUTES[route]
+        p1 = data.draw(rates, label="p1")
+        d = data.draw(st.floats(0.3, 0.9999), label="d")
+        warm = GeometricModelParams(p1, d, n)
+        for t in data.draw(st.lists(st.floats(1.0, 1e6), max_size=4), label="earlier"):
+            mean_failures(warm, t)
+            read_intensity_sums(warm, np.array([t, 0.5 * t]))
+        for _ in range(3):
+            t = data.draw(
+                st.one_of(times, st.lists(times, min_size=1, max_size=5).map(np.array)),
+                label="t",
+            )
+            cold = GeometricModelParams(p1, d, n)
+            k = _series_head(cold, float(np.max(t)))
+            heads = {"direct": k == n, "series-empty-head": k == 0, "series-head": 0 < k < n}
+            assert heads[route]
+            reads = [mean_failures, failure_intensity, read_intensity_sums]
+            for read in reads if isinstance(t, np.ndarray) else reads[:2]:
+                fresh = read_bits(read(GeometricModelParams(p1, d, n), t))
+                # The first read may build the entry for k, the second reads it.
+                assert read_bits(read(warm, t)) == fresh
+                assert read_bits(read(warm, t)) == fresh
+            if k < n:
+                assert k in warm.__dict__["_tails"]
+
+    @given(
+        p1=TAIL_ROUTES["series-empty-head"][1],
+        d=st.floats(0.3, 0.9999),
+        times=st.lists(TAIL_ROUTES["series-empty-head"][2], min_size=1, max_size=5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_empty_head_reads_equal_sums_over_an_empty_head(self, p1, d, times):
+        """With no fault in the head, the reads skip the head's passes and
+        give the floats that sums over an empty head give."""
+        params = GeometricModelParams(p1, d, 10**7)
+        t = np.array(times)
+        assert _series_head(params, float(t.max())) == 0
+        g = model._tail_sums(params, 0)[0]
+        empty = np.empty(0)
+
+        def sums(column):
+            mean = _occurrence_sum(column, empty)[0]
+            mean = mean - model._binomial_terms(column, p1) @ g[:-1]
+            intensity = (np.exp((column - 1.0) * empty) * empty).sum(axis=-1)
+            intensity = intensity + p1 * (g[0] + model._binomial_terms(column - 1.0, p1) @ g[1:])
+            return mean, intensity
+
+        mean, intensity = sums(t[:, np.newaxis])
+        assert read_bits(mean_failures(params, t)) == read_bits(mean)
+        assert read_bits(failure_intensity(params, t)) == read_bits(intensity)
+        assert read_bits(read_intensity_sums(params, t)[0]) == read_bits(intensity)
+        mean, intensity = sums(times[0])
+        assert mean_failures(params, times[0]).hex() == float(mean).hex()
+        assert failure_intensity(params, times[0]).hex() == float(intensity).hex()
+
+    def test_tail_cache_stays_within_its_bound(self, monkeypatch):
+        monkeypatch.setattr(model, "_PROBE_MEMO_SIZE", 3)
+        warm = GeometricModelParams(0.5, 0.999, 10**7)
+        times = 10.0 ** np.arange(2, 9)
+        assert len({_series_head(warm, t) for t in times}) == len(times)
+        for t in times:
+            cold = GeometricModelParams(0.5, 0.999, 10**7)
+            for read in (failure_intensity, read_intensity_sums):
+                assert read_bits(read(warm, t)) == read_bits(read(cold, t))
+            assert len(warm.__dict__["_tails"]) <= 3
+        assert sorted(warm.__dict__["_tails"]) == [_series_head(warm, t) for t in times[:3]]
 
 
 class TestLogLikelihoodSmall:

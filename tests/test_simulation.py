@@ -5,12 +5,8 @@ import pytest
 
 from geomrel.data import parse_dataset, to_cumulative_csv
 from geomrel.model import GeometricModelParams, fault_cdf, failure_intensity, mean_failures
-from geomrel.simulation import (
-    SimulationConfig,
-    _draw_failure_times,
-    empirical_intensity,
-    simulate,
-)
+from geomrel.simulation import SimulationConfig, _draw_failure_times, simulate
+from empirical_intensity import empirical_intensity
 
 
 class TestConfig:
