@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -558,6 +558,14 @@ def _decay_logit_bound() -> float:
 
 
 _MAX_DECAY_LOGIT = _decay_logit_bound()
+# The sum of d**a over the MAX_FIT_TRUNCATION faults at the bound on d: a
+# mean there is about p1 t times this while p1 t is small.
+_BOUND_DECAY = _expit(_MAX_DECAY_LOGIT)
+_BOUND_POWER_SUM = (1.0 - _BOUND_DECAY**MAX_FIT_TRUNCATION) / (1.0 - _BOUND_DECAY)
+
+
+class _OffBound(Exception):
+    """A search from the d bound probed off it: :func:`fit` abandons it."""
 
 
 def fit(ds: FailureDataset) -> FitResult:
@@ -574,27 +582,56 @@ def fit(ds: FailureDataset) -> FitResult:
     ``-(1 - d) t W(t) / mu(t)`` in logit d, for the weighted intensity sum
     W of :func:`geomrel.model._intensity_sums`, formed from the array of
     terms that the residuals' mean at the same point built.  The times are
-    checked once for all probes.  The start uses a decay ratio of 0.94
-    with the leading rate chosen so the modelled mean matches the final
-    observed count.  Non-convergence is reported through ``converged``,
-    never silently.
+    checked once for all probes, and probes at one d share one set of
+    tail sums.
+
+    The search starts from the better of two candidates.  The growth
+    candidate has d = 0.94 and the leading rate at which the modelled mean
+    meets the final observed count q at t_q.  The no-growth candidate sits
+    on the d bound (N = ``MAX_FIT_TRUNCATION``) with
+    ``p1 = q (1 - d) / (t_q (1 - d**N))``, so that its mean is about the
+    linear ``q t / t_q``.  It is probed only when that linear mean's
+    objective, in closed form, is below the growth candidate's, and never
+    when the growth candidate's rate sits at its clip of 1/2 (a count the
+    mean at d = 0.94 cannot reach, towards the saturated corner).  The
+    search starts from the probed candidate with the lower objective, and
+    the loop takes that probe's residuals rather than evaluating them
+    again.  A search from the bound that probes off it may be heading for
+    another basin than the growth candidate's, so it is abandoned at that
+    probe and the fit is the search from the growth candidate, as if that
+    were the only one (unless that candidate was not finite).  So every
+    fit either searches on the bound throughout or ends where the growth
+    start alone ends it.  ``diagnostics`` is the kept search's, with
+    ``evaluations``, ``nonfinite_evaluations`` and
+    ``jacobian_evaluations`` also counting the candidates and an abandoned
+    search's points and Jacobians.  Non-convergence is reported through
+    ``converged``, never silently.
     """
     times, log_counts, skipped = _usable_arrays(ds, fewest=2)
     column, t_max = _checked_times(times, 0.0, "fit")
+    t_q = float(times[-1])
     # exp(ln q) differs from q for some counts; starting from q moves fits.
-    p1_start = _initial_p1(float(times[-1]), float(math.exp(log_counts[-1])))
+    q = float(math.exp(log_counts[-1]))
+    p1_start = _initial_p1(t_q, q)
+    tails = {}  # the tail sums of every d probed, shared by its probes
     probed = []  # the latest probe's (p1, d, params, mean, head terms)
     at_jacobian = []  # the params of the latest point the Jacobian was taken at
+    handed = []  # the start's probe, residuals and state, for the loop's first call
+    # The residuals of every point, and the point of every Jacobian, of a
+    # search from the d bound: counted if it is abandoned.
+    bound_outs, bound_jacobians = [], []
 
     def residuals(z: np.ndarray):
         z0, z1 = z.tolist()
+        if handed and handed[0][0] == [z0, z1]:
+            _, out, probed[:] = handed.pop()
+            return out
         p1 = _expit(z0)
         d = _expit(z1)
         if not (0.0 < p1 < 1.0 and 0.0 < d < 1.0):
             return None
         params = GeometricModelParams._from_checked(p1, d, default_truncation(d))
-        if probed and probed[1] == d:  # held on the d bound: the tail sums carry over
-            params.__dict__["_tails"] = probed[2].__dict__.setdefault("_tails", {})
+        params.__dict__["_tails"] = tails.setdefault(d, {})
         mu, terms = _mean_terms(params, column, t_max)
         probed[:] = p1, d, params, mu, terms
         r = np.log(mu)
@@ -607,12 +644,84 @@ def fit(ds: FailureDataset) -> FitResult:
         scale = times / mu
         return [-(1.0 - p1) * scale * intensity, -(1.0 - d) * scale * weighted]
 
-    start = [_logit(p1_start), _logit(_INITIAL_DECAY_GUESS)]
-    best, diag = levenberg_marquardt(residuals, jacobian, start, upper=[math.inf, _MAX_DECAY_LOGIT])
+    def candidate(start: list[float]) -> tuple[float, tuple]:
+        """The objective at ``start`` (+inf where it is not finite) and the
+        probe that the loop's first call at ``start`` is handed."""
+        out = residuals(np.array(start))
+        value = math.inf if out is None else float(out.dot(out))
+        return value if math.isfinite(value) else math.inf, (start, out, list(probed))
 
-    p1 = _expit(float(best[0]))
-    d = _expit(float(best[1]))
-    # The params that the best point's probe built, with its head of fault
-    # terms cached: the latest probe's when the run ended on accepting it.
-    params = probed[2] if probed[:2] == [p1, d] else at_jacobian[0]
+    def bound_residuals(z: np.ndarray):
+        """``residuals`` for a search from the d bound: abandoned at its first
+        probe off the bound, and keeping every point's residuals."""
+        if z[1] < _MAX_DECAY_LOGIT:
+            raise _OffBound
+        bound_outs.append(residuals(z))
+        return bound_outs[-1]
+
+    def bound_jacobian(z: np.ndarray, r: np.ndarray) -> list[np.ndarray]:
+        bound_jacobians.append(z)
+        return jacobian(z, r)
+
+    def search(
+        probe: tuple, f=residuals, df=jacobian
+    ) -> tuple[OptimizerResult, GeometricModelParams]:
+        """The loop's run on ``f`` and ``df`` from a candidate's probe, and
+        the params that the probe at its best point built, with their head
+        of fault terms cached: the latest probe's when the run ended on
+        accepting it."""
+        handed[:] = [probe]
+        best, diag = levenberg_marquardt(f, df, probe[0], upper=[math.inf, _MAX_DECAY_LOGIT])
+        point = [_expit(float(best[0])), _expit(float(best[1]))]
+        return diag, probed[2] if probed[:2] == point else at_jacobian[0]
+
+    bound_value = None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        value, growth = candidate([_logit(p1_start), _logit(_INITIAL_DECAY_GUESS)])
+        probe = growth
+        p1_bound = q / (t_q * _BOUND_POWER_SUM)
+        if p1_start < 0.5 and p1_bound > 0.0:
+            linear = (log_counts - log_counts[-1]) - np.log(times / t_q)
+            if float(linear.dot(linear)) < value:
+                bound_value, bound = candidate([_logit(p1_bound), _MAX_DECAY_LOGIT])
+                if bound_value < value:
+                    probe = bound
+    if probe is growth:
+        diag, params = search(growth)
+        if bound_value is not None:
+            # The loop counted the growth candidate, its start; the bound
+            # candidate lost, as one that was not finite always does.
+            diag = replace(
+                diag,
+                evaluations=diag.evaluations + 1,
+                nonfinite_evaluations=diag.nonfinite_evaluations + (bound_value == math.inf),
+            )
+        return FitResult(params, diag, skipped)
+    if value == math.inf:
+        diag, params = search(bound)
+    else:
+        try:
+            diag, params = search(bound, bound_residuals, bound_jacobian)
+        except _OffBound:
+            # The search from the bound left it, maybe for another basin
+            # than the growth candidate's: the fit is that candidate's
+            # search, counted with the bound candidate and the points and
+            # Jacobians of the search abandoned.
+            with np.errstate(over="ignore", invalid="ignore"):
+                nonfinite = sum(o is None or not math.isfinite(float(o.dot(o))) for o in bound_outs)
+            diag, params = search(growth)
+            diag = replace(
+                diag,
+                evaluations=diag.evaluations + len(bound_outs),
+                nonfinite_evaluations=diag.nonfinite_evaluations + nonfinite,
+                jacobian_evaluations=diag.jacobian_evaluations + len(bound_jacobians),
+            )
+            return FitResult(params, diag, skipped)
+    # The loop counted the bound candidate, its start; the growth candidate
+    # lost, as one that was not finite always does.
+    diag = replace(
+        diag,
+        evaluations=diag.evaluations + 1,
+        nonfinite_evaluations=diag.nonfinite_evaluations + (value == math.inf),
+    )
     return FitResult(params, diag, skipped)

@@ -29,6 +29,7 @@ from geomrel.model import (
 )
 from geomrel.simulation import SimulationConfig, simulate
 from reference_simplex import reference_nelder_mead
+from regenerate_golden import GRID, constant_rate_history, two_basin_history
 
 
 def straight_line_objective(p1, d, n, points):
@@ -1173,6 +1174,170 @@ def test_probes_at_one_decay_ratio_share_their_tail_sums(least_squares_gate):
             assert result.params.__dict__["_tails"] is firsts[result.params.d]
             assert sum(d == result.params.d for d, _ in tails) > 1
     assert at_cap >= 3
+
+
+def growth_histories():
+    """Seeded growth histories, as failure times and read on the 32-point
+    grid, their truths stratified over p1 in [0.01, 0.05] and d in
+    [0.92, 0.96]."""
+    rng = np.random.default_rng(2201)
+    histories = []
+    for seed in range(12):
+        p1 = 0.01 + 0.04 * (seed + rng.random()) / 12
+        d = 0.92 + 0.04 * rng.random()
+        config = SimulationConfig(GeometricModelParams(p1, d), horizon=800, seed=2201 + seed)
+        (simulated,) = simulate(config)
+        counts = [simulated.count_at(t) for t in GRID]
+        histories.append(simulated)
+        histories.append(FailureDataset(tuple(zip(GRID.tolist(), counts)), f"grid-{seed}"))
+    return histories
+
+
+class TestFitEvaluationCount:
+    """``diagnostics.evaluations`` is the number of residual evaluations the
+    fit made, its start candidates and both runs of a two-run fit included:
+    each one sums the mean (``_mean_terms``) once, unless its p1 or d rounds
+    out of (0, 1) and it is refused before any sum.
+    ``jacobian_evaluations`` is the number of Jacobians, each of which forms
+    the intensity sums once."""
+
+    histories = {
+        "growth": forward_dataset(GeometricModelParams(0.05, 0.95), GRID),
+        "constant-rate": constant_rate_history(0.05),
+        "saturated": FailureDataset(((6.0, 220), (605860300011.447, 596)), "saturated"),
+        "two-basin": two_basin_history(),
+    }
+
+    @pytest.mark.parametrize("name", list(histories))
+    def test_counts_equal_the_sums_made(self, monkeypatch, name):
+        calls = {"_mean_terms": 0, "_intensity_sums": 0, "refused": 0}
+
+        def counted(fn_name):
+            original = getattr(estimation, fn_name)
+
+            def wrapper(*args):
+                calls[fn_name] += 1
+                return original(*args)
+
+            return wrapper
+
+        original_loop = estimation.levenberg_marquardt
+
+        def refusals_counted(residuals, jacobian, start, upper=None):
+            def tallied(z):
+                out = residuals(z)
+                calls["refused"] += out is None
+                return out
+
+            return original_loop(tallied, jacobian, start, upper)
+
+        for fn_name in ("_mean_terms", "_intensity_sums"):
+            monkeypatch.setattr(estimation, fn_name, counted(fn_name))
+        monkeypatch.setattr(estimation, "levenberg_marquardt", refusals_counted)
+        diag = fit(self.histories[name]).diagnostics
+        assert diag.evaluations == calls["_mean_terms"] + calls["refused"]
+        assert diag.jacobian_evaluations == calls["_intensity_sums"]
+        assert diag.nonfinite_evaluations >= calls["refused"]
+        if name == "saturated":
+            assert calls["refused"] > 0
+
+
+@pytest.fixture
+def loop_runs(monkeypatch):
+    """The arguments and outcome of every ``levenberg_marquardt`` run that
+    a geometric fit makes."""
+    runs = []
+    original = estimation.levenberg_marquardt
+
+    def capture(residuals, jacobian, start, upper=None):
+        best, result = original(residuals, jacobian, start, upper)
+        runs.append(((residuals, jacobian, start, upper), (best.tolist(), result)))
+        return best, result
+
+    monkeypatch.setattr(estimation, "levenberg_marquardt", capture)
+    return runs
+
+
+class TestNoGrowthStart:
+    """Deterministic counts of the two-candidate start: a history without
+    growth starts on the d bound and ends there in a few evaluations, and
+    a growth history keeps the growth start and the loop's floats."""
+
+    def test_constant_rate_fits_start_and_end_on_the_bound(self, loop_runs):
+        evaluations = []
+        for rate in (0.04 + 0.06 * (np.arange(20) + 0.5) / 20).tolist():
+            result = fit(constant_rate_history(rate))
+            assert result.boundary == "truncation-cap", rate
+            assert result.converged, rate
+            (_, _, start, _), _ = loop_runs[-1]
+            assert start[1] == estimation._MAX_DECAY_LOGIT, rate
+            evaluations.append(result.diagnostics.evaluations)
+        # From the growth start alone they took 17 evaluations at the median.
+        assert float(np.median(evaluations)) <= 6
+
+    def test_growth_fits_equal_the_reference_from_the_growth_start(self, loop_runs):
+        for ds in growth_histories():
+            fitted = fit(ds)
+            (args, live), = loop_runs
+            loop_runs.clear()
+            times, log_counts, _ = ds._usable_points()
+            p1_start = estimation._initial_p1(float(times[-1]), float(math.exp(log_counts[-1])))
+            assert args[2] == [estimation._logit(p1_start), estimation._logit(0.94)], ds.label
+            best, result = reference_levenberg_marquardt(*args)
+            _assert_same([live, (best.tolist(), result)])
+            # The bound candidate, when the screen lets it be probed, is the
+            # one evaluation the fit adds to the loop's.
+            extra = fitted.diagnostics.evaluations - result.evaluations
+            assert extra in (0, 1), ds.label
+            assert fitted.diagnostics == dataclasses.replace(
+                result, evaluations=result.evaluations + extra
+            ), ds.label
+            assert (fitted.params.p1, fitted.params.d) == tuple(
+                estimation._expit(z) for z in best.tolist()
+            )
+
+    @pytest.mark.parametrize(
+        "points, boundary",
+        [
+            (((373611.4763673414, 2025828), (525929889.8679433, 701534667)), "saturated-rate"),
+            (((142.90885093928463, 17235314948830), (1276439968.515827, 42129848259582)),
+             "truncation-cap"),
+        ],
+    )
+    def test_a_clipped_growth_start_is_the_only_candidate(self, loop_runs, points, boundary):
+        # Counts that the mean at d = 0.94 cannot reach clip the growth
+        # start's p1 at 1/2.  The bound candidate is then not probed: on the
+        # first history it would end the fit on the cap instead of the
+        # saturated corner, on the second its p1 would pass 1.
+        fitted = fit(FailureDataset(points))
+        ((_, _, start, _), (_, result)), = loop_runs
+        assert start == [estimation._logit(0.5), estimation._logit(0.94)]
+        assert fitted.diagnostics == result
+        assert fitted.boundary == boundary
+
+    def test_a_search_that_probes_off_the_bound_restarts_from_the_growth_start(
+        self, loop_runs
+    ):
+        # The bound candidate has the lower objective here, but a search
+        # from it leaves the bound for a worse basin (objective 0.7799, near
+        # p1 = 0.86 and d = 1e-4).  It is abandoned at its first probe off
+        # the bound, and the fit is the growth start's search, which ends
+        # at 0.7133 as it did when that start was the only one.
+        fitted = fit(two_basin_history())
+        ((_, _, start, _), (best, growth)), = loop_runs
+        assert start[1] == estimation._logit(0.94)
+        assert fitted.objective_value == growth.value
+        assert fitted.objective_value == pytest.approx(0.7133040226312284, rel=1e-12)
+        assert (fitted.params.p1, fitted.params.d) == tuple(estimation._expit(z) for z in best)
+        # The bound candidate and the abandoned search are counted too.
+        diag = fitted.diagnostics
+        assert diag.evaluations > growth.evaluations
+        assert diag.jacobian_evaluations > growth.jacobian_evaluations
+        assert diag == dataclasses.replace(
+            growth,
+            evaluations=diag.evaluations,
+            jacobian_evaluations=diag.jacobian_evaluations,
+        )
 
 
 class TestSharedUsableArrays:
