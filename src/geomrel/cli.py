@@ -384,9 +384,8 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_INPUT
-    except (DataFormatError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    except (ValueError, KeyError, json.JSONDecodeError, FitError) as exc:
+    except (OSError, ValueError, KeyError, FitError) as exc:
+        # DataFormatError and json.JSONDecodeError are ValueErrors.
         return _fail(str(exc), EXIT_INPUT)
     except PredictionError as exc:
         return _fail(str(exc), EXIT_NUMERICAL)

@@ -15,9 +15,11 @@ record, :class:`OptimizerResult`, which is every fitted model's
 ``diagnostics``.  :func:`fit`, like every fitting route, refuses a
 history with a ``ValueError`` giving the bare reason; only
 :func:`geomrel.comparison.fit_model` raises ``FitError``.  The geometric
-model's parameters p1 and d live in (0, 1)^2; the search runs in an
-unconstrained space via the inverse-sigmoid map of each parameter so
-feasibility never has to be patched up afterwards.
+model's parameters p1 and d live in (0, 1)^2; the search runs on the
+inverse-sigmoid (logit) of each parameter, so feasibility never has to be
+patched up afterwards.  Logit p1 is unbounded; logit d is bounded above
+at ``_MAX_DECAY_LOGIT``, which keeps the truncation at or below
+``MAX_FIT_TRUNCATION``.
 """
 
 from __future__ import annotations
@@ -575,7 +577,7 @@ def fit(ds: FailureDataset) -> FitResult:
     logit-transformed parameters, so the returned values are strictly
     inside (0, 1) wherever a step lands.  The truncation is re-derived
     from each candidate decay ratio and fixed from the final one, and
-    logit d is bounded so that it stays at or below
+    logit d is bounded above so that it stays at or below
     ``MAX_FIT_TRUNCATION``.  The Jacobian is analytic on both summation
     routes: with ``lambda`` the intensity, the residuals' derivatives are
     ``-(1 - p1) t lambda(t) / mu(t)`` in logit p1 and
@@ -601,10 +603,11 @@ def fit(ds: FailureDataset) -> FitResult:
     probe and the fit is the search from the growth candidate, as if that
     were the only one (unless that candidate was not finite).  So every
     fit either searches on the bound throughout or ends where the growth
-    start alone ends it.  ``diagnostics`` is the kept search's, with
-    ``evaluations``, ``nonfinite_evaluations`` and
-    ``jacobian_evaluations`` also counting the candidates and an abandoned
-    search's points and Jacobians.  Non-convergence is reported through
+    start alone ends it.  ``diagnostics`` is the kept search's, except
+    that ``evaluations``, ``nonfinite_evaluations`` and
+    ``jacobian_evaluations`` count every residual evaluation, non-finite
+    point and Jacobian the fit made, each once: the candidates and an
+    abandoned search's included.  Non-convergence is reported through
     ``converged``, never silently.
     """
     times, log_counts, skipped = _usable_arrays(ds, fewest=2)
@@ -617,27 +620,37 @@ def fit(ds: FailureDataset) -> FitResult:
     probed = []  # the latest probe's (p1, d, params, mean, head terms)
     at_jacobian = []  # the params of the latest point the Jacobian was taken at
     handed = []  # the start's probe, residuals and state, for the loop's first call
-    # The residuals of every point, and the point of every Jacobian, of a
-    # search from the d bound: counted if it is abandoned.
-    bound_outs, bound_jacobians = [], []
+    evaluations = nonfinite = jacobians = 0
+    # A search from the bound, while the growth candidate is finite, is
+    # abandoned at its first probe off the bound.
+    abandon = False
 
     def residuals(z: np.ndarray):
+        nonlocal evaluations, nonfinite
         z0, z1 = z.tolist()
         if handed and handed[0][0] == [z0, z1]:
             _, out, probed[:] = handed.pop()
             return out
+        if abandon and z1 < _MAX_DECAY_LOGIT:
+            raise _OffBound
+        evaluations += 1
         p1 = _expit(z0)
         d = _expit(z1)
         if not (0.0 < p1 < 1.0 and 0.0 < d < 1.0):
+            nonfinite += 1
             return None
         params = GeometricModelParams._from_checked(p1, d, default_truncation(d))
         params.__dict__["_tails"] = tails.setdefault(d, {})
         mu, terms = _mean_terms(params, column, t_max)
         probed[:] = p1, d, params, mu, terms
         r = np.log(mu)
-        return np.subtract(log_counts, r, out=r)
+        r = np.subtract(log_counts, r, out=r)
+        nonfinite += not math.isfinite(float(r.dot(r)))
+        return r
 
     def jacobian(z: np.ndarray, r: np.ndarray) -> list[np.ndarray]:
+        nonlocal jacobians
+        jacobians += 1
         p1, d, params, mu, terms = probed
         at_jacobian[:] = [params]
         intensity, weighted = _intensity_sums(params, column, terms)
@@ -651,77 +664,39 @@ def fit(ds: FailureDataset) -> FitResult:
         value = math.inf if out is None else float(out.dot(out))
         return value if math.isfinite(value) else math.inf, (start, out, list(probed))
 
-    def bound_residuals(z: np.ndarray):
-        """``residuals`` for a search from the d bound: abandoned at its first
-        probe off the bound, and keeping every point's residuals."""
-        if z[1] < _MAX_DECAY_LOGIT:
-            raise _OffBound
-        bound_outs.append(residuals(z))
-        return bound_outs[-1]
-
-    def bound_jacobian(z: np.ndarray, r: np.ndarray) -> list[np.ndarray]:
-        bound_jacobians.append(z)
-        return jacobian(z, r)
-
-    def search(
-        probe: tuple, f=residuals, df=jacobian
-    ) -> tuple[OptimizerResult, GeometricModelParams]:
-        """The loop's run on ``f`` and ``df`` from a candidate's probe, and
-        the params that the probe at its best point built, with their head
-        of fault terms cached: the latest probe's when the run ended on
-        accepting it."""
+    def search(probe: tuple) -> tuple[OptimizerResult, GeometricModelParams]:
+        """The loop's run from a candidate's probe, and the params that the
+        probe at its best point built, with their head of fault terms
+        cached: the latest probe's when the run ended on accepting it."""
         handed[:] = [probe]
-        best, diag = levenberg_marquardt(f, df, probe[0], upper=[math.inf, _MAX_DECAY_LOGIT])
+        best, diag = levenberg_marquardt(
+            residuals, jacobian, probe[0], upper=[math.inf, _MAX_DECAY_LOGIT]
+        )
         point = [_expit(float(best[0])), _expit(float(best[1]))]
         return diag, probed[2] if probed[:2] == point else at_jacobian[0]
 
-    bound_value = None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         value, growth = candidate([_logit(p1_start), _logit(_INITIAL_DECAY_GUESS)])
-        probe = growth
+        start = growth
         p1_bound = q / (t_q * _BOUND_POWER_SUM)
         if p1_start < 0.5 and p1_bound > 0.0:
             linear = (log_counts - log_counts[-1]) - np.log(times / t_q)
             if float(linear.dot(linear)) < value:
                 bound_value, bound = candidate([_logit(p1_bound), _MAX_DECAY_LOGIT])
                 if bound_value < value:
-                    probe = bound
-    if probe is growth:
+                    start = bound
+                    abandon = value < math.inf
+    try:
+        diag, params = search(start)
+    except _OffBound:
+        # The search from the bound left it, maybe for another basin than
+        # the growth candidate's: the fit is that candidate's search.
+        abandon = False
         diag, params = search(growth)
-        if bound_value is not None:
-            # The loop counted the growth candidate, its start; the bound
-            # candidate lost, as one that was not finite always does.
-            diag = replace(
-                diag,
-                evaluations=diag.evaluations + 1,
-                nonfinite_evaluations=diag.nonfinite_evaluations + (bound_value == math.inf),
-            )
-        return FitResult(params, diag, skipped)
-    if value == math.inf:
-        diag, params = search(bound)
-    else:
-        try:
-            diag, params = search(bound, bound_residuals, bound_jacobian)
-        except _OffBound:
-            # The search from the bound left it, maybe for another basin
-            # than the growth candidate's: the fit is that candidate's
-            # search, counted with the bound candidate and the points and
-            # Jacobians of the search abandoned.
-            with np.errstate(over="ignore", invalid="ignore"):
-                nonfinite = sum(o is None or not math.isfinite(float(o.dot(o))) for o in bound_outs)
-            diag, params = search(growth)
-            diag = replace(
-                diag,
-                evaluations=diag.evaluations + len(bound_outs),
-                nonfinite_evaluations=diag.nonfinite_evaluations + nonfinite,
-                jacobian_evaluations=diag.jacobian_evaluations + len(bound_jacobians),
-            )
-            return FitResult(params, diag, skipped)
-    # The loop counted the bound candidate, its start; the growth candidate
-    # lost, as one that was not finite always does.
     diag = replace(
         diag,
-        evaluations=diag.evaluations + 1,
-        nonfinite_evaluations=diag.nonfinite_evaluations + (value == math.inf),
+        evaluations=evaluations,
+        nonfinite_evaluations=nonfinite,
+        jacobian_evaluations=jacobians,
     )
     return FitResult(params, diag, skipped)

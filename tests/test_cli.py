@@ -128,6 +128,32 @@ class TestFitCommand:
         assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "{history}", "--out", "{file}"],
+        ["simulate", "--p1", "0.05", "--d", "0.95", "--horizon", "50", "--seed", "1",
+         "--out", "{file}"],
+        ["evaluate", "{history}", "--out", "{file}/sub"],
+        ["fit", "{file}/x"],
+        ["fit", "{long_name}"],
+    ],
+    ids=["evaluate-out-is-a-file", "simulate-out-is-a-file", "out-under-a-file",
+         "input-under-a-file", "input-name-too-long"],
+)
+def test_file_system_errors_are_an_error_line(tmp_path, capsys, cumulative_file, argv):
+    # FileExistsError, NotADirectoryError and a bare OSError (errno 36,
+    # file name too long) end like any other input error.
+    file = tmp_path / "taken"
+    file.write_text("")
+    names = {"history": cumulative_file, "file": file, "long_name": tmp_path / ("a" * 5000)}
+    assert cli.main([arg.format(**names) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("geomrel: error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 class TestPredictCommand:
     def predict(self, capsys, *extra):
         args = ["predict", *extra]

@@ -1198,7 +1198,9 @@ class TestFitEvaluationCount:
     fit made, its start candidates and both runs of a two-run fit included:
     each one sums the mean (``_mean_terms``) once, unless its p1 or d rounds
     out of (0, 1) and it is refused before any sum.
-    ``jacobian_evaluations`` is the number of Jacobians, each of which forms
+    ``nonfinite_evaluations`` is the number of those refused probes plus
+    the probes whose sum of squares is not finite, and
+    ``jacobian_evaluations`` the number of Jacobians, each of which forms
     the intensity sums once."""
 
     histories = {
@@ -1210,14 +1212,21 @@ class TestFitEvaluationCount:
 
     @pytest.mark.parametrize("name", list(histories))
     def test_counts_equal_the_sums_made(self, monkeypatch, name):
-        calls = {"_mean_terms": 0, "_intensity_sums": 0, "refused": 0}
+        calls = {"_mean_terms": 0, "_intensity_sums": 0, "refused": 0, "nonfinite_sums": 0}
+        ds = self.histories[name]
+        _, log_counts, _ = ds._usable_points()
 
         def counted(fn_name):
             original = getattr(estimation, fn_name)
 
             def wrapper(*args):
                 calls[fn_name] += 1
-                return original(*args)
+                result = original(*args)
+                if fn_name == "_mean_terms":
+                    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                        r = log_counts - np.log(result[0])
+                        calls["nonfinite_sums"] += not math.isfinite(float(r @ r))
+                return result
 
             return wrapper
 
@@ -1234,10 +1243,10 @@ class TestFitEvaluationCount:
         for fn_name in ("_mean_terms", "_intensity_sums"):
             monkeypatch.setattr(estimation, fn_name, counted(fn_name))
         monkeypatch.setattr(estimation, "levenberg_marquardt", refusals_counted)
-        diag = fit(self.histories[name]).diagnostics
+        diag = fit(ds).diagnostics
         assert diag.evaluations == calls["_mean_terms"] + calls["refused"]
         assert diag.jacobian_evaluations == calls["_intensity_sums"]
-        assert diag.nonfinite_evaluations >= calls["refused"]
+        assert diag.nonfinite_evaluations == calls["refused"] + calls["nonfinite_sums"]
         if name == "saturated":
             assert calls["refused"] > 0
 
