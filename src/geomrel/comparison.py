@@ -424,10 +424,12 @@ class LittlewoodVerrall(ReliabilityModel):
     :func:`geomrel.estimation.levenberg_marquardt` in its Hessian form,
     from analytic first and second derivatives of each term (through
     ``L'`` and ``L''``, see :func:`_log1p_ratio_slopes`), with lower bounds
-    ``u >= 0`` and ``scale1 >= 0``.  A step cut short by a bound ends
-    exactly on it, so a fit reaches either limit instead of drifting
-    towards it.  A fit at the exponential limit is named by
-    :attr:`boundary`.
+    ``u >= 0`` and ``scale1 >= 0``.  It starts at the nested exponential
+    model's optimum, ``u = scale1 = 0`` and ``scale0`` the mean interval,
+    and leaves a bound only where the gradient pulls it off.  A step cut
+    short by a bound ends exactly on it, so a fit reaches either limit
+    instead of drifting towards it.  A fit at the exponential limit is
+    named by :attr:`boundary`.
 
     Predictions invert the closed-form expected time to failure n,
     ``(n*scale0 + scale1*n(n+1)(2n+1)/6)/(1 - u)``, by integer bisection
@@ -459,27 +461,19 @@ class LittlewoodVerrall(ReliabilityModel):
         if n < cls.min_failures:
             raise ValueError(f"needs at least {cls.min_failures} failures, got {n}")
         squared = np.square(np.arange(1, n + 1, dtype=float))
-        # Moment-style start: regress the intervals on i^2 for the trend and
-        # begin at alpha = 2 (u = 1/2) with s(i) half the trend, so that the
-        # expected TBF s(i)/(1 - u) equals the trend itself.
-        slope, intercept = np.polyfit(squared, tbf, 1)
         scale = float(np.mean(tbf))
-        beta1_start = max(float(slope), 1e-6 * scale / squared[-1])
-        beta0_start = max(float(intercept), 1e-3 * scale)
-        scale0_start = beta0_start / 2.0
-        # Intervals near the bottom of the float range underflow these
-        # scales to zero or to subnormals, where their logarithm fails or
-        # the scaled coordinates lose their digits.
-        for what, value in (("scale0", scale0_start), ("mean interval", scale)):
-            if not sys.float_info.min <= value <= sys.float_info.max:
-                raise ValueError(
-                    f"the start's {what} {value!r} is not a positive normal float; "
-                    "the intervals are too small to fit"
-                )
-        # The search runs in (u, ln scale0, scale1 / scale): with the mean
-        # interval as the unit of scale1, no derivative depends on the unit
-        # of time.
-        start = [0.5, math.log(scale0_start), beta1_start / 2.0 / scale]
+        # Intervals near the bottom of the float range give a subnormal
+        # mean, whose logarithm loses its digits.
+        if not sys.float_info.min <= scale <= sys.float_info.max:
+            raise ValueError(
+                f"the start's mean interval {scale!r} is not a positive normal float; "
+                "the intervals are too small to fit"
+            )
+        # At u = scale1 = 0 the terms are ln s + t_i/s, least at s = the mean
+        # interval.  The search runs in (u, ln scale0, scale1 / scale): with
+        # the mean interval as the unit of scale1, no derivative depends on
+        # the unit of time.
+        start = [0.0, math.log(scale), 0.0]
         spread = scale * squared  # d s / d(scale1 / m)
         unit = np.ones(n)
         probed = []  # the latest probe's (u, scale0, scales, ratios, x, L(x))

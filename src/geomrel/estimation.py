@@ -601,10 +601,11 @@ def fit(ds: FailureDataset) -> FitResult:
     again.  A search from the bound that probes off it may be heading for
     another basin than the growth candidate's, so it is abandoned at that
     probe and the fit is the search from the growth candidate, as if that
-    were the only one (unless that candidate was not finite).  So every
-    fit either searches on the bound throughout or ends where the growth
-    start alone ends it.  ``diagnostics`` is the kept search's, except
-    that ``evaluations``, ``nonfinite_evaluations`` and
+    were the only one: its mean is concave in t and meets q at t_q, so it
+    is at least the bound candidate's linear mean and is finite wherever
+    that one is.  So every fit either searches on the bound throughout or
+    ends where the growth start alone ends it.  ``diagnostics`` is the kept
+    search's, except that ``evaluations``, ``nonfinite_evaluations`` and
     ``jacobian_evaluations`` count every residual evaluation, non-finite
     point and Jacobian the fit made, each once: the candidates and an
     abandoned search's included.  Non-convergence is reported through
@@ -621,8 +622,7 @@ def fit(ds: FailureDataset) -> FitResult:
     at_jacobian = []  # the params of the latest point the Jacobian was taken at
     handed = []  # the start's probe, residuals and state, for the loop's first call
     evaluations = nonfinite = jacobians = 0
-    # A search from the bound, while the growth candidate is finite, is
-    # abandoned at its first probe off the bound.
+    # A search from the bound is abandoned at its first probe off it.
     abandon = False
 
     def residuals(z: np.ndarray):
@@ -685,7 +685,7 @@ def fit(ds: FailureDataset) -> FitResult:
                 bound_value, bound = candidate([_logit(p1_bound), _MAX_DECAY_LOGIT])
                 if bound_value < value:
                     start = bound
-                    abandon = value < math.inf
+                    abandon = True
     try:
         diag, params = search(start)
     except _OffBound:

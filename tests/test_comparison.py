@@ -26,6 +26,7 @@ from geomrel.estimation import FitResult, OptimizerResult, fit
 from geomrel.evaluation import default_cut_points
 from geomrel.model import GeometricModelParams, fault_cdf, log_likelihood_small, mean_failures
 from reference_simplex import SimplexRun, reference_nelder_mead
+from regenerate_golden import prefixes as golden_prefixes
 
 REPO_DATA = Path(__file__).resolve().parent.parent / "data"
 CLOSED_FORM_NAMES = ("musa-basic", "musa-okumoto", "nhpp")
@@ -218,7 +219,8 @@ FIT_REFUSALS = [
     (
         "littlewood-verrall",
         _SUBNORMAL,
-        "the start's scale0 0.0 is not a positive normal float; the intervals are too small to fit",
+        "the start's mean interval 2e-323 is not a positive normal float; "
+        "the intervals are too small to fit",
     ),
     ("musa-basic", _SUBNORMAL, "objective is not finite at the start"),
     ("musa-okumoto", _FAR_APART, "objective is not finite at the start"),
@@ -348,14 +350,42 @@ class TestLittlewoodVerrall:
             fit_model("littlewood-verrall", ds)
 
     def test_underflowing_start_refused(self):
-        # Subnormal intervals: half the start's scale0 rounds to 0, whose
-        # logarithm the search would start from.
+        # Subnormal intervals: the start's scale0 would be their subnormal
+        # mean, whose logarithm has lost its digits.
         ds = FailureDataset.from_tbf([5e-324, 1e-323, 1.5e-323, 2e-323, 3e-323, 4e-323])
-        with pytest.raises(
-            FitError,
-            match="^littlewood-verrall: the start's scale0 0.0 is not a positive normal float",
-        ):
+        with pytest.raises(FitError) as refused:
             fit_model("littlewood-verrall", ds)
+        assert str(refused.value) == (
+            "littlewood-verrall: the start's mean interval 2e-323 is not a positive normal "
+            "float; the intervals are too small to fit"
+        )
+
+    @pytest.mark.parametrize("interval", [3.0, 3e-308])
+    def test_equal_intervals_converge_at_the_start(self, interval):
+        # The start is the nested exponential model's optimum, u = scale1 =
+        # 0 and scale0 the mean interval; equal intervals show neither
+        # varying hazards nor a trend, so the fit ends where it starts.  At
+        # 3e-308 half the earlier start's intercept was subnormal, and that
+        # start was refused.
+        ds = FailureDataset.from_tbf([interval] * 12)
+        fitted = LittlewoodVerrall.fit(ds)
+        assert_converged_at_the_start(fitted, ds)
+
+    def test_fit_counts_over_the_golden_histories(self):
+        # A deterministic count gate over every Littlewood-Verrall fit of
+        # the objective gate's prefixes (298 fits): 6.49 evaluations and
+        # 4.67 gradient-and-Hessian passes in the mean, where the earlier
+        # moment-style start took 11.73 and 9.39.
+        evaluations, passes = [], []
+        for _, _, ds in golden_prefixes():
+            if ds.time_between_failures().size < LittlewoodVerrall.min_failures:
+                continue
+            diagnostics = LittlewoodVerrall.fit(ds).diagnostics
+            evaluations.append(diagnostics.evaluations)
+            passes.append(diagnostics.jacobian_evaluations)
+        assert len(evaluations) == 298
+        assert sum(evaluations) / len(evaluations) <= 7.0
+        assert sum(passes) / len(passes) <= 5.0
 
     def test_alpha_at_most_one_refuses_prediction(self):
         model = LittlewoodVerrall(LittlewoodVerrallParams(1.0 / 0.9, 10.0 / 0.9, 1.0 / 0.9))
@@ -368,6 +398,17 @@ class TestLittlewoodVerrall:
         assert LittlewoodVerrall(params).boundary == "exponential-limit"
         assert LittlewoodVerrall(LittlewoodVerrallParams(1e-6, 4.0, 0.0)).boundary is None
         assert params.expected_tbf(3) == 4.0
+
+
+def assert_converged_at_the_start(fitted, ds: FailureDataset) -> None:
+    """The fit converged at its first point, the nested exponential model's
+    optimum: one evaluation, one gradient-and-Hessian pass, u = scale1 = 0
+    and scale0 the mean interval through its logarithm."""
+    mean = float(np.mean(ds.time_between_failures()))
+    assert fitted.diagnostics.converged, ds
+    assert fitted.diagnostics.evaluations == 1, ds
+    assert fitted.diagnostics.jacobian_evaluations == 1, ds
+    assert fitted.params == LittlewoodVerrallParams(0.0, math.exp(math.log(mean)), 0.0), ds
 
 
 class TestLittlewoodVerrallPrediction:
@@ -495,6 +536,12 @@ class TestLittlewoodVerrallOnNtds:
             terms = lv_terms(fitted.params, sub.time_between_failures().tolist())
             assert fitted.diagnostics.value == pytest.approx(math.fsum(terms), rel=1e-12), n
 
+    def test_exponential_prefixes_converge_at_the_start(self, fits):
+        # Prefixes 7 to 21 show neither varying hazards nor a trend.
+        for n in (7, 8, 11, 13, 16, 18, 20, 21):
+            sub, fitted = fits[n]
+            assert_converged_at_the_start(fitted, sub)
+
     def test_exponential_limit_named(self, fits):
         flagged = {n for n, (_, fitted) in fits.items() if fitted.boundary == "exponential-limit"}
         assert flagged == {7, 8, 11, 13, 16, 18, 20, 21, 22, 23}
@@ -507,8 +554,12 @@ class TestLittlewoodVerrallOnNtds:
 
 def reference_lv_nelder_mead(ds: FailureDataset) -> SimplexRun:
     """The Littlewood-Verrall fit before the derivative route: the
-    reference simplex over (sqrt u, ln scale0, sqrt scale1) on the same terms, from the same
-    start."""
+    reference simplex over (sqrt u, ln scale0, sqrt scale1) on the same terms.
+
+    It keeps its own copy of the fit's earlier moment-style start (the
+    intervals regressed on i**2, u = 1/2, half the trend) on purpose: the
+    fit now starts at its nested exponential model's optimum, and the gate
+    then compares that fit with the old start's basin."""
     tbf = ds.time_between_failures()
     squared = np.square(np.arange(1, tbf.size + 1, dtype=float))
 

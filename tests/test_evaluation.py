@@ -97,7 +97,7 @@ class TestNumberOfFailuresEval:
 
     def test_underflowing_littlewood_verrall_start_recorded_at_every_cut(self):
         # Subnormal intervals: every LV cut is a gap with its reason, the
-        # cuts with 5 failures or more naming the start that underflows.
+        # cuts with 5 failures or more naming their subnormal mean interval.
         ds = FailureDataset.from_tbf(
             [5e-324, 1e-323, 1.5e-323, 2e-323, 3e-323, 4e-323], "subnormal"
         )
@@ -110,8 +110,10 @@ class TestNumberOfFailuresEval:
             n = int(np.searchsorted(ds.times, t_e, side="right"))
             if n >= 5:
                 started += 1
-                assert reason.startswith(
-                    "littlewood-verrall: the start's scale0 0.0 is not a positive normal float"
+                mean = {5: "1.5e-323", 6: "2e-323"}[n]
+                assert reason == (
+                    f"littlewood-verrall: the start's mean interval {mean} is not a positive "
+                    "normal float; the intervals are too small to fit"
                 ), t_e
             else:
                 assert reason.startswith("littlewood-verrall: needs at least 5 failures"), t_e
