@@ -6,19 +6,21 @@ cumulative failure counts on a log scale,
 
     S = sum_j (ln r_j - ln mu(t_j))**2.
 
-The four models fitted to it (the geometric-rates model here, and the
-closed forms of :mod:`geomrel.comparison`) minimize it with a
-self-contained Levenberg-Marquardt loop on the residuals and their
-Jacobian.  Littlewood-Verrall minimizes its negative log-likelihood with
-the same loop, given its gradient and Hessian.  The loop returns one
-record, :class:`OptimizerResult`, which is every fitted model's
-``diagnostics``.  :func:`fit`, like every fitting route, refuses a
-history with a ``ValueError`` giving the bare reason; only
+Every model is fitted by one self-contained Levenberg-Marquardt loop with
+one contract: the objective's value, and half its gradient and half its
+Hessian, within lower bounds.  The four models fitted to S (the
+geometric-rates model here, and the closed forms of
+:mod:`geomrel.comparison`) hand it ``J^T e`` and ``J^T J`` for their
+vector e of log-count residuals and its Jacobian J; Littlewood-Verrall
+hands it the gradient and Hessian of its negative log-likelihood.  The
+loop returns one record, :class:`OptimizerResult`, which is every fitted
+model's ``diagnostics``.  :func:`fit`, like every fitting route, refuses
+a history with a ``ValueError`` giving the bare reason; only
 :func:`geomrel.comparison.fit_model` raises ``FitError``.  The geometric
-model's parameters p1 and d live in (0, 1)^2; the search runs on the
-inverse-sigmoid (logit) of each parameter, so feasibility never has to be
-patched up afterwards.  Logit p1 is unbounded; logit d is bounded above
-at ``_MAX_DECAY_LOGIT``, which keeps the truncation at or below
+model's parameters p1 and d live in (0, 1)^2; the search runs on logit p1
+and on ``w = -logit d``, so feasibility never has to be patched up
+afterwards.  Logit p1 is unbounded; w is bounded below at
+``-_MAX_DECAY_LOGIT``, which keeps the truncation at or below
 ``MAX_FIT_TRUNCATION``.
 """
 
@@ -85,22 +87,24 @@ class OptimizerResult:
     """Diagnostics of one optimizer run.
 
     ``optimizer`` names the optimizer, ``"levenberg-marquardt"`` for every
-    fitted model (:func:`levenberg_marquardt`, in its least-squares or its
-    Hessian form); ``x`` is the best point in the optimizer's coordinates.
-    ``evaluations`` counts every objective (or residual) call, the start
-    included; ``nonfinite_evaluations`` counts those that were not finite,
-    and ``jacobian_evaluations`` the Jacobians, or gradient-and-Hessian
-    passes.  ``iterations`` counts damped steps tried, a step refused for a
-    damped matrix that is not positive definite included.
+    fitted model (:func:`levenberg_marquardt`); ``x`` is the best point in
+    the optimizer's coordinates, whose bounds are all lower bounds: for the
+    geometric fit (logit p1, -logit d), for the closed forms (ln c), for
+    Littlewood-Verrall (u, ln scale0, scale1 / mean interval).
+    ``evaluations`` counts every objective call, the start included;
+    ``nonfinite_evaluations`` counts those that were not finite, and
+    ``jacobian_evaluations`` the gradient-and-Hessian passes.
+    ``iterations`` counts damped steps tried, a step refused for a damped
+    matrix that is not positive definite included.
 
     ``converged`` says that the run stopped on its own criterion rather
-    than on its iteration cap: in either form, an accepted step that
-    lowered the objective by at most 1e-13 of its magnitude, a step below
-    1e-12 relative, or a point where every coordinate is held (its
-    curvature zero, or on its bound with the gradient pointing outward).
-    For a likelihood that is a stationary point within the bounds, not a
-    check that the Hessian there is positive definite.  A fit reports
-    ``value`` as its objective recomputed at the parameters it returns.
+    than on its iteration cap: an accepted step that lowered the objective
+    by at most 1e-13 of its magnitude, a step below 1e-12 relative, or a
+    point where every coordinate is held (its curvature zero, or on its
+    bound with the gradient pointing outward).  For a likelihood that is a
+    stationary point within the bounds, not a check that the Hessian there
+    is positive definite.  A fit reports ``value`` as its objective
+    recomputed at the parameters it returns.
     """
 
     optimizer: str
@@ -219,68 +223,52 @@ def least_squares_objective(params: GeometricModelParams, ds: FailureDataset) ->
         return _log_count_objective(mean_failures, params, times, log_counts)
 
 
-def _bounds(given, k: int, none: float, name: str) -> list[float]:
-    """One bound per coordinate from ``given`` (``none`` everywhere when it
-    is None); raises unless there are k of them, none NaN."""
-    if given is None:
-        return [none] * k
-    bounds = [float(b) for b in given]
-    if len(bounds) != k:
-        raise ValueError(f"{name} must give one bound per coordinate: {len(bounds)} for {k}")
-    if any(math.isnan(b) for b in bounds):
-        raise ValueError(f"{name} must not contain NaN")
-    return bounds
-
-
 def levenberg_marquardt(
-    residuals, jacobian, start, upper=None, lower=None, least_squares=True
+    objective, derivatives, start, lower=None
 ) -> tuple[np.ndarray, OptimizerResult]:
-    """Minimize ``sum(residuals(x)**2)`` by damped Gauss-Newton steps
-    (Levenberg 1944; Marquardt 1963), or with ``least_squares=False`` a
-    smooth objective by damped Newton steps, within optional lower and
-    upper bounds on each coordinate.
+    """Minimize a smooth objective by damped Newton steps (Levenberg 1944;
+    Marquardt 1963), within optional lower bounds on each coordinate.
 
-    ``residuals(x)`` gets each probe as a fresh 1-d float array and returns
-    the residual vector (with ``least_squares=False``, the objective's
-    value), or ``None`` for a point outside the model's domain; a probe
-    whose sum of squares (or value) is not finite is rejected and tallied.
-    ``jacobian(x, out)``, given ``out = residuals(x)``, returns the
-    residuals' partial derivatives at x, one array per coordinate (with
-    ``least_squares=False``, half the objective's gradient, one float per
+    ``objective(x)`` gets each probe as a fresh 1-d float array and returns
+    the objective's value, or ``None`` for a point outside the model's
+    domain; a probe whose value is not finite is rejected and tallied.
+    ``derivatives(x)`` returns half the objective's gradient, one float per
     coordinate, and half its Hessian, one row per coordinate, of which only
-    the upper triangle is read).  It is called at most once per point, and
-    only for the point of the latest ``residuals`` call, with the very
-    array x that call got and the ``out`` it returned, so it may reuse, or
-    overwrite, that call's work.  Either way the objective near x is
-    modelled as ``f + 2 g.s + s'As`` for a step s, with ``g = J^T r`` and
-    ``A = J^T J`` for least squares.  The start and every accepted point
-    get their ``jacobian`` call before the next probe, except an accepted
-    point that ends the run; the point returned is the latest accepted
-    one, so it is the point of the latest ``jacobian`` call unless the
-    run ended on accepting the latest probe.
+    the upper triangle is read: for a sum of squared residuals r with
+    Jacobian J, ``g = J^T r`` and the Gauss-Newton ``A = J^T J``.  The
+    objective near x is modelled as ``f + 2 g.s + s'As`` for a step s.
+    ``derivatives`` is called at most once per point, and only for the
+    point of the latest ``objective`` call, with the very array x that call
+    got, so it may reuse, or overwrite, that call's work.  The start and
+    every accepted point get their ``derivatives`` call before the next
+    probe, except an accepted point that ends the run; the point returned
+    is the latest accepted one, so it is the point of the latest
+    ``derivatives`` call unless the run ended on accepting the latest
+    probe.
 
     Each step solves ``(A + damping |diag A|) step = -g`` (Marquardt's
-    scaling, ``(1 + damping) diag A`` for least squares) by Cramer's rule
-    in Python floats, so that runs are deterministic whatever linear
-    algebra numpy is built with; x has 1 to 3 coordinates, and one whose
-    diagonal entry of A is zero is held.  A damped matrix that is not
-    positive definite (a leading minor at or below zero), as a likelihood's
-    Hessian can be away from its optimum, is refused without a probe, like
-    a rejected step.  The damping starts at 1e-3.  A step is accepted only
-    when it lowers the objective; the damping then shrinks by Nielsen's
-    gain-ratio rule, ``max(1/3, 1 - (2 rho - 1)**3)``, and after a rejected
-    or refused step it grows by 2, 4, 8, ...  The run stops once an
-    accepted step lowers the objective by at most 1e-13 of its magnitude,
-    or a step moves every coordinate x by at most 1e-12 (1 + |x|)
-    (``converged``), or after 200 steps.
+    scaling) by Cramer's rule in Python floats, so that runs are
+    deterministic whatever linear algebra numpy is built with; x has 1 to 3
+    coordinates, and one whose diagonal entry of A is zero is held.  A
+    damped matrix that is not positive definite (a leading minor at or
+    below zero), as a likelihood's Hessian can be away from its optimum, is
+    refused without a probe, like a rejected step.  The damping starts at
+    1e-3.  A step is accepted only when it lowers the objective; the
+    damping then shrinks by Nielsen's gain-ratio rule,
+    ``max(1/3, 1 - (2 rho - 1)**3)``, and after a rejected or refused step
+    it grows by 2, 4, 8, ...  The run stops once an accepted step lowers
+    the objective by at most 1e-13 of its magnitude, or a step moves every
+    coordinate x by at most 1e-12 (1 + |x|) (``converged``), or after 200
+    steps.
 
-    ``upper`` and ``lower`` give each coordinate's bounds (``math.inf`` and
-    ``-math.inf`` for none), one per coordinate and none NaN, and ``start``
-    must lie within them; otherwise ``ValueError`` is raised.  A step that
-    crosses a bound is shortened along its direction to end exactly on it.
-    A coordinate on a bound whose gradient points outward is held while the
-    others move, as is one whose step would point outward once solved with
-    the others.
+    ``lower`` gives each coordinate's lower bound (``-math.inf`` for none),
+    one per coordinate and none NaN, and ``start`` must lie at or above
+    them; otherwise ``ValueError`` is raised.  A search bounded above runs
+    on the negated coordinate, which leaves its floats unchanged: rounding
+    is symmetric in sign.  A step that crosses a bound is shortened along
+    its direction to end exactly on it.  A coordinate on its bound whose
+    gradient points outward is held while the others move, as is one whose
+    step would point outward once solved with the others.
 
     The whole run is under one ``np.errstate`` that silences overflow,
     invalid and divide warnings: a probe that trips them comes out
@@ -291,19 +279,18 @@ def levenberg_marquardt(
     k = len(point)
     if not 1 <= k <= 3:
         raise ValueError("start must have 1 to 3 coordinates")
-    highs = _bounds(upper, k, math.inf, "upper")
-    lows = _bounds(lower, k, -math.inf, "lower")
-    for v, high, low in zip(point, highs, lows):
-        if v > high:
-            raise ValueError("start must lie within upper")
-        if v < low:
-            raise ValueError("start must lie within lower")
+    lows = [-math.inf] * k if lower is None else [float(b) for b in lower]
+    if len(lows) != k:
+        raise ValueError(f"lower must give one bound per coordinate: {len(lows)} for {k}")
+    if any(math.isnan(b) for b in lows):
+        raise ValueError("lower must not contain NaN")
+    if any(v < low for v, low in zip(point, lows)):
+        raise ValueError("start must lie within lower")
     # A search in fewer than 3 coordinates carries the rest at 0 with no
     # bound, gradient or curvature: they are never free, so they never
     # move, and the others' floats are those of a smaller solve.
     pad = 3 - k
     x0, x1, x2 = point + [0.0] * pad
-    hi0, hi1, hi2 = highs + [math.inf] * pad
     lo0, lo1, lo2 = lows + [-math.inf] * pad
     g0 = g1 = g2 = 0.0
     a00 = a01 = a02 = a11 = a12 = a22 = 0.0
@@ -313,24 +300,20 @@ def levenberg_marquardt(
     jacobians = 0
 
     def evaluate(probe: list[float]):
-        """The probe's array, its residuals (or value) and its objective;
-        ``None, None, inf`` for a rejected probe."""
+        """The probe's array and its objective; ``None, inf`` for a
+        rejected probe."""
         nonlocal nonfinite, evaluations
         evaluations += 1
         z = np.array(probe)
-        out = residuals(z)
-        if out is None:
-            value = math.inf
-        else:
-            value = float(out.dot(out)) if least_squares else float(out)
-        if not math.isfinite(value):
+        value = objective(z)
+        if value is None or not math.isfinite(value):
             nonfinite += 1
-            return None, None, math.inf
-        return z, out, value
+            return None, math.inf
+        return z, value
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        z, out, value = evaluate(point)
-        if out is None:
+        z, value = evaluate(point)
+        if z is None:
             raise ValueError("objective is not finite at the start")
 
         damping, growth = _LM_DAMPING, 2.0
@@ -339,38 +322,24 @@ def levenberg_marquardt(
         fresh = True  # the derivatives are due at the point
         while True:
             if fresh:
-                if least_squares:
-                    # For 1-d float vectors ndarray.dot and @ call the same
-                    # BLAS ddot, which multiplies pairwise and sums in index
-                    # order, so c1.dot(c0) is the same float as c0 @ c1;
-                    # dot skips matmul's dispatch.
-                    columns = jacobian(z, out)
-                    c0 = columns[0]
-                    g0 = float(c0.dot(out))
-                    a00 = float(c0.dot(c0))
-                    if k > 1:
-                        c1 = columns[1]
-                        g1 = float(c1.dot(out))
-                        a01 = float(c0.dot(c1))
-                        a11 = float(c1.dot(c1))
-                        if k > 2:
-                            c2 = columns[2]
-                            g2 = float(c2.dot(out))
-                            a02 = float(c0.dot(c2))
-                            a12 = float(c1.dot(c2))
-                            a22 = float(c2.dot(c2))
-                else:
-                    gradient, hessian = jacobian(z, out)
-                    g0, g1, g2 = [*gradient, 0.0, 0.0][:3]
-                    rows = [[*row, 0.0, 0.0][:3] for row in hessian] + [[0.0] * 3] * pad
-                    (a00, a01, a02), (_, a11, a12), (_, _, a22) = rows
+                gradient, hessian = derivatives(z)
                 jacobians += 1
-                free0 = abs(a00) > 0.0 and not (x0 >= hi0 and g0 < 0.0 or x0 <= lo0 and g0 > 0.0)
-                free1 = abs(a11) > 0.0 and not (x1 >= hi1 and g1 < 0.0 or x1 <= lo1 and g1 > 0.0)
-                free2 = abs(a22) > 0.0 and not (x2 >= hi2 and g2 < 0.0 or x2 <= lo2 and g2 > 0.0)
-                on_bound = (
-                    x0 >= hi0 or x0 <= lo0 or x1 >= hi1 or x1 <= lo1 or x2 >= hi2 or x2 <= lo2
-                )
+                first = hessian[0]
+                g0 = gradient[0]
+                a00 = first[0]
+                if k > 1:
+                    g1 = gradient[1]
+                    a01 = first[1]
+                    a11 = hessian[1][1]
+                    if k > 2:
+                        g2 = gradient[2]
+                        a02 = first[2]
+                        a12 = hessian[1][2]
+                        a22 = hessian[2][2]
+                free0 = abs(a00) > 0.0 and not (x0 <= lo0 and g0 > 0.0)
+                free1 = abs(a11) > 0.0 and not (x1 <= lo1 and g1 > 0.0)
+                free2 = abs(a22) > 0.0 and not (x2 <= lo2 and g2 > 0.0)
+                on_bound = x0 <= lo0 or x1 <= lo1 or x2 <= lo2
             if not (free0 or free1 or free2):
                 converged = True
                 break
@@ -412,9 +381,9 @@ def levenberg_marquardt(
                 s2 = 0.0 if held2 else (c02 * p + c12 * q + c22 * r) / det
                 if not on_bound:
                     break
-                out0 = s0 > 0.0 and x0 >= hi0 or s0 < 0.0 and x0 <= lo0
-                out1 = s1 > 0.0 and x1 >= hi1 or s1 < 0.0 and x1 <= lo1
-                out2 = s2 > 0.0 and x2 >= hi2 or s2 < 0.0 and x2 <= lo2
+                out0 = s0 < 0.0 and x0 <= lo0
+                out1 = s1 < 0.0 and x1 <= lo1
+                out2 = s2 < 0.0 and x2 <= lo2
                 if not (out0 or out1 or out2):
                     break
                 held0, held1, held2 = held0 or out0, held1 or out1, held2 or out2
@@ -428,24 +397,24 @@ def levenberg_marquardt(
             # there, at the smallest share of the step when several cross.
             share = 1.0
             crossed = False
-            e0 = hi0 if x0 + s0 > hi0 else lo0 if x0 + s0 < lo0 else None
-            e1 = hi1 if x1 + s1 > hi1 else lo1 if x1 + s1 < lo1 else None
-            e2 = hi2 if x2 + s2 > hi2 else lo2 if x2 + s2 < lo2 else None
-            if e0 is not None:
-                share = f0 = (e0 - x0) / s0
+            cut0 = x0 + s0 < lo0
+            cut1 = x1 + s1 < lo1
+            cut2 = x2 + s2 < lo2
+            if cut0:
+                share = f0 = (lo0 - x0) / s0
                 crossed = True
-            if e1 is not None:
-                f1 = (e1 - x1) / s1
+            if cut1:
+                f1 = (lo1 - x1) / s1
                 if not crossed or f1 < share:
                     share = f1
                 crossed = True
-            if e2 is not None:
-                f2 = (e2 - x2) / s2
+            if cut2:
+                f2 = (lo2 - x2) / s2
                 if not crossed or f2 < share:
                     share = f2
-            trial0 = e0 if e0 is not None and f0 == share else x0 + share * s0
-            trial1 = e1 if e1 is not None and f1 == share else x1 + share * s1
-            trial2 = e2 if e2 is not None and f2 == share else x2 + share * s2
+            trial0 = lo0 if cut0 and f0 == share else x0 + share * s0
+            trial1 = lo1 if cut1 and f1 == share else x1 + share * s1
+            trial2 = lo2 if cut2 and f2 == share else x2 + share * s2
             u0 = trial0 - x0
             u1 = trial1 - x1
             u2 = trial2 - x2
@@ -459,7 +428,7 @@ def levenberg_marquardt(
 
             # A padded coordinate never moves, so its probe is left out.
             trial = [trial0, trial1, trial2][:k]
-            z_trial, out_trial, value_trial = evaluate(trial)
+            z_trial, value_trial = evaluate(trial)
             if value_trial < value:
                 decrease = value - value_trial
                 # The reduction the model predicts: -(2 g.u + u'Au).
@@ -469,7 +438,7 @@ def levenberg_marquardt(
                     + u2 * (2.0 * g2 + (a02 * u0 + a12 * u1 + a22 * u2))
                 )
                 small = decrease <= _LM_DECREASE * abs(value)
-                point, z, out, value = trial, z_trial, out_trial, value_trial
+                point, z, value = trial, z_trial, value_trial
                 x0, x1, x2 = trial0, trial1, trial2
                 if small:
                     converged = True
@@ -550,7 +519,8 @@ def _initial_p1(t_q: float, q: float) -> float:
 
 def _decay_logit_bound() -> float:
     """The largest float z with ``default_truncation(_expit(z))`` at most
-    ``MAX_FIT_TRUNCATION``: the fit's upper bound on logit d."""
+    ``MAX_FIT_TRUNCATION``: the fit's upper bound on logit d, and so minus
+    its lower bound on w = -logit d."""
     z = _logit(math.exp(math.log(DEFAULT_RATE_FLOOR) / MAX_FIT_TRUNCATION))
     while default_truncation(_expit(z)) > MAX_FIT_TRUNCATION:
         z = math.nextafter(z, -math.inf)
@@ -573,19 +543,20 @@ class _OffBound(Exception):
 def fit(ds: FailureDataset) -> FitResult:
     """Estimate (p1, d) for a failure history.
 
-    :func:`levenberg_marquardt` minimizes the log-count residuals over
-    logit-transformed parameters, so the returned values are strictly
-    inside (0, 1) wherever a step lands.  The truncation is re-derived
-    from each candidate decay ratio and fixed from the final one, and
-    logit d is bounded above so that it stays at or below
+    :func:`levenberg_marquardt` minimizes the squared log-count residuals
+    over (logit p1, w) with ``w = -logit d``, so the returned values are
+    strictly inside (0, 1) wherever a step lands: ``p1 = _expit(x[0])``
+    and ``d = _expit(-x[1])``.  The truncation is re-derived from each
+    candidate decay ratio and fixed from the final one, and w is bounded
+    below at ``-_MAX_DECAY_LOGIT`` so that it stays at or below
     ``MAX_FIT_TRUNCATION``.  The Jacobian is analytic on both summation
     routes: with ``lambda`` the intensity, the residuals' derivatives are
     ``-(1 - p1) t lambda(t) / mu(t)`` in logit p1 and
-    ``-(1 - d) t W(t) / mu(t)`` in logit d, for the weighted intensity sum
-    W of :func:`geomrel.model._intensity_sums`, formed from the array of
-    terms that the residuals' mean at the same point built.  The times are
-    checked once for all probes, and probes at one d share one set of
-    tail sums.
+    ``(1 - d) t W(t) / mu(t)`` in w, for the weighted intensity sum W of
+    :func:`geomrel.model._intensity_sums`, formed from the array of terms
+    that the residuals' mean at the same point built; the loop gets
+    ``J^T r`` and ``J^T J`` from them.  The times are checked once for all
+    probes, and probes at one d share one set of tail sums.
 
     The search starts from the better of two candidates.  The growth
     candidate has d = 0.94 and the leading rate at which the modelled mean
@@ -597,7 +568,7 @@ def fit(ds: FailureDataset) -> FitResult:
     when the growth candidate's rate sits at its clip of 1/2 (a count the
     mean at d = 0.94 cannot reach, towards the saturated corner).  The
     search starts from the probed candidate with the lower objective, and
-    the loop takes that probe's residuals rather than evaluating them
+    the loop takes that probe's objective rather than evaluating it
     again.  A search from the bound that probes off it may be heading for
     another basin than the growth candidate's, so it is abandoned at that
     probe and the fit is the search from the growth candidate, as if that
@@ -606,7 +577,7 @@ def fit(ds: FailureDataset) -> FitResult:
     that one is.  So every fit either searches on the bound throughout or
     ends where the growth start alone ends it.  ``diagnostics`` is the kept
     search's, except that ``evaluations``, ``nonfinite_evaluations`` and
-    ``jacobian_evaluations`` count every residual evaluation, non-finite
+    ``jacobian_evaluations`` count every objective evaluation, non-finite
     point and Jacobian the fit made, each once: the candidates and an
     abandoned search's included.  Non-convergence is reported through
     ``converged``, never silently.
@@ -618,51 +589,58 @@ def fit(ds: FailureDataset) -> FitResult:
     q = float(math.exp(log_counts[-1]))
     p1_start = _initial_p1(t_q, q)
     tails = {}  # the tail sums of every d probed, shared by its probes
-    probed = []  # the latest probe's (p1, d, params, mean, head terms)
+    probed = []  # the latest probe's (p1, d, params, mean, head terms, residuals)
     at_jacobian = []  # the params of the latest point the Jacobian was taken at
-    handed = []  # the start's probe, residuals and state, for the loop's first call
+    handed = []  # the start's probe, objective and state, for the loop's first call
     evaluations = nonfinite = jacobians = 0
     # A search from the bound is abandoned at its first probe off it.
     abandon = False
 
-    def residuals(z: np.ndarray):
+    def objective(z: np.ndarray):
         nonlocal evaluations, nonfinite
-        z0, z1 = z.tolist()
-        if handed and handed[0][0] == [z0, z1]:
-            _, out, probed[:] = handed.pop()
-            return out
-        if abandon and z1 < _MAX_DECAY_LOGIT:
+        z0, w = z.tolist()
+        if handed and handed[0][0] == [z0, w]:
+            _, value, probed[:] = handed.pop()
+            return value
+        if abandon and w > -_MAX_DECAY_LOGIT:
             raise _OffBound
         evaluations += 1
         p1 = _expit(z0)
-        d = _expit(z1)
+        d = _expit(-w)
         if not (0.0 < p1 < 1.0 and 0.0 < d < 1.0):
             nonfinite += 1
             return None
         params = GeometricModelParams._from_checked(p1, d, default_truncation(d))
         params.__dict__["_tails"] = tails.setdefault(d, {})
         mu, terms = _mean_terms(params, column, t_max)
-        probed[:] = p1, d, params, mu, terms
         r = np.log(mu)
         r = np.subtract(log_counts, r, out=r)
-        nonfinite += not math.isfinite(float(r.dot(r)))
-        return r
+        probed[:] = p1, d, params, mu, terms, r
+        value = float(r.dot(r))
+        nonfinite += not math.isfinite(value)
+        return value
 
-    def jacobian(z: np.ndarray, r: np.ndarray) -> list[np.ndarray]:
+    def derivatives(z: np.ndarray):
         nonlocal jacobians
         jacobians += 1
-        p1, d, params, mu, terms = probed
+        p1, d, params, mu, terms, r = probed
         at_jacobian[:] = [params]
         intensity, weighted = _intensity_sums(params, column, terms)
         scale = times / mu
-        return [-(1.0 - p1) * scale * intensity, -(1.0 - d) * scale * weighted]
+        c0 = -(1.0 - p1) * scale * intensity
+        c1 = (1.0 - d) * scale * weighted
+        a01 = float(c0.dot(c1))
+        return [float(c0.dot(r)), float(c1.dot(r))], [
+            [float(c0.dot(c0)), a01],
+            [a01, float(c1.dot(c1))],
+        ]
 
     def candidate(start: list[float]) -> tuple[float, tuple]:
         """The objective at ``start`` (+inf where it is not finite) and the
         probe that the loop's first call at ``start`` is handed."""
-        out = residuals(np.array(start))
-        value = math.inf if out is None else float(out.dot(out))
-        return value if math.isfinite(value) else math.inf, (start, out, list(probed))
+        value = objective(np.array(start))
+        finite = value is not None and math.isfinite(value)
+        return value if finite else math.inf, (start, value, list(probed))
 
     def search(probe: tuple) -> tuple[OptimizerResult, GeometricModelParams]:
         """The loop's run from a candidate's probe, and the params that the
@@ -670,19 +648,19 @@ def fit(ds: FailureDataset) -> FitResult:
         cached: the latest probe's when the run ended on accepting it."""
         handed[:] = [probe]
         best, diag = levenberg_marquardt(
-            residuals, jacobian, probe[0], upper=[math.inf, _MAX_DECAY_LOGIT]
+            objective, derivatives, probe[0], lower=[-math.inf, -_MAX_DECAY_LOGIT]
         )
-        point = [_expit(float(best[0])), _expit(float(best[1]))]
+        point = [_expit(float(best[0])), _expit(-float(best[1]))]
         return diag, probed[2] if probed[:2] == point else at_jacobian[0]
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        value, growth = candidate([_logit(p1_start), _logit(_INITIAL_DECAY_GUESS)])
+        value, growth = candidate([_logit(p1_start), -_logit(_INITIAL_DECAY_GUESS)])
         start = growth
         p1_bound = q / (t_q * _BOUND_POWER_SUM)
         if p1_start < 0.5 and p1_bound > 0.0:
             linear = (log_counts - log_counts[-1]) - np.log(times / t_q)
             if float(linear.dot(linear)) < value:
-                bound_value, bound = candidate([_logit(p1_bound), _MAX_DECAY_LOGIT])
+                bound_value, bound = candidate([_logit(p1_bound), -_MAX_DECAY_LOGIT])
                 if bound_value < value:
                     start = bound
                     abandon = True

@@ -130,16 +130,23 @@ def test_criterion_05_parameter_recovery():
 
 def test_criterion_06_rosenbrock_benchmark():
     with Criterion(6, "Levenberg-Marquardt reaches the Rosenbrock minimum from (-1.2, 1)", 1.0):
-        # Rosenbrock's function as the squares of r = (10(y - x^2), 1 - x).
+        # Rosenbrock's function as the squares of r = (10(y - x^2), 1 - x),
+        # with g = J^T r and A = J^T J.
         def residuals(z):
             x, y = z.tolist()
             return np.array([10.0 * (y - x * x), 1.0 - x])
 
-        def jacobian(z, r):
-            x = float(z[0])
-            return [np.array([-20.0 * x, -1.0]), np.array([10.0, 0.0])]
+        def objective(z):
+            r = residuals(z)
+            return float(r @ r)
 
-        best, diag = levenberg_marquardt(residuals, jacobian, [-1.2, 1.0])
+        def derivatives(z):
+            r = residuals(z)
+            columns = [np.array([-20.0 * float(z[0]), -1.0]), np.array([10.0, 0.0])]
+            gradient = [float(c @ r) for c in columns]
+            return gradient, [[float(a @ b) for b in columns] for a in columns]
+
+        best, diag = levenberg_marquardt(objective, derivatives, [-1.2, 1.0])
         assert diag.converged
         assert abs(best[0] - 1.0) <= 1e-6 and abs(best[1] - 1.0) <= 1e-6
 

@@ -542,6 +542,14 @@ class TestLittlewoodVerrallOnNtds:
             sub, fitted = fits[n]
             assert_converged_at_the_start(fitted, sub)
 
+    def test_diagnostics_x_reads_back_to_the_params(self, fits):
+        # The loop searches (u, ln scale0, scale1 / mean interval).
+        for n, (sub, fitted) in fits.items():
+            u, log_scale0, trend = fitted.diagnostics.x
+            scale = float(np.mean(sub.time_between_failures()))
+            expected = LittlewoodVerrallParams(u, math.exp(log_scale0), trend * scale)
+            assert fitted.params == expected, n
+
     def test_exponential_limit_named(self, fits):
         flagged = {n for n, (_, fitted) in fits.items() if fitted.boundary == "exponential-limit"}
         assert flagged == {7, 8, 11, 13, 16, 18, 20, 21, 22, 23}
@@ -630,21 +638,6 @@ class TestLittlewoodVerrallGate:
             assert fitted.diagnostics.value == pytest.approx(math.fsum(terms), rel=1e-12)
 
 
-def _captured_lv(monkeypatch, ds: FailureDataset):
-    """The objective and derivatives a Littlewood-Verrall fit hands to
-    ``levenberg_marquardt``."""
-    captured = []
-    original = estimation.levenberg_marquardt
-
-    def capture(objective, derivatives, start, *bounds, **form):
-        captured.append((objective, derivatives))
-        return original(objective, derivatives, start, *bounds, **form)
-
-    monkeypatch.setattr(estimation, "levenberg_marquardt", capture)
-    LittlewoodVerrall.fit(ds)
-    return captured[-1]
-
-
 class TestLittlewoodVerrallDerivatives:
     """The fit's half-gradient and half-Hessian in (u, ln scale0, scale1)
     against differences of its value and of its gradient: central ones,
@@ -667,8 +660,9 @@ class TestLittlewoodVerrallDerivatives:
         ],
         ids=["interior", "interior-series-only", "u=0", "scale1=0", "both-zero"],
     )
-    def test_against_differences(self, monkeypatch, ntds, z, straddles):
-        objective, derivatives = _captured_lv(monkeypatch, ntds)
+    def test_against_differences(self, loop_runs, ntds, z, straddles):
+        LittlewoodVerrall.fit(ntds)
+        objective, derivatives = loop_runs[-1].objective, loop_runs[-1].derivatives
         tbf = ntds.time_between_failures()
         x = z[0] * tbf / (math.exp(z[1]) + z[2] * np.arange(1, tbf.size + 1) ** 2)
         # Whether the terms' x lie on both sides of the series switch.
@@ -677,7 +671,7 @@ class TestLittlewoodVerrallDerivatives:
         def at(point):
             point = np.array(point, dtype=float)
             value = objective(point)
-            half_gradient, half_hessian = derivatives(point, value)
+            half_gradient, half_hessian = derivatives(point)
             return value, 2.0 * np.array(half_gradient), 2.0 * np.array(half_hessian)
 
         def moved(j, steps):
@@ -912,27 +906,30 @@ class TestClosedFormReference:
 
 
 class TestVariableProjectionJacobian:
-    """The closed-form fits' derivative of the centred residuals in -ln c
-    against central differences of those residuals."""
+    """The closed-form fits' derivatives in ln c = -u, ``J^T r`` and
+    ``J^T J`` for the centred residuals r, against those formed from
+    central differences of those residuals."""
 
     @pytest.mark.parametrize("name", ["musa-basic", "musa-okumoto"])
     @pytest.mark.parametrize("u", [9.0, 5.0, 2.0])
-    def test_matches_central_differences(self, monkeypatch, name, u):
-        captured = []
-        original = estimation.levenberg_marquardt
-
-        def capture(residuals, jacobian, start, upper=None):
-            captured.append((residuals, jacobian))
-            return original(residuals, jacobian, start, upper)
-
-        monkeypatch.setattr(estimation, "levenberg_marquardt", capture)
+    def test_matches_central_differences(self, loop_runs, name, u):
         times = np.array([5.0, 30.0, 90.0, 200.0, 420.0])
-        fit_model(name, FailureDataset(tuple((t, 2 * k + 1) for k, t in enumerate(times))))
-        residuals, jacobian = captured[-1]
-        (column,) = jacobian(np.array([u]), residuals(np.array([u])))
+        counts = [2 * k + 1 for k in range(times.size)]
+        fit_model(name, FailureDataset(tuple(zip(times.tolist(), counts))))
+        run = loop_runs[-1]
+        value = run.objective(np.array([-u]))
+        (gradient,), ((curvature,),) = run.derivatives(np.array([-u]))
+
+        def residuals(v):
+            r = np.log(counts) - comparison._CLOSED_FORMS[name].log_shape(math.exp(v), times)[0]
+            return r - r.mean()
+
+        r = residuals(-u)
+        assert value == pytest.approx(float(r @ r), rel=1e-12)
         h = 1e-5
-        expected = (residuals(np.array([u + h])) - residuals(np.array([u - h]))) / (2 * h)
-        np.testing.assert_allclose(column, expected, rtol=1e-6)
+        column = (residuals(-u + h) - residuals(-u - h)) / (2 * h)
+        assert gradient == pytest.approx(float(column @ r), rel=1e-6)
+        assert curvature == pytest.approx(float(column @ column), rel=1e-6)
 
 
 class TestFitDiagnostics:
@@ -982,13 +979,20 @@ class TestFitDiagnostics:
     def test_closed_forms_name_their_no_growth_bound(self, name):
         # NTDS prefixes 5 to 25 end exactly on the bound c t_q = 1e-12 of
         # the rate; prefixes 2 to 4 and the whole history fit inside it.
+        # The loop searches ln c, from which the fitted rate reads back.
         with open(REPO_DATA / "ntds_tbf.csv", "rb") as handle:
             ntds = parse_dataset(handle, "tbf_csv", label="ntds")
         for n in range(2, len(ntds) + 1):
             prefix = ntds.prefix(n)
             fitted = fit_model(name, prefix)
-            bound = -math.log(comparison._LINEAR_LIMIT / prefix.final_time)
-            on_bound = fitted.diagnostics.x[0] == bound
+            (x0,) = fitted.diagnostics.x
+            first, second = fitted.params
+            if name == "musa-okumoto":
+                assert math.exp(x0) == pytest.approx(first * second, rel=1e-14), n
+            else:
+                assert math.exp(x0) == second, n
+            bound = math.log(comparison._LINEAR_LIMIT / prefix.final_time)
+            on_bound = x0 == bound
             assert on_bound == (5 <= n <= 25), n
             assert fitted.boundary == ("no-growth" if on_bound else None), n
             assert fitted.diagnostics.converged, n

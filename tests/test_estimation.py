@@ -331,46 +331,24 @@ def test_fit_result_recomputes_for_random_truth(p1, d):
 
 class TestEvaluationCount:
     """The record's evaluation counts match an independent tally of the
-    objective (or residual) and Jacobian calls of real fits, the start
-    included."""
+    objective and derivatives calls of real fits, the start included."""
 
-    @pytest.fixture
-    def tallied(self, monkeypatch):
-        runs = []
-        original = estimation.levenberg_marquardt
-
-        def counted(fn, tally, i):
-            def wrapper(*args):
-                tally[i] += 1
-                return fn(*args)
-
-            return wrapper
-
-        def counting_levenberg_marquardt(residuals, jacobian, start, *bounds, **form):
-            tally = [0, 0]
-            best, diag = original(
-                counted(residuals, tally, 0), counted(jacobian, tally, 1), start, *bounds, **form
-            )
-            runs.append((tally, diag))
-            return best, diag
-
-        monkeypatch.setattr(estimation, "levenberg_marquardt", counting_levenberg_marquardt)
-        return runs
-
-    def test_geometric_fit(self, tallied):
+    def test_geometric_fit(self, loop_runs):
         ds = forward_dataset(GeometricModelParams(0.05, 0.95), [10.0 * k for k in range(1, 21)])
         fit(ds)
-        ((evaluations, jacobians), diag), = tallied
+        (run,) = loop_runs
+        evaluations, jacobians, diag = run.objective_calls, run.derivative_calls, run.result
         assert diag.optimizer == "levenberg-marquardt"
         assert (diag.evaluations, diag.jacobian_evaluations) == (evaluations, jacobians)
-        # One residual call for the start and at most one per step tried.
+        # One objective call for the start and at most one per step tried.
         assert diag.iterations <= evaluations <= 1 + diag.iterations
         assert 1 <= jacobians <= evaluations
 
-    def test_littlewood_verrall_fit(self, tallied):
+    def test_littlewood_verrall_fit(self, loop_runs):
         tbf = np.random.default_rng(5).exponential(3.0, size=40)
         fitted = LittlewoodVerrall.fit(FailureDataset.from_tbf(tbf))
-        ((evaluations, jacobians), diag), = tallied
+        (run,) = loop_runs
+        evaluations, jacobians, diag = run.objective_calls, run.derivative_calls, run.result
         assert diag is fitted.diagnostics
         assert diag.optimizer == "levenberg-marquardt"
         assert (diag.evaluations, diag.jacobian_evaluations) == (evaluations, jacobians)
@@ -567,7 +545,7 @@ def _rosenbrock_jacobian(x, r):
 
 
 def _bounded_residuals(x):
-    # The unconstrained minimum (3, 1) lies beyond x0 <= 2.
+    # The unconstrained minimum (3, 1) lies below x0 >= 4.
     return np.array([x[0] - 3.0, x[1] - 1.0, 0.1 * x[0] * x[1]])
 
 
@@ -579,7 +557,7 @@ _COUPLING = 0.1
 
 
 def _coupled_residuals(x):
-    # The minimum (1, -1) lies beyond x0 <= 0, across strongly coupled
+    # The minimum (1, -1) lies below x0 >= 2, across strongly coupled
     # coordinates.
     return np.array([x[0] + x[1], _COUPLING * (x[0] - x[1] - 2.0)])
 
@@ -613,6 +591,26 @@ def _arctan_residuals(x):
 
 def _arctan_jacobian(x, r):
     return [np.array([1.0 / (1.0 + x[0] * x[0]), 0.2 * x[0]])]
+
+
+def _least_squares(residuals, jacobian):
+    """The callbacks of :func:`levenberg_marquardt` for ``sum(r**2)``, with
+    ``r = residuals(x)``: the objective, and ``J^T r`` and ``J^T J`` from
+    the columns ``jacobian(x, r)`` at the latest probe."""
+    latest = []
+
+    def objective(x):
+        r = residuals(x)
+        latest[:] = [r]
+        return None if r is None else float(r.dot(r))
+
+    def derivatives(x):
+        (r,) = latest
+        columns = jacobian(x, r)
+        gradient = [float(c.dot(r)) for c in columns]
+        return gradient, [[float(a.dot(b)) for b in columns] for a in columns]
+
+    return objective, derivatives
 
 
 # name -> (residuals, jacobian, number of coordinates)
@@ -658,12 +656,14 @@ def _reference_damped_step(normal, gradient, damping, free, at_bound, hit):
     return step
 
 
-def reference_levenberg_marquardt(residuals, jacobian, start, upper=None, branches=None):
+def reference_levenberg_marquardt(objective, derivatives, start, upper=None, branches=None):
     """The loop as first written, with list-of-lists matrices, a dict of
-    crossing shares and generator sums, and without the checks on
-    ``upper``.  Adds the name of every branch it takes to ``branches`` if
-    given.  Its constants are read from the module, so that patching them
-    moves both loops alike."""
+    crossing shares and generator sums, upper bounds, and without the
+    checks on ``upper``.  It takes the value, and half the gradient and the
+    whole of half the Hessian, from the callbacks of
+    :func:`levenberg_marquardt`.  Adds the name of every branch it takes to
+    ``branches`` if given.  Its constants are read from the module, so that
+    patching them moves both loops alike."""
     hit = branches.add if branches is not None else (lambda name: None)
     x = [float(v) for v in np.asarray(start, dtype=float)]
     if not 1 <= len(x) <= 2:
@@ -678,17 +678,16 @@ def reference_levenberg_marquardt(residuals, jacobian, start, upper=None, branch
     def evaluate(point):
         nonlocal nonfinite, evaluations
         evaluations += 1
-        r = residuals(np.array(point))
-        value = math.inf if r is None else float(r @ r)
-        if not math.isfinite(value):
+        value = objective(np.array(point))
+        if value is None or not math.isfinite(value):
             hit("nonfinite")
             nonfinite += 1
-            return None, math.inf
-        return r, value
+            return math.inf
+        return value
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        r, value = evaluate(x)
-        if r is None:
+        value = evaluate(x)
+        if value == math.inf:
             raise ValueError("objective is not finite at the start")
 
         damping, growth = estimation._LM_DAMPING, 2.0
@@ -697,10 +696,8 @@ def reference_levenberg_marquardt(residuals, jacobian, start, upper=None, branch
         fresh = True
         while True:
             if fresh:
-                columns = jacobian(np.array(x), r)
+                gradient, normal = derivatives(np.array(x))
                 jacobians += 1
-                gradient = [float(c @ r) for c in columns]
-                normal = [[float(a @ b) for b in columns] for a in columns]
                 free = [
                     i for i in range(k)
                     if normal[i][i] > 0.0 and not (x[i] >= bounds[i] and gradient[i] < 0.0)
@@ -734,7 +731,7 @@ def reference_levenberg_marquardt(residuals, jacobian, start, upper=None, branch
                 converged = True
                 break
 
-            r_trial, value_trial = evaluate(trial)
+            value_trial = evaluate(trial)
             if value_trial < value:
                 decrease = value - value_trial
                 predicted = -sum(
@@ -742,7 +739,7 @@ def reference_levenberg_marquardt(residuals, jacobian, start, upper=None, branch
                     for s, g, row in zip(step, gradient, normal)
                 )
                 small = decrease <= estimation._LM_DECREASE * value
-                x, r, value = trial, r_trial, value_trial
+                x, value = trial, value_trial
                 if small:
                     hit("small-decrease")
                     converged = True
@@ -771,48 +768,77 @@ def reference_levenberg_marquardt(residuals, jacobian, start, upper=None, branch
     return np.array(x), result
 
 
-def _assert_same(outcomes):
+def reference_on_negated(objective, derivatives, start, lower=None, branches=None):
+    """:func:`reference_levenberg_marquardt` on the negated problem: in
+    y = -x, with ``upper = -lower``, the gradient negated and the Hessian
+    as it is.  Its point, as a list, and its record come back in x."""
+
+    def negated_objective(y):
+        return objective(-y)
+
+    def negated_derivatives(y):
+        gradient, hessian = derivatives(-y)
+        return [-g for g in gradient], hessian
+
+    upper = None if lower is None else [-b for b in lower]
+    best, result = reference_levenberg_marquardt(
+        negated_objective, negated_derivatives, [-v for v in start], upper, branches
+    )
+    return (-best).tolist(), dataclasses.replace(result, x=tuple(-v for v in result.x))
+
+
+def _assert_same(outcomes, signed_zeros=True):
+    """Coordinate by coordinate and field by field, with ==, and with
+    ``signed_zeros`` zeros of the same sign.  A run on the negated problem
+    cannot keep the sign of a zero: a coordinate at -0 or +0 that takes a
+    zero step ends at +0 in either loop."""
     live, reference = outcomes
     if isinstance(reference, str):
         assert live == reference
         return
     (best, result), (best_ref, result_ref) = live, reference
-    # Coordinate by coordinate and field by field, with ==, and zeros of
-    # the same sign.
     assert best == best_ref
-    assert [math.copysign(1.0, v) for v in best] == [math.copysign(1.0, v) for v in best_ref]
+    if signed_zeros:
+        assert [math.copysign(1.0, v) for v in best] == [math.copysign(1.0, v) for v in best_ref]
     for field in dataclasses.fields(OptimizerResult):
         assert getattr(result, field.name) == getattr(result_ref, field.name), field.name
 
 
-def _run_both_lm(residuals, jacobian, start, upper=None, branches=None):
-    """Outcomes of the live loop and of the reference on one problem:
-    ``(best, result)`` or the message of the ``ValueError`` raised."""
+def _assert_same_as_reference(objective, derivatives, start, lower=None, branches=None):
+    """The live loop and the reference give the same outcome on one
+    problem: ``(best, result)`` or the message of the ``ValueError``
+    raised.  The reference runs on the problem itself when no bound is
+    finite, and on the negated problem otherwise."""
+    negated = lower is not None and any(b > -math.inf for b in lower)
+
+    def reference(objective, derivatives, start, lower):
+        if negated:
+            return reference_on_negated(objective, derivatives, start, lower, branches)
+        return reference_levenberg_marquardt(objective, derivatives, start, None, branches)
+
     outcomes = []
-    runs = (
-        levenberg_marquardt,
-        lambda *a: reference_levenberg_marquardt(*a, branches=branches),
-    )
-    for run in runs:
+    for run in (levenberg_marquardt, reference):
         try:
-            best, result = run(residuals, jacobian, start, upper)
+            best, result = run(objective, derivatives, start, lower)
         except ValueError as exc:
             outcomes.append(str(exc))
         else:
-            assert isinstance(best, np.ndarray) and best.dtype == float and best.ndim == 1
-            outcomes.append((best.tolist(), result))
-    return outcomes
+            if isinstance(best, np.ndarray):
+                assert best.dtype == float and best.ndim == 1
+                best = best.tolist()
+            outcomes.append((best, result))
+    _assert_same(outcomes, signed_zeros=not negated)
 
 
-# The fixed cases of TestLevenbergMarquardt: (problem, start, upper, cap).
+# The fixed cases of TestLevenbergMarquardt: (problem, start, lower, cap).
 _LM_CASES = {
     "rosenbrock": ("rosenbrock", [-1.2, 1.0], None, None),
-    "held-bound": ("bounded", [0.0, 0.0], [2.0, math.inf], None),
-    "coupled-resolve": ("coupled", [0.0, 3.0], [0.0, math.inf], None),
+    "held-bound": ("bounded", [6.0, 0.0], [4.0, -math.inf], None),
+    "coupled-resolve": ("coupled", [2.0, -5.0], [2.0, -math.inf], None),
     "nonfinite-probes": ("holed", [0.0], None, None),
     "iteration-cap": ("rosenbrock", [-1.2, 1.0], None, 1),
-    "both-cross": ("bowl", [0.0, 0.0], [1.0, 1.0], None),
-    "one-crosses-first": ("bowl", [0.0, 0.0], [1.0, 2.0], None),
+    "both-cross": ("bowl", [6.0, 6.0], [5.0, 5.0], None),
+    "one-crosses-first": ("bowl", [6.0, 6.0], [5.0, 4.0], None),
     "arctan": ("arctan", [3.0], None, None),
 }
 
@@ -826,19 +852,19 @@ def _lm_cap(cap):
 @pytest.mark.parametrize("case", sorted(_LM_CASES))
 def test_levenberg_marquardt_equals_frozen_reference(case):
     """Each fixed case gives the same point and the same record, field by
-    field, as the loop it replaced."""
-    problem, start, upper, cap = _LM_CASES[case]
+    field, as the loop it replaced, run on the negated problem."""
+    problem, start, lower, cap = _LM_CASES[case]
     residuals, jacobian, _ = _LM_PROBLEMS[problem]
     with _lm_cap(cap):
-        _assert_same(_run_both_lm(residuals, jacobian, start, upper))
+        _assert_same_as_reference(*_least_squares(residuals, jacobian), start, lower)
 
 
 def test_levenberg_marquardt_cases_reach_every_branch():
     branches = set()
-    for problem, start, upper, cap in _LM_CASES.values():
+    for problem, start, lower, cap in _LM_CASES.values():
         residuals, jacobian, _ = _LM_PROBLEMS[problem]
         with _lm_cap(cap):
-            _run_both_lm(residuals, jacobian, start, upper, branches)
+            _assert_same_as_reference(*_least_squares(residuals, jacobian), start, lower, branches)
     assert branches == _LM_BRANCHES
 
 
@@ -851,9 +877,9 @@ def _lm_problems(draw):
     residuals, jacobian, k = _LM_PROBLEMS[name]
     scale = draw(st.sampled_from([1.0, 1e-3, 1e3, draw(st.floats(1e-2, 1e2))]))
     start = draw(st.lists(_COORDINATE, min_size=k, max_size=k))
-    # Each coordinate unbounded, on its bound, or below it.
+    # Each coordinate unbounded, on its bound, or above it.
     margins = st.one_of(st.just(math.inf), st.just(0.0), st.floats(0.0, 4.0))
-    upper = [v + m for v, m in zip(start, draw(st.lists(margins, min_size=k, max_size=k)))]
+    lower = [v - m for v, m in zip(start, draw(st.lists(margins, min_size=k, max_size=k)))]
     cap = draw(st.sampled_from([None, draw(st.integers(1, 30))]))
 
     def scaled_residuals(x):
@@ -863,21 +889,21 @@ def _lm_problems(draw):
     def scaled_jacobian(x, r):
         return [scale * c for c in jacobian(x, r / scale)]
 
-    return scaled_residuals, scaled_jacobian, start, upper, cap
+    return (*_least_squares(scaled_residuals, scaled_jacobian), start, lower, cap)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_lm_problems())
 def test_levenberg_marquardt_equals_frozen_reference_on_random_problems(problem):
-    residuals, jacobian, start, upper, cap = problem
+    objective, derivatives, start, lower, cap = problem
     with _lm_cap(cap):
-        _assert_same(_run_both_lm(residuals, jacobian, start, upper))
+        _assert_same_as_reference(objective, derivatives, start, lower)
 
 
 class TestLevenbergMarquardt:
     def test_rosenbrock_least_squares(self):
         best, diag = levenberg_marquardt(
-            _rosenbrock_residuals, _rosenbrock_jacobian, [-1.2, 1.0]
+            *_least_squares(_rosenbrock_residuals, _rosenbrock_jacobian), [-1.2, 1.0]
         )
         assert best == pytest.approx([1.0, 1.0], abs=1e-6)
         assert diag.converged
@@ -886,45 +912,57 @@ class TestLevenbergMarquardt:
         assert diag.x == tuple(best.tolist())
 
     def test_only_lower_points_are_accepted(self):
-        # The Jacobian is taken at the start and at every accepted point,
-        # so the objective falls strictly along those calls.
+        # The derivatives are taken at the start and at every accepted
+        # point, so the objective falls strictly along those calls.
         values = []
+        objective, derivatives = _least_squares(_rosenbrock_residuals, _rosenbrock_jacobian)
 
-        def jacobian(x, r):
+        def recorded(x):
+            r = _rosenbrock_residuals(x)
             values.append(float(r @ r))
-            return _rosenbrock_jacobian(x, r)
+            return derivatives(x)
 
-        _, diag = levenberg_marquardt(_rosenbrock_residuals, jacobian, [-1.2, 1.0])
+        _, diag = levenberg_marquardt(objective, recorded, [-1.2, 1.0])
         assert len(values) == diag.jacobian_evaluations >= 2
         assert all(b < a for a, b in zip(values, values[1:]))
         assert diag.value <= values[-1]
 
     def test_upper_bound_holds_a_coordinate(self):
-        # The unconstrained minimum (3, 1) lies beyond x0 <= 2: the search
-        # ends on that bound, with the free coordinate at its optimum.
+        # The unconstrained minimum (3, 1) lies beyond x0 <= 2.  The search
+        # runs on y0 = -x0 >= -2, ends on that bound, with the free
+        # coordinate at its optimum.
+        def residuals(y):
+            return _bounded_residuals(np.array([-y[0], y[1]]))
+
+        def jacobian(y, r):
+            by_x0, by_x1 = _bounded_jacobian(np.array([-y[0], y[1]]), r)
+            return [-by_x0, by_x1]
+
         best, diag = levenberg_marquardt(
-            _bounded_residuals, _bounded_jacobian, [0.0, 0.0], upper=[2.0, math.inf]
+            *_least_squares(residuals, jacobian), [0.0, 0.0], lower=[-2.0, -math.inf]
         )
-        assert best[0] == 2.0
+        assert best[0] == -2.0
         assert best[1] == pytest.approx(1.0 / 1.04, rel=1e-6)
         assert diag.converged
 
     def test_coupled_step_across_the_bound_is_solved_again(self):
-        # From (0, 3), on the bound x0 <= 0, the gradient in x0 points
+        # From (2, -5), on the bound x0 >= 2, the gradient in x0 points
         # inward, but the joint step heads for the minimum (1, -1) beyond
         # the bound.  x0 is held, and x1 reaches the optimum on the bound.
         eps = _COUPLING
         best, diag = levenberg_marquardt(
-            _coupled_residuals, _coupled_jacobian, [0.0, 3.0], upper=[0.0, math.inf]
+            *_least_squares(_coupled_residuals, _coupled_jacobian),
+            [2.0, -5.0],
+            lower=[2.0, -math.inf],
         )
-        assert best[0] == 0.0
-        assert best[1] == pytest.approx(-2.0 * eps**2 / (1.0 + eps**2), rel=1e-6)
+        assert best[0] == 2.0
+        assert best[1] == pytest.approx(-2.0 / (1.0 + eps**2), rel=1e-6)
         assert diag.converged
 
     def test_nonfinite_probes_counted_not_fatal(self):
         # The minimum at 3 lies beyond a region outside the domain from 2:
         # the walk tallies the rejected probes and settles below 2.
-        best, diag = levenberg_marquardt(_holed_residuals, _holed_jacobian, [0.0])
+        best, diag = levenberg_marquardt(*_least_squares(_holed_residuals, _holed_jacobian), [0.0])
         assert diag.nonfinite_evaluations >= 1
         assert 1.9 < best[0] <= 2.0
         assert diag.converged
@@ -932,31 +970,34 @@ class TestLevenbergMarquardt:
     def test_iteration_cap_reported(self):
         with mock.patch.object(estimation, "_LM_MAX_ITERATIONS", 1):
             _, diag = levenberg_marquardt(
-                _rosenbrock_residuals, _rosenbrock_jacobian, [-1.2, 1.0]
+                *_least_squares(_rosenbrock_residuals, _rosenbrock_jacobian), [-1.2, 1.0]
             )
         assert diag.iterations == 1
         assert not diag.converged
 
     def test_invalid_starts_rejected(self):
+        _, derivatives = _least_squares(_rosenbrock_residuals, _rosenbrock_jacobian)
         with pytest.raises(ValueError, match="start"):
-            levenberg_marquardt(lambda x: None, _rosenbrock_jacobian, [0.0, 0.0])
+            levenberg_marquardt(lambda x: None, derivatives, [0.0, 0.0])
         with pytest.raises(ValueError, match="1 to 3 coordinates"):
-            levenberg_marquardt(_rosenbrock_residuals, _rosenbrock_jacobian, [0.0] * 4)
+            levenberg_marquardt(
+                *_least_squares(_rosenbrock_residuals, _rosenbrock_jacobian), [0.0] * 4
+            )
 
     @pytest.mark.parametrize(
-        "problem, start, upper, message",
+        "problem, start, lower, message",
         [
-            ("rosenbrock", [0.0, 0.0], [1.0], "one bound per coordinate"),
-            ("holed", [0.0], [1.0, 2.0], "one bound per coordinate"),
-            ("rosenbrock", [0.0, 0.0], [math.nan, 1.0], "NaN"),
-            ("bounded", [0.0, 3.0], [1.0, 2.0], "start must lie within upper"),
+            ("rosenbrock", [0.0, 0.0], [-1.0], "one bound per coordinate"),
+            ("rosenbrock", [0.0, 0.0], [-1.0] * 3, "one bound per coordinate"),
+            ("rosenbrock", [0.0, 0.0], [math.nan, -1.0], "NaN"),
+            ("bounded", [0.0, 3.0], [1.0, 2.0], "start must lie within lower"),
         ],
-        ids=["too-few", "too-many", "nan", "start-above"],
+        ids=["too-few", "too-many", "nan", "start-below"],
     )
-    def test_invalid_upper_rejected(self, problem, start, upper, message):
+    def test_invalid_lower_rejected(self, problem, start, lower, message):
         residuals, jacobian, _ = _LM_PROBLEMS[problem]
         with pytest.raises(ValueError, match=message):
-            levenberg_marquardt(residuals, jacobian, start, upper)
+            levenberg_marquardt(*_least_squares(residuals, jacobian), start, lower)
 
     def test_numpy_state_restored_and_silenced(self):
         seen = []
@@ -966,7 +1007,7 @@ class TestLevenbergMarquardt:
             return _rosenbrock_residuals(x)
 
         before = np.geterr()
-        levenberg_marquardt(residuals, _rosenbrock_jacobian, [-1.2, 1.0])
+        levenberg_marquardt(*_least_squares(residuals, _rosenbrock_jacobian), [-1.2, 1.0])
         assert np.geterr() == before
         assert all(s["over"] == s["invalid"] == s["divide"] == "ignore" for s in seen)
 
@@ -976,7 +1017,7 @@ def _rosenbrock_value(x):
     return (1.0 - x0) ** 2 + 100.0 * (x1 - x0 * x0) ** 2
 
 
-def _rosenbrock_halves(x, value):
+def _rosenbrock_halves(x):
     # Half the gradient and half the Hessian of _rosenbrock_value.
     x0, x1 = x.tolist()
     bend = x1 - x0 * x0
@@ -987,24 +1028,28 @@ def _rosenbrock_halves(x, value):
 
 
 class TestLevenbergMarquardtWidened:
-    """Lower bounds, a third coordinate and the Hessian form."""
+    """Lower bounds, a third coordinate, and Hessians that are not
+    Gauss-Newton products."""
 
     def test_lower_bound_is_reached_exactly(self):
         # The minimum (3, 1) lies below x0 >= 4: the step that crosses the
         # bound ends on it, and x0 is then held there.
         best, diag = levenberg_marquardt(
-            _bounded_residuals, _bounded_jacobian, [6.0, 0.0], lower=[4.0, -math.inf]
+            *_least_squares(_bounded_residuals, _bounded_jacobian),
+            [6.0, 0.0],
+            lower=[4.0, -math.inf],
         )
         assert best[0] == 4.0
         assert diag.converged
 
     def test_invalid_lower_rejected(self):
+        holed = _least_squares(_holed_residuals, _holed_jacobian)
         with pytest.raises(ValueError, match="lower must give one bound per coordinate"):
-            levenberg_marquardt(_holed_residuals, _holed_jacobian, [0.0], lower=[0.0, 1.0])
+            levenberg_marquardt(*holed, [0.0], lower=[0.0, 1.0])
         with pytest.raises(ValueError, match="lower must not contain NaN"):
-            levenberg_marquardt(_holed_residuals, _holed_jacobian, [0.0], lower=[math.nan])
+            levenberg_marquardt(*holed, [0.0], lower=[math.nan])
         with pytest.raises(ValueError, match="start must lie within lower"):
-            levenberg_marquardt(_holed_residuals, _holed_jacobian, [0.0], lower=[1.0])
+            levenberg_marquardt(*holed, [0.0], lower=[1.0])
 
     def test_third_coordinate_held_gives_the_smaller_solve(self):
         # A third coordinate with a zero Jacobian column is held: its
@@ -1015,10 +1060,13 @@ class TestLevenbergMarquardtWidened:
         def jacobian(x, r):
             return [*_bowl_jacobian(x[:2], r), np.zeros(3)]
 
-        for start, upper in [([0.0, 0.0], [1.0, 2.0]), ([-1.2, 1.0], None)]:
-            two = levenberg_marquardt(_bowl_residuals, _bowl_jacobian, start, upper)
+        for start, lower in [([6.0, 6.0], [5.0, 4.0]), ([-1.2, 1.0], None)]:
+            bowl = _least_squares(_bowl_residuals, _bowl_jacobian)
+            two = levenberg_marquardt(*bowl, start, lower)
             three = levenberg_marquardt(
-                residuals, jacobian, start + [5.0], None if upper is None else upper + [9.0]
+                *_least_squares(residuals, jacobian),
+                start + [5.0],
+                None if lower is None else lower + [1.0],
             )
             assert three[0].tolist() == two[0].tolist() + [5.0]
             assert dataclasses.replace(three[1], x=three[1].x[:2]) == two[1]
@@ -1027,9 +1075,7 @@ class TestLevenbergMarquardtWidened:
         # At (0, 1) the Rosenbrock Hessian is indefinite: the first steps are
         # refused without a probe until the damping makes it positive
         # definite, and the walk still reaches (1, 1).
-        best, diag = levenberg_marquardt(
-            _rosenbrock_value, _rosenbrock_halves, [0.0, 1.0], least_squares=False
-        )
+        best, diag = levenberg_marquardt(_rosenbrock_value, _rosenbrock_halves, [0.0, 1.0])
         assert best == pytest.approx([1.0, 1.0], abs=1e-6)
         assert diag.converged
         assert diag.value == _rosenbrock_value(best)
@@ -1037,28 +1083,28 @@ class TestLevenbergMarquardtWidened:
         assert diag.jacobian_evaluations >= 2
 
     def test_every_probe_descends_on_an_indefinite_quadratic(self):
-        # x'Ax on the box [-1, 1]**3 with A indefinite: its first minor is
-        # positive, its second negative and its determinant positive, so
-        # only the full leading-minor check refuses it.  Every probe then
-        # lies along a descent direction from the point whose derivatives
-        # it was solved from.
-        a = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
+        # x'Ax on x >= -1 with A indefinite: its first minor is positive,
+        # its second negative and its determinant positive, so only the
+        # full leading-minor check refuses it.  A has no negative entry,
+        # so x'Ax is bounded below there, with its least value -10 where
+        # two coordinates are -1 and the third 4.  Every probe lies along
+        # a descent direction from the point whose derivatives it was
+        # solved from.
+        a = np.array([[1.0, 2.0, 2.0], [2.0, 1.0, 2.0], [2.0, 2.0, 1.0]])
         probes, solved_from = [], []
 
         def value(x):
             probes.append((x.copy(), solved_from[-1] if solved_from else None))
             return float(x @ a @ x)
 
-        def halves(x, f):
+        def halves(x):
             solved_from.append((x.copy(), a @ x))
             return (a @ x).tolist(), a.tolist()
 
-        best, diag = levenberg_marquardt(
-            value, halves, [0.3, -0.2, 0.1], upper=[1.0] * 3, lower=[-1.0] * 3,
-            least_squares=False,
-        )
+        best, diag = levenberg_marquardt(value, halves, [0.3, -0.2, 0.1], lower=[-1.0] * 3)
         assert diag.converged
-        assert diag.value == pytest.approx(-3.0)
+        assert diag.value == pytest.approx(-10.0)
+        assert sorted(best.tolist()) == pytest.approx([-1.0, -1.0, 4.0])
         assert diag.iterations >= diag.evaluations  # some steps were refused
         for probe, origin in probes[1:]:
             x, g = origin
@@ -1072,10 +1118,9 @@ class TestLevenbergMarquardtWidened:
         for start in np.linspace(0.05, 3.0, 40).tolist():
             best, diag = levenberg_marquardt(
                 lambda x: float((x[0] + 0.7) ** 2),
-                lambda x, value: ([float(x[0] + 0.7)], [[1.0]]),
+                lambda x: ([float(x[0] + 0.7)], [[1.0]]),
                 [start],
                 lower=[0.0],
-                least_squares=False,
             )
             assert best.tolist() == [0.0], start
             assert diag.converged and diag.value == 0.7**2, start
@@ -1102,28 +1147,20 @@ def least_squares_gate(gate_histories) -> list[FailureDataset]:
 
 class TestFrozenReferenceFits:
     """Every least-squares fit of the gate histories hands the loop its
-    residuals and Jacobian; the reference, run on the same functions,
-    start and bounds, gives the same point and record, field by field."""
+    objective and derivatives; the reference, run on the same functions
+    negated, from the negated start and bounds, gives the same point and
+    record, field by field, negated back."""
 
     @pytest.mark.parametrize("model_name", ["geometric", "musa-basic", "musa-okumoto", "nhpp"])
-    def test_fits_equal_reference(self, monkeypatch, least_squares_gate, model_name):
-        from geomrel.comparison import fit_model
-
-        calls = []
-        original = estimation.levenberg_marquardt
-
-        def capture(residuals, jacobian, start, upper=None):
-            best, result = original(residuals, jacobian, start, upper)
-            calls.append(((residuals, jacobian, start, upper), (best.tolist(), result)))
-            return best, result
-
-        monkeypatch.setattr(estimation, "levenberg_marquardt", capture)
+    def test_fits_equal_reference(self, loop_runs, least_squares_gate, model_name):
         for ds in least_squares_gate:
             fit_model(model_name, ds)
-        assert len(calls) == len(least_squares_gate)
-        for args, live in calls:
-            best, result = reference_levenberg_marquardt(*args)
-            _assert_same([live, (best.tolist(), result)])
+        # A geometric search abandoned off the d bound returns nothing.
+        completed = [run for run in loop_runs if run.result is not None]
+        assert len(completed) == len(least_squares_gate)
+        for run in completed:
+            reference = reference_on_negated(run.objective, run.derivatives, run.start, run.lower)
+            _assert_same([(run.best, run.result), reference], signed_zeros=False)
 
 
 def test_fit_returns_the_params_of_its_best_point(least_squares_gate):
@@ -1133,7 +1170,9 @@ def test_fit_returns_the_params_of_its_best_point(least_squares_gate):
     saturated = FailureDataset(((6.0, 220), (605860300011.447, 596)), "saturated")
     for ds in [*least_squares_gate, saturated]:
         result = fit(ds)
-        p1, d = (estimation._expit(z) for z in result.diagnostics.x)
+        # The loop searches (logit p1, -logit d).
+        x0, x1 = result.diagnostics.x
+        p1, d = estimation._expit(x0), estimation._expit(-x1)
         fresh = GeometricModelParams(p1, d, default_truncation(d))
         assert result.params == fresh
         assert (result.params.p1, result.params.d) == (p1, d)
@@ -1194,14 +1233,14 @@ def growth_histories():
 
 
 class TestFitEvaluationCount:
-    """``diagnostics.evaluations`` is the number of residual evaluations the
+    """``diagnostics.evaluations`` is the number of objective evaluations the
     fit made, its start candidates and both runs of a two-run fit included:
     each one sums the mean (``_mean_terms``) once, unless its p1 or d rounds
     out of (0, 1) and it is refused before any sum.
     ``nonfinite_evaluations`` is the number of those refused probes plus
     the probes whose sum of squares is not finite, and
-    ``jacobian_evaluations`` the number of Jacobians, each of which forms
-    the intensity sums once."""
+    ``jacobian_evaluations`` the number of derivatives calls, each of which
+    forms the intensity sums once."""
 
     histories = {
         "growth": forward_dataset(GeometricModelParams(0.05, 0.95), GRID),
@@ -1211,8 +1250,8 @@ class TestFitEvaluationCount:
     }
 
     @pytest.mark.parametrize("name", list(histories))
-    def test_counts_equal_the_sums_made(self, monkeypatch, name):
-        calls = {"_mean_terms": 0, "_intensity_sums": 0, "refused": 0, "nonfinite_sums": 0}
+    def test_counts_equal_the_sums_made(self, monkeypatch, loop_runs, name):
+        calls = {"_mean_terms": 0, "_intensity_sums": 0, "nonfinite_sums": 0}
         ds = self.histories[name]
         _, log_counts, _ = ds._usable_points()
 
@@ -1230,41 +1269,15 @@ class TestFitEvaluationCount:
 
             return wrapper
 
-        original_loop = estimation.levenberg_marquardt
-
-        def refusals_counted(residuals, jacobian, start, upper=None):
-            def tallied(z):
-                out = residuals(z)
-                calls["refused"] += out is None
-                return out
-
-            return original_loop(tallied, jacobian, start, upper)
-
         for fn_name in ("_mean_terms", "_intensity_sums"):
             monkeypatch.setattr(estimation, fn_name, counted(fn_name))
-        monkeypatch.setattr(estimation, "levenberg_marquardt", refusals_counted)
         diag = fit(ds).diagnostics
-        assert diag.evaluations == calls["_mean_terms"] + calls["refused"]
+        refused = sum(run.refused for run in loop_runs)
+        assert diag.evaluations == calls["_mean_terms"] + refused
         assert diag.jacobian_evaluations == calls["_intensity_sums"]
-        assert diag.nonfinite_evaluations == calls["refused"] + calls["nonfinite_sums"]
+        assert diag.nonfinite_evaluations == refused + calls["nonfinite_sums"]
         if name == "saturated":
-            assert calls["refused"] > 0
-
-
-@pytest.fixture
-def loop_runs(monkeypatch):
-    """The arguments and outcome of every ``levenberg_marquardt`` run that
-    a geometric fit makes."""
-    runs = []
-    original = estimation.levenberg_marquardt
-
-    def capture(residuals, jacobian, start, upper=None):
-        best, result = original(residuals, jacobian, start, upper)
-        runs.append(((residuals, jacobian, start, upper), (best.tolist(), result)))
-        return best, result
-
-    monkeypatch.setattr(estimation, "levenberg_marquardt", capture)
-    return runs
+            assert refused > 0
 
 
 class TestNoGrowthStart:
@@ -1278,8 +1291,7 @@ class TestNoGrowthStart:
             result = fit(constant_rate_history(rate))
             assert result.boundary == "truncation-cap", rate
             assert result.converged, rate
-            (_, _, start, _), _ = loop_runs[-1]
-            assert start[1] == estimation._MAX_DECAY_LOGIT, rate
+            assert loop_runs[-1].start[1] == -estimation._MAX_DECAY_LOGIT, rate
             evaluations.append(result.diagnostics.evaluations)
         # From the growth start alone they took 17 evaluations at the median.
         assert float(np.median(evaluations)) <= 6
@@ -1287,13 +1299,14 @@ class TestNoGrowthStart:
     def test_growth_fits_equal_the_reference_from_the_growth_start(self, loop_runs):
         for ds in growth_histories():
             fitted = fit(ds)
-            (args, live), = loop_runs
+            (run,) = loop_runs
             loop_runs.clear()
             times, log_counts, _ = ds._usable_points()
             p1_start = estimation._initial_p1(float(times[-1]), float(math.exp(log_counts[-1])))
-            assert args[2] == [estimation._logit(p1_start), estimation._logit(0.94)], ds.label
-            best, result = reference_levenberg_marquardt(*args)
-            _assert_same([live, (best.tolist(), result)])
+            assert run.start == [estimation._logit(p1_start), -estimation._logit(0.94)], ds.label
+            reference = reference_on_negated(run.objective, run.derivatives, run.start, run.lower)
+            _assert_same([(run.best, run.result), reference], signed_zeros=False)
+            best, result = reference
             # The bound candidate, when the screen lets it be probed, is the
             # one evaluation the fit adds to the loop's.
             extra = fitted.diagnostics.evaluations - result.evaluations
@@ -1301,8 +1314,8 @@ class TestNoGrowthStart:
             assert fitted.diagnostics == dataclasses.replace(
                 result, evaluations=result.evaluations + extra
             ), ds.label
-            assert (fitted.params.p1, fitted.params.d) == tuple(
-                estimation._expit(z) for z in best.tolist()
+            assert (fitted.params.p1, fitted.params.d) == (
+                estimation._expit(best[0]), estimation._expit(-best[1])
             )
 
     @pytest.mark.parametrize(
@@ -1319,9 +1332,9 @@ class TestNoGrowthStart:
         # first history it would end the fit on the cap instead of the
         # saturated corner, on the second its p1 would pass 1.
         fitted = fit(FailureDataset(points))
-        ((_, _, start, _), (_, result)), = loop_runs
-        assert start == [estimation._logit(0.5), estimation._logit(0.94)]
-        assert fitted.diagnostics == result
+        (run,) = loop_runs
+        assert run.start == [estimation._logit(0.5), -estimation._logit(0.94)]
+        assert fitted.diagnostics == run.result
         assert fitted.boundary == boundary
 
     def test_a_search_that_probes_off_the_bound_restarts_from_the_growth_start(
@@ -1333,11 +1346,16 @@ class TestNoGrowthStart:
         # the bound, and the fit is the growth start's search, which ends
         # at 0.7133 as it did when that start was the only one.
         fitted = fit(two_basin_history())
-        ((_, _, start, _), (best, growth)), = loop_runs
-        assert start[1] == estimation._logit(0.94)
+        abandoned, run = loop_runs
+        assert abandoned.start[1] == -estimation._MAX_DECAY_LOGIT
+        assert abandoned.result is None
+        assert run.start[1] == -estimation._logit(0.94)
+        best, growth = run.best, run.result
         assert fitted.objective_value == growth.value
         assert fitted.objective_value == pytest.approx(0.7133040226312284, rel=1e-12)
-        assert (fitted.params.p1, fitted.params.d) == tuple(estimation._expit(z) for z in best)
+        assert (fitted.params.p1, fitted.params.d) == (
+            estimation._expit(best[0]), estimation._expit(-best[1])
+        )
         # The bound candidate and the abandoned search are counted too.
         diag = fitted.diagnostics
         assert diag.evaluations > growth.evaluations
@@ -1444,24 +1462,10 @@ class TestDecayBound:
         assert default_truncation(estimation._expit(math.nextafter(z, math.inf))) > cap
 
 
-def _captured_fit(monkeypatch, fitter, ds):
-    """The residuals and Jacobian functions a real fit hands to
-    ``levenberg_marquardt``."""
-    captured = []
-    original = estimation.levenberg_marquardt
-
-    def capture(residuals, jacobian, start, upper=None):
-        captured.append((residuals, jacobian))
-        return original(residuals, jacobian, start, upper)
-
-    monkeypatch.setattr(estimation, "levenberg_marquardt", capture)
-    fitter(ds)
-    return captured[-1]
-
-
 class TestGeometricJacobian:
-    """The fit's analytic Jacobian against central differences of the
-    residuals in (logit p1, logit d) at a fixed truncation N."""
+    """The fit's derivatives, ``J^T r`` and ``J^T J``, against those formed
+    from central differences of the residuals in (logit p1, w = -logit d)
+    at a fixed truncation N."""
 
     times = np.array([3.0, 40.0, 150.0, 400.0, 800.0])
 
@@ -1476,32 +1480,38 @@ class TestGeometricJacobian:
             (5e-5, 0.9986194028465245, True),
         ],
     )
-    def test_columns_match_central_differences(self, monkeypatch, p1, d, series):
+    def test_columns_match_central_differences(self, loop_runs, p1, d, series):
         ds = FailureDataset(tuple((float(t), k + 1) for k, t in enumerate(self.times)))
-        residuals, jacobian = _captured_fit(monkeypatch, fit, ds)
-        z = np.array([estimation._logit(p1), estimation._logit(d)])
-        n = default_truncation(estimation._expit(z[1]))
-        columns = jacobian(z, residuals(z))
-        params = GeometricModelParams(estimation._expit(z[0]), estimation._expit(z[1]), n)
+        fit(ds)
+        run = loop_runs[-1]
+        z = np.array([estimation._logit(p1), -estimation._logit(d)])
+        n = default_truncation(estimation._expit(-z[1]))
+        value = run.objective(z)
+        gradient, hessian = run.derivatives(z)
+        params = GeometricModelParams(estimation._expit(z[0]), estimation._expit(-z[1]), n)
         assert (n > DIRECT_SUM_MAX_TERMS) == series
         assert (model._series_head(params, float(self.times.max())) < n) == series
 
-        def log_mean(z0, z1):
-            params = GeometricModelParams(estimation._expit(z0), estimation._expit(z1), n)
+        def log_mean(z0, w):
+            params = GeometricModelParams(estimation._expit(z0), estimation._expit(-w), n)
             return np.log(mean_failures(params, self.times))
 
+        r = np.log(np.arange(1.0, 6.0)) - log_mean(z[0], z[1])
+        assert value == pytest.approx(float(r @ r), rel=1e-13)
         h = 1e-5
-        expected = [
+        columns = [
             -(log_mean(z[0] + h, z[1]) - log_mean(z[0] - h, z[1])) / (2 * h),
             -(log_mean(z[0], z[1] + h) - log_mean(z[0], z[1] - h)) / (2 * h),
         ]
-        for column, reference in zip(columns, expected):
-            np.testing.assert_allclose(column, reference, rtol=1e-6)
+        np.testing.assert_allclose(gradient, [c @ r for c in columns], rtol=1e-6)
+        np.testing.assert_allclose(
+            hessian, [[a @ b for b in columns] for a in columns], rtol=1e-6
+        )
 
         # The p1 column is -(1 - p1) t lambda(t) / mu(t).
-        np.testing.assert_allclose(
-            columns[0],
+        column = (
             -(1.0 - params.p1) * self.times * failure_intensity(params, self.times)
-            / mean_failures(params, self.times),
-            rtol=1e-13,
+            / mean_failures(params, self.times)
         )
+        assert gradient[0] == pytest.approx(float(column @ r), rel=1e-13)
+        assert hessian[0][0] == pytest.approx(float(column @ column), rel=1e-13)
