@@ -52,9 +52,7 @@ from .model import (
     additional_time,
     default_truncation,
     failure_intensity,
-    fault_cdf,
     fault_rate,
-    log_likelihood_small,
     mean_failures,
     time_for_intensity,
     time_for_intensity_exact,
@@ -90,13 +88,11 @@ __all__ = [
     "default_cut_points",
     "default_truncation",
     "failure_intensity",
-    "fault_cdf",
     "fault_rate",
     "fit",
     "fit_model",
     "least_squares_objective",
     "levenberg_marquardt",
-    "log_likelihood_small",
     "mean_failures",
     "number_of_failures_eval",
     "outlier_report",

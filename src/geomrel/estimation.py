@@ -21,7 +21,10 @@ model's parameters p1 and d live in (0, 1)^2; the search runs on logit p1
 and on ``w = -logit d``, so feasibility never has to be patched up
 afterwards.  Logit p1 is unbounded; w is bounded below at
 ``-_MAX_DECAY_LOGIT``, which keeps the truncation at or below
-``MAX_FIT_TRUNCATION``.
+``MAX_FIT_TRUNCATION``.  A history without reliability growth, whose log
+counts rise at least as fast as log time, starts that search on the w
+bound at the nested linear model's optimum; any other starts at
+d = 0.94.
 """
 
 from __future__ import annotations
@@ -558,27 +561,28 @@ def fit(ds: FailureDataset) -> FitResult:
     ``J^T r`` and ``J^T J`` from them.  The times are checked once for all
     probes, and probes at one d share one set of tail sums.
 
-    The search starts from the better of two candidates.  The growth
-    candidate has d = 0.94 and the leading rate at which the modelled mean
-    meets the final observed count q at t_q.  The no-growth candidate sits
-    on the d bound (N = ``MAX_FIT_TRUNCATION``) with
-    ``p1 = q (1 - d) / (t_q (1 - d**N))``, so that its mean is about the
-    linear ``q t / t_q``.  It is probed only when that linear mean's
-    objective, in closed form, is below the growth candidate's, and never
-    when the growth candidate's rate sits at its clip of 1/2 (a count the
-    mean at d = 0.94 cannot reach, towards the saturated corner).  The
-    search starts from the probed candidate with the lower objective, and
-    the loop takes that probe's objective rather than evaluating it
-    again.  A search from the bound that probes off it may be heading for
-    another basin than the growth candidate's, so it is abandoned at that
-    probe and the fit is the search from the growth candidate, as if that
-    were the only one: its mean is concave in t and meets q at t_q, so it
-    is at least the bound candidate's linear mean and is finite wherever
-    that one is.  So every fit either searches on the bound throughout or
-    ends where the growth start alone ends it.  ``diagnostics`` is the kept
-    search's, except that ``evaluations``, ``nonfinite_evaluations`` and
+    The start is decided from the data before any evaluation.  A
+    geometric mean is concave in t through 0, so the least-squares slope
+    of its ln mu on ln t is at most 1, the slope of the nested linear
+    model ``mu = lambda t``.  A history whose slope of ln r on ln t is at
+    least 1 (no reliability growth) starts on the d bound
+    (N = ``MAX_FIT_TRUNCATION``) at that model's optimum,
+    ``ln lambda = mean(ln r_j - ln t_j)``, with
+    ``p1 = lambda (1 - d) / (1 - d**N)``, so that its mean is about
+    ``lambda t`` while p1 t is small, when that p1 lies in (0, 1).  Every
+    other history starts from the growth candidate: d = 0.94 and the
+    leading rate at which the modelled mean meets the final observed count
+    q at t_q (:func:`_initial_p1`).  The loop takes the start's probe
+    rather than evaluating it again.  A search from the bound that probes
+    off it may be heading for another basin than the growth candidate's,
+    so it is abandoned at that probe and the fit is the search from the
+    growth candidate, as if that were the only start.  So every fit either
+    searches on the bound throughout or ends where the growth start alone
+    ends it, and the growth candidate is built only when it is searched
+    from.  ``diagnostics`` is the kept search's, except that
+    ``evaluations``, ``nonfinite_evaluations`` and
     ``jacobian_evaluations`` count every objective evaluation, non-finite
-    point and Jacobian the fit made, each once: the candidates and an
+    point and Jacobian the fit made, each once: the bound start and an
     abandoned search's included.  Non-convergence is reported through
     ``converged``, never silently.
     """
@@ -587,7 +591,6 @@ def fit(ds: FailureDataset) -> FitResult:
     t_q = float(times[-1])
     # exp(ln q) differs from q for some counts; starting from q moves fits.
     q = float(math.exp(log_counts[-1]))
-    p1_start = _initial_p1(t_q, q)
     tails = {}  # the tail sums of every d probed, shared by its probes
     probed = []  # the latest probe's (p1, d, params, mean, head terms, residuals)
     at_jacobian = []  # the params of the latest point the Jacobian was taken at
@@ -635,12 +638,10 @@ def fit(ds: FailureDataset) -> FitResult:
             [a01, float(c1.dot(c1))],
         ]
 
-    def candidate(start: list[float]) -> tuple[float, tuple]:
-        """The objective at ``start`` (+inf where it is not finite) and the
-        probe that the loop's first call at ``start`` is handed."""
+    def candidate(start: list[float]) -> tuple:
+        """The probe at ``start`` that the loop's first call is handed."""
         value = objective(np.array(start))
-        finite = value is not None and math.isfinite(value)
-        return value if finite else math.inf, (start, value, list(probed))
+        return start, value, list(probed)
 
     def search(probe: tuple) -> tuple[OptimizerResult, GeometricModelParams]:
         """The loop's run from a candidate's probe, and the params that the
@@ -653,24 +654,33 @@ def fit(ds: FailureDataset) -> FitResult:
         point = [_expit(float(best[0])), _expit(-float(best[1]))]
         return diag, probed[2] if probed[:2] == point else at_jacobian[0]
 
+    def growth() -> tuple:
+        """The growth candidate's probe: d = 0.94, and the p1 at which the
+        mean meets q at t_q."""
+        p1 = _initial_p1(t_q, q)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return candidate([_logit(p1), -_logit(_INITIAL_DECAY_GUESS)])
+
+    # The least-squares slope of ln r on ln t is rise / run.  A geometric
+    # mean is concave through 0, so its slope is at most the linear mean's
+    # 1: a history at or above it starts on the d bound, at the linear
+    # model's optimum ln(p1 sum_a d**a) = mean(ln r - ln t).
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        value, growth = candidate([_logit(p1_start), -_logit(_INITIAL_DECAY_GUESS)])
-        start = growth
-        p1_bound = q / (t_q * _BOUND_POWER_SUM)
-        if p1_start < 0.5 and p1_bound > 0.0:
-            linear = (log_counts - log_counts[-1]) - np.log(times / t_q)
-            if float(linear.dot(linear)) < value:
-                bound_value, bound = candidate([_logit(p1_bound), -_MAX_DECAY_LOGIT])
-                if bound_value < value:
-                    start = bound
-                    abandon = True
+        log_times = np.log(times)
+        spread = log_times - log_times.mean()
+        rise = float(spread.dot(log_counts - log_counts.mean()))
+        run = float(spread.dot(spread))
+        p1_bound = float(np.exp((log_counts - log_times).mean())) / _BOUND_POWER_SUM
+        abandon = rise >= run > 0.0 and 0.0 < p1_bound < 1.0
+        if abandon:
+            start = candidate([_logit(p1_bound), -_MAX_DECAY_LOGIT])
     try:
-        diag, params = search(start)
+        diag, params = search(start if abandon else growth())
     except _OffBound:
         # The search from the bound left it, maybe for another basin than
         # the growth candidate's: the fit is that candidate's search.
         abandon = False
-        diag, params = search(growth)
+        diag, params = search(growth())
     diag = replace(
         diag,
         evaluations=evaluations,

@@ -18,10 +18,10 @@ from geomrel.evaluation import ValidityCurve, aggregate_median, number_of_failur
 from geomrel.model import (
     GeometricModelParams,
     failure_intensity,
-    log_likelihood_small,
     mean_failures,
 )
 from geomrel.simulation import SimulationConfig, simulate
+from exact_likelihood import log_likelihood_small
 
 REPO_DATA = Path(__file__).resolve().parent.parent / "data"
 ALL_FIVE = ("geometric", "musa-basic", "musa-okumoto", "littlewood-verrall", "nhpp")

@@ -24,7 +24,8 @@ from geomrel.errors import FitError, PredictionError
 from geomrel import estimation
 from geomrel.estimation import FitResult, OptimizerResult, fit
 from geomrel.evaluation import default_cut_points
-from geomrel.model import GeometricModelParams, fault_cdf, log_likelihood_small, mean_failures
+from geomrel.model import GeometricModelParams, mean_failures
+from exact_likelihood import fault_cdf, log_likelihood_small
 from reference_simplex import SimplexRun, reference_nelder_mead
 from regenerate_golden import prefixes as golden_prefixes
 

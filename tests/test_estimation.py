@@ -5,14 +5,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import geomrel.estimation as estimation
 import geomrel.model as model
 from geomrel.comparison import LittlewoodVerrall, fit_model
-from geomrel.data import FailureDataset
+from geomrel.data import FailureDataset, parse_dataset
 from geomrel.errors import FitError
+from geomrel.evaluation import default_cut_points
 from geomrel.estimation import (
     FitResult,
     OptimizerResult,
@@ -29,7 +30,7 @@ from geomrel.model import (
 )
 from geomrel.simulation import SimulationConfig, simulate
 from reference_simplex import reference_nelder_mead
-from regenerate_golden import GRID, constant_rate_history, two_basin_history
+from regenerate_golden import GRID, NTDS, constant_rate_history, two_basin_history
 
 
 def straight_line_objective(p1, d, n, points):
@@ -1232,6 +1233,12 @@ def growth_histories():
     return histories
 
 
+def ntds_history() -> FailureDataset:
+    """The NTDS history, all 26 intervals."""
+    with open(NTDS, "rb") as handle:
+        return parse_dataset(handle, "tbf_csv", label="ntds")
+
+
 class TestFitEvaluationCount:
     """``diagnostics.evaluations`` is the number of objective evaluations the
     fit made, its start candidates and both runs of a two-run fit included:
@@ -1247,6 +1254,8 @@ class TestFitEvaluationCount:
         "constant-rate": constant_rate_history(0.05),
         "saturated": FailureDataset(((6.0, 220), (605860300011.447, 596)), "saturated"),
         "two-basin": two_basin_history(),
+        # Starts on the d bound, and restarts from the growth start.
+        "ntds": ntds_history(),
     }
 
     @pytest.mark.parametrize("name", list(histories))
@@ -1294,7 +1303,7 @@ class TestNoGrowthStart:
             assert loop_runs[-1].start[1] == -estimation._MAX_DECAY_LOGIT, rate
             evaluations.append(result.diagnostics.evaluations)
         # From the growth start alone they took 17 evaluations at the median.
-        assert float(np.median(evaluations)) <= 6
+        assert float(np.median(evaluations)) <= 4
 
     def test_growth_fits_equal_the_reference_from_the_growth_start(self, loop_runs):
         for ds in growth_histories():
@@ -1307,13 +1316,9 @@ class TestNoGrowthStart:
             reference = reference_on_negated(run.objective, run.derivatives, run.start, run.lower)
             _assert_same([(run.best, run.result), reference], signed_zeros=False)
             best, result = reference
-            # The bound candidate, when the screen lets it be probed, is the
-            # one evaluation the fit adds to the loop's.
-            extra = fitted.diagnostics.evaluations - result.evaluations
-            assert extra in (0, 1), ds.label
-            assert fitted.diagnostics == dataclasses.replace(
-                result, evaluations=result.evaluations + extra
-            ), ds.label
+            # Their log counts rise slower than log time, so the fit probes
+            # nothing on the bound: its record is the loop's.
+            assert fitted.diagnostics == result, ds.label
             assert (fitted.params.p1, fitted.params.d) == (
                 estimation._expit(best[0]), estimation._expit(-best[1])
             )
@@ -1328,9 +1333,10 @@ class TestNoGrowthStart:
     )
     def test_a_clipped_growth_start_is_the_only_candidate(self, loop_runs, points, boundary):
         # Counts that the mean at d = 0.94 cannot reach clip the growth
-        # start's p1 at 1/2.  The bound candidate is then not probed: on the
-        # first history it would end the fit on the cap instead of the
-        # saturated corner, on the second its p1 would pass 1.
+        # start's p1 at 1/2.  Both histories' log counts rise slower than
+        # log time (slopes 0.81 and 0.06), so nothing is probed on the d
+        # bound: on the first history a bound start would end the fit on
+        # the cap instead of the saturated corner.
         fitted = fit(FailureDataset(points))
         (run,) = loop_runs
         assert run.start == [estimation._logit(0.5), -estimation._logit(0.94)]
@@ -1340,23 +1346,23 @@ class TestNoGrowthStart:
     def test_a_search_that_probes_off_the_bound_restarts_from_the_growth_start(
         self, loop_runs
     ):
-        # The bound candidate has the lower objective here, but a search
-        # from it leaves the bound for a worse basin (objective 0.7799, near
-        # p1 = 0.86 and d = 1e-4).  It is abandoned at its first probe off
-        # the bound, and the fit is the growth start's search, which ends
-        # at 0.7133 as it did when that start was the only one.
-        fitted = fit(two_basin_history())
+        # The full NTDS history's log counts rise faster than log time
+        # (slope 1.073), so its fit starts on the d bound; the search leaves
+        # the bound, is abandoned at that probe, and the fit is the growth
+        # start's search, which ends at an interior optimum (N = 1,366).
+        fitted = fit(ntds_history())
         abandoned, run = loop_runs
         assert abandoned.start[1] == -estimation._MAX_DECAY_LOGIT
         assert abandoned.result is None
         assert run.start[1] == -estimation._logit(0.94)
         best, growth = run.best, run.result
         assert fitted.objective_value == growth.value
-        assert fitted.objective_value == pytest.approx(0.7133040226312284, rel=1e-12)
+        assert fitted.boundary is None and fitted.converged
+        assert fitted.params.truncation == 1366
         assert (fitted.params.p1, fitted.params.d) == (
             estimation._expit(best[0]), estimation._expit(-best[1])
         )
-        # The bound candidate and the abandoned search are counted too.
+        # The bound start and the abandoned search are counted too.
         diag = fitted.diagnostics
         assert diag.evaluations > growth.evaluations
         assert diag.jacobian_evaluations > growth.jacobian_evaluations
@@ -1365,6 +1371,174 @@ class TestNoGrowthStart:
             evaluations=diag.evaluations,
             jacobian_evaluations=diag.jacobian_evaluations,
         )
+
+    def test_the_two_basin_history_runs_the_growth_start_alone(self, loop_runs):
+        # Its log counts rise slower than log time, so nothing is probed on
+        # the d bound, from which a search would end in a worse basin
+        # (objective 0.7799, near p1 = 0.86 and d = 1e-4).  The one search
+        # is the growth start's, which ends at 0.7133.
+        fitted = fit(two_basin_history())
+        (run,) = loop_runs
+        assert run.start[1] == -estimation._logit(0.94)
+        assert fitted.diagnostics == run.result
+        assert fitted.objective_value == pytest.approx(0.7133040226312284, rel=1e-12)
+
+    def test_ntds_cut_prefixes_build_one_growth_start(self, monkeypatch):
+        # The 11 distinct prefixes that geomrel evaluate fits on NTDS: 10
+        # end on the cap from the bound start, and only the full history
+        # builds the growth start.  From the growth start alone, and with
+        # the screen through the last point, they took 109 evaluations, 62
+        # Jacobians and 11 growth starts.
+        starts = [0]
+        original = estimation._initial_p1
+
+        def counted(t_q, q):
+            starts[0] += 1
+            return original(t_q, q)
+
+        monkeypatch.setattr(estimation, "_initial_p1", counted)
+        ntds = ntds_history()
+        cuts = sorted({int(np.searchsorted(ntds.times, t, side="right"))
+                       for t in default_cut_points(ntds)})
+        fits = [fit(ntds.prefix(n)) for n in cuts]
+        assert len(fits) == 11
+        assert [f.boundary for f in fits] == ["truncation-cap"] * 10 + [None]
+        assert sum(f.diagnostics.evaluations for f in fits) <= 80
+        assert sum(f.diagnostics.jacobian_evaluations for f in fits) <= 41
+        assert starts[0] == 1
+
+
+def growth_start_search(ds: FailureDataset):
+    """A frozen copy of the geometric fit from its growth start alone (the
+    fit before it had a start on the d bound), run by the package's loop:
+    its point in (logit p1, -logit d) as a list and its record, or the text
+    of the ``ValueError`` that refuses ``ds``.  The loop itself is checked
+    against the reference loop elsewhere; this copy freezes the start and
+    the callbacks."""
+    times, log_counts, _ = ds._usable_points()
+    column, t_max = model._checked_times(times, 0.0, "fit")
+    t_q = float(times[-1])
+    q = float(math.exp(log_counts[-1]))
+    probed = []
+
+    def objective(z):
+        z0, w = z.tolist()
+        p1, d = estimation._expit(z0), estimation._expit(-w)
+        if not (0.0 < p1 < 1.0 and 0.0 < d < 1.0):
+            return None
+        params = GeometricModelParams(p1, d, default_truncation(d))
+        mu, terms = model._mean_terms(params, column, t_max)
+        r = log_counts - np.log(mu)
+        probed[:] = p1, d, params, mu, r, terms
+        return float(r.dot(r))
+
+    def derivatives(z):
+        p1, d, params, mu, r, terms = probed
+        intensity, weighted = model._intensity_sums(params, column, terms)
+        c0 = -(1.0 - p1) * (times / mu) * intensity
+        c1 = (1.0 - d) * (times / mu) * weighted
+        a01 = float(c0.dot(c1))
+        return [float(c0.dot(r)), float(c1.dot(r))], [
+            [float(c0.dot(c0)), a01],
+            [a01, float(c1.dot(c1))],
+        ]
+
+    start = [
+        estimation._logit(estimation._initial_p1(t_q, q)),
+        -estimation._logit(0.94),
+    ]
+    try:
+        best, result = levenberg_marquardt(
+            objective, derivatives, start, [-math.inf, -estimation._MAX_DECAY_LOGIT]
+        )
+    except ValueError as exc:
+        return str(exc)
+    return best.tolist(), result
+
+
+def log_log_slope(ds: FailureDataset) -> float:
+    """The least-squares slope of ln r on ln t over the usable points, in
+    Python floats."""
+    times, log_counts, _ = ds._usable_points()
+    x = [math.log(t) for t in times.tolist()]
+    y = log_counts.tolist()
+    x_bar, y_bar = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    rise = math.fsum((a - x_bar) * (b - y_bar) for a, b in zip(x, y))
+    run = math.fsum((a - x_bar) ** 2 for a in x)
+    return rise / run
+
+
+@st.composite
+def power_histories(draw):
+    """Counts ``floor(c t**b)`` at 2 to 40 times from 1e-3 to 1e9, the
+    last count up to 2**62: ``b >= 1`` (no growth, and the constant rates
+    at b = 1) or ``b < 1`` (growth); or Poisson counts at a constant rate
+    on an even grid."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 40))
+        step = draw(st.floats(1e-3, 1e9 / n))
+        rate = draw(st.floats(1e-3, 10.0)) / step
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        counts = np.cumsum(rng.poisson(rate * step, n)).tolist()
+        return FailureDataset(tuple((step * (i + 1), c) for i, c in enumerate(counts)))
+    times = sorted(draw(st.lists(st.floats(1e-3, 1e9), min_size=2, max_size=40, unique=True)))
+    b = draw(st.one_of(st.just(1.0), st.floats(1.0, 3.0), st.floats(0.2, 1.0)))
+    q = draw(st.integers(1, 2**62))
+    c = q / times[-1] ** b
+    counts = [min(math.floor(c * t**b), 2**62) for t in times]
+    return FailureDataset(tuple(zip(times, counts)))
+
+
+# How far a fit started on the d bound may end above the growth start's
+# search, relative, on a history whose final count a population of
+# MAX_FIT_TRUNCATION faults can reach: the largest rise measured over
+# 1,594 such fits of seeded steep histories (all on the truncation cap)
+# was 8.8e-14.  Beyond that count no bound holds: one two-point history
+# with 1.7e12 failures ended 0.44% higher, in another basin along the
+# bound, while 827 of 3,085 such fits ended lower.
+BOUND_START_RISE = 1e-11
+
+
+@settings(max_examples=200, deadline=None)
+@given(ds=power_histories())
+def test_the_start_screen_against_the_growth_start_alone(ds):
+    """A history whose log counts rise slower than log time returns the
+    floats and record of the search from the growth start alone, bit for
+    bit, or its refusal.  One whose log counts rise at least as fast may
+    start on the d bound: it then ends on the truncation cap or, after an
+    abandoned search, at the growth start's floats, and where its final
+    count is within the cap's reach, at most ``BOUND_START_RISE`` above
+    the growth start's objective."""
+    assume(np.count_nonzero(ds.counts) >= 2)
+    reference = growth_start_search(ds)
+    try:
+        fitted = fit(ds)
+    except ValueError as exc:
+        fitted = str(exc)
+    # Within rounding of a slope of 1 the start may go either way.
+    steep = log_log_slope(ds) >= 1.0 - 1e-9
+    if isinstance(reference, str):
+        fitted_on_cap = not isinstance(fitted, str) and fitted.boundary == "truncation-cap"
+        assert fitted == reference or (steep and fitted_on_cap)
+        return
+    assert not isinstance(fitted, str), fitted
+    best, result = reference
+    diag = fitted.diagnostics
+    # An abandoned search from the bound adds its evaluations to the record.
+    same = dataclasses.replace(
+        diag,
+        evaluations=result.evaluations,
+        nonfinite_evaluations=result.nonfinite_evaluations,
+        jacobian_evaluations=result.jacobian_evaluations,
+    ) == result and (fitted.params.p1, fitted.params.d) == (
+        estimation._expit(best[0]), estimation._expit(-best[1])
+    )
+    if not steep:
+        assert same and diag == result
+        return
+    assert same or fitted.boundary == "truncation-cap"
+    if ds.final_count <= estimation.MAX_FIT_TRUNCATION:
+        assert fitted.objective_value <= result.value * (1.0 + BOUND_START_RISE) + 1e-24
 
 
 class TestSharedUsableArrays:

@@ -18,13 +18,12 @@ from geomrel.model import (
     additional_time,
     default_truncation,
     failure_intensity,
-    fault_cdf,
     fault_rate,
-    log_likelihood_small,
     mean_failures,
     time_for_intensity,
     time_for_intensity_exact,
 )
+from exact_likelihood import fault_cdf, log_likelihood_small
 
 HALVING = GeometricModelParams(0.5, 0.5, 2)
 

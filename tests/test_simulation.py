@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from geomrel.data import parse_dataset, to_cumulative_csv
-from geomrel.model import GeometricModelParams, fault_cdf, failure_intensity, mean_failures
+from geomrel.model import GeometricModelParams, failure_intensity, mean_failures
 from geomrel.simulation import SimulationConfig, _draw_failure_times, simulate
 from empirical_intensity import empirical_intensity
+from exact_likelihood import fault_cdf
 
 
 class TestConfig:
